@@ -15,10 +15,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BqtError
-from .induced import IndVector
 from .limits import CompatSeqSpec, dim_table
 from .lspaces import LVector, apply_flavored_word, flavored_word_from_json
-from .polyrep import PolyVector, apply_word, validate_word, word_from_json
+from .polyrep import apply_word, validate_word, word_from_json
 from .relations import (
     check_aux_identities,
     check_bqt_relations,
@@ -26,8 +25,10 @@ from .relations import (
     check_daha_relations,
     check_theta_eigenvalues,
     make_realization,
+    relation_ids,
     run_probabilistic,
 )
+from .tableaux import check_shape
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -38,11 +39,7 @@ def parse_shape(text: str) -> tuple[int, ...]:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"shape must be a comma list of integers, got {text!r}")
-    if any(p <= 0 for p in parts):
-        raise ValueError(f"shape parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"shape parts must weakly decrease: {parts}")
-    return parts
+    return check_shape(parts)
 
 
 def _module_descriptor(args) -> dict:
@@ -61,67 +58,20 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _run_checker(suite: str, M, params: dict, only: str | None = None):
+    if suite == "daha":
+        return check_daha_relations(M, params["dmax"], only=only)
+    if suite == "bqt":
+        return check_bqt_relations(M, params["kmax"], params["dmax"], only=only)
+    if suite == "aux":
+        return check_aux_identities(M, params["dmax"], only=only)
+    raise ValueError(suite)
+
+
 # module-level so it can cross a process boundary
 def _check_task(task: tuple) -> list[dict]:
     suite, desc, params, only = task
-    M = make_realization(desc)
-    if suite == "daha":
-        reports = check_daha_relations(M, params["dmax"], only=only)
-    elif suite == "bqt":
-        reports = check_bqt_relations(M, params["kmax"], params["dmax"], only=only)
-    elif suite == "aux":
-        reports = check_aux_identities(M, params["dmax"], only=only)
-    else:
-        raise ValueError(suite)
-    return [r.to_obj() for r in reports]
-
-
-_DAHA_IDS = [
-    "daha_quadratic",
-    "daha_braid",
-    "daha_T_commute",
-    "daha_TXT",
-    "daha_TX_commute",
-    "daha_X_commute",
-    "daha_TYT",
-    "daha_TY_commute",
-    "daha_Y_commute",
-    "daha_YTX",
-    "daha_Y_Xchain",
-]
-_BQT_IDS = [
-    "bqt_quadratic",
-    "bqt_braid",
-    "bqt_T_commute",
-    "bqt_TzT",
-    "bqt_zT_commute",
-    "bqt_z_commute",
-    "bqt_dminus_sq",
-    "bqt_dminus_T",
-    "bqt_T1_dplus_sq",
-    "bqt_dplus_T",
-    "bqt_phi_dminus",
-    "bqt_phi_dplus",
-    "bqt_z_dminus",
-    "bqt_dplus_z",
-    "bqt_z1_commutator",
-]
-_AUX_IDS = [
-    "aux_eps_idempotent",
-    "aux_eps_product",
-    "aux_eps_absorbs_T",
-    "aux_eps_commutes_T",
-    "aux_pi_X",
-    "aux_pi_T",
-    "aux_pi_sq_T",
-    "aux_pitilde_Y",
-    "aux_pitilde_tY",
-    "aux_pitilde_T",
-    "aux_pitilde_sq_T",
-    "aux_jucys_murphy",
-    "aux_phi_closed_form",
-    "aux_dminus_closed_form",
-]
+    return [r.to_obj() for r in _run_checker(suite, make_realization(desc), params, only)]
 
 
 def cmd_check(args) -> int:
@@ -140,17 +90,12 @@ def cmd_check(args) -> int:
     elif args.probabilistic:
 
         def suite(ring):
-            M = make_realization(desc, ring)
-            if args.suite == "daha":
-                return check_daha_relations(M, args.dmax)
-            if args.suite == "bqt":
-                return check_bqt_relations(M, args.kmax, args.dmax)
-            return check_aux_identities(M, args.dmax)
+            return _run_checker(args.suite, make_realization(desc, ring), params)
 
         reports = run_probabilistic(suite, seed=seed, points=2)
         report_objs = [r.to_obj() for r in reports]
     else:
-        ids = {"daha": _DAHA_IDS, "bqt": _BQT_IDS, "aux": _AUX_IDS}[args.suite]
+        ids = relation_ids(args.suite, args.n)
         tasks = [(args.suite, desc, params, rid) for rid in ids]
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -194,22 +139,12 @@ def cmd_act(args) -> int:
         payload = json.load(fh)
     word_data = json.loads(args.word)
     if isinstance(payload, dict) and "flavor" in payload:
-        vec_obj = payload["vector"]
-        vec = (
-            PolyVector.from_obj(vec_obj)
-            if desc["module"] == "poly"
-            else IndVector.from_obj(vec_obj)
-        )
-        lv = LVector(int(payload["flavor"]), vec)
+        lv = LVector(int(payload["flavor"]), M.vector_type.from_obj(payload["vector"]))
         word = flavored_word_from_json(word_data)
         out = apply_flavored_word(M, lv, word)
         result = {"flavor": out.k, "vector": out.payload.to_obj()}
     else:
-        vec = (
-            PolyVector.from_obj(payload)
-            if desc["module"] == "poly"
-            else IndVector.from_obj(payload)
-        )
+        vec = M.vector_type.from_obj(payload)
         word = word_from_json(word_data)
         validate_word(word, M.n)
         out_vec = apply_word(M, vec, word)
@@ -236,12 +171,10 @@ def cmd_limit(args, as_text: bool = False) -> int:
                 cell = dims_by_kd[(k, d)]
                 row.append(f"{cell['dim'] if cell['dim'] is not None else '?':>5}")
             print(" ".join(row))
-        if unresolved:
-            print(f"warning: {len(unresolved)} unresolved cells", file=sys.stderr)
     else:
         _emit(table, args.out)
-        if unresolved:
-            print(f"warning: {len(unresolved)} unresolved cells", file=sys.stderr)
+    if unresolved:
+        print(f"warning: {len(unresolved)} unresolved cells", file=sys.stderr)
     return 0
 
 

@@ -20,10 +20,12 @@ negative control for the compatibility checker.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange, ShapeMismatch
+from .keyed import KeyedRealization, SparseVec, accumulate
 from .polyrep import (
     Exponents,
     PolyVector,
     divided_difference,
+    monomial_str,
     monomials_of_degree,
     swap_exponents,
 )
@@ -41,72 +43,23 @@ from .tableaux import (
 IndKey = tuple[Exponents, StandardTableau]
 
 
-class IndVector:
+class IndVector(SparseVec):
     """Sparse element of polynomials tensor seed at rank n, shape lam."""
 
-    __slots__ = ("n", "lam", "coeffs")
+    __slots__ = ()
 
     def __init__(self, n: int, lam: Shape, coeffs: dict[IndKey, object]):
-        self.n = n
-        self.lam = lam
+        self.meta = (n, lam)
         self.coeffs = coeffs
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def lam(self) -> Shape:
+        return self.meta[1]
 
     def degree(self) -> int:
         if not self.coeffs:
             return -1
         return max(sum(e) for e, _ in self.coeffs)
-
-    def add(self, other: "IndVector") -> "IndVector":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            if k in out:
-                s = out[k] + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = c
-        return IndVector(self.n, self.lam, out)
-
-    def sub(self, other: "IndVector") -> "IndVector":
-        if not other.coeffs:
-            return self
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            if k in out:
-                s = out[k] - c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = -c
-        return IndVector(self.n, self.lam, out)
-
-    def scale(self, c) -> "IndVector":
-        if c.is_zero() or not self.coeffs:
-            return IndVector(self.n, self.lam, {})
-        if c.is_one():
-            return self
-        return IndVector(self.n, self.lam, {k: v * c for k, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IndVector)
-            and self.n == other.n
-            and self.lam == other.lam
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def sorted_items(self):
         return sorted(
@@ -115,20 +68,14 @@ class IndVector:
             reverse=True,
         )
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (e, tau), c in self.sorted_items():
-            mono = "*".join(
-                f"x{i+1}^{k}" if k > 1 else f"x{i+1}" for i, k in enumerate(e) if k
-            )
-            body = f"{mono}(x)e{list(tau.row_word())}" if mono else f"e{list(tau.row_word())}"
-            parts.append(body if c.is_one() else f"({c})*{body}")
-        return " + ".join(parts)
+    def _term(self, key: IndKey, c) -> str:
+        e, tau = key
+        mono = monomial_str(e)
+        body = f"{mono}(x)e{list(tau.row_word())}" if mono else f"e{list(tau.row_word())}"
+        return body if c.is_one() else f"({c})*{body}"
 
     def __repr__(self) -> str:
-        return f"IndVector(n={self.n}, lam={self.lam}, {str(self)})"
+        return f"IndVector(n={self.n}, lam={self.lam}, {self})"
 
     def to_obj(self) -> dict:
         return {
@@ -144,54 +91,72 @@ class IndVector:
     def from_obj(cls, obj: dict) -> "IndVector":
         n = int(obj["rank"])
         lam = check_shape(tuple(obj.get("shape", ())))
-        out = cls(n, lam, {})
+        coeffs: dict[IndKey, object] = {}
         for entry in obj["entries"]:
-            tau = StandardTableau(entry["tableau"])
-            c = parse_scalar(entry["coeff"])
-            key = (tuple(entry["exponents"]), tau)
-            out = out.add(cls(n, lam, {key: c}))
-        return out
+            key = (tuple(entry["exponents"]), StandardTableau(entry["tableau"]))
+            accumulate(coeffs, key, parse_scalar(entry["coeff"]))
+        return cls(n, lam, coeffs)
 
 
-class InducedRealization:
+class InducedRealization(KeyedRealization):
     """Rank-n induced module over the seed attached to lam."""
 
     kind = "murnaghan"
+    vector_type = IndVector
 
     def __init__(self, lam: Shape, n: int, ring=QT):
         self.lam = check_shape(lam)
-        self.n = n
-        self.ring = ring
+        super().__init__(n, ring, (n, self.lam))
         self.seed = SeedRealization(self.lam, n, ring)
         self.tableaux = self.seed.tableaux
-        self._ti_memo: dict[tuple[int, IndKey], tuple] = {}
-        self._tinv_memo: dict[tuple[int, IndKey], tuple] = {}
-        self._pi_memo: dict[IndKey, tuple] = {}
-        self.cache: dict = {}
 
     def descriptor(self) -> dict:
         return {"module": "murnaghan", "shape": list(self.lam), "n": self.n}
-
-    def zero(self) -> IndVector:
-        return IndVector(self.n, self.lam, {})
 
     def vector(self, exps: Exponents, tau: StandardTableau, coeff=None) -> IndVector:
         c = self.ring.one if coeff is None else coeff
         return IndVector(self.n, self.lam, {(tuple(exps), tau): c})
 
     def basis(self, degree: int) -> list[IndVector]:
-        out = []
-        for e in monomials_of_degree(self.n, degree):
-            for tau in self.tableaux:
-                out.append(self.vector(e, tau))
-        return out
+        return [v for _, v in self.basis_with_exponents(degree)]
 
     def basis_with_exponents(self, degree: int) -> list[tuple[Exponents, IndVector]]:
-        out = []
-        for e in monomials_of_degree(self.n, degree):
-            for tau in self.tableaux:
-                out.append((e, self.vector(e, tau)))
-        return out
+        return [
+            (e, self.vector(e, tau))
+            for e in monomials_of_degree(self.n, degree)
+            for tau in self.tableaux
+        ]
+
+    def _ti_image(self, i: int, key: IndKey) -> tuple:
+        """swap (x) T_i(seed) plus (1-q) times the divided difference (x) seed."""
+        e, tau = key
+        se = swap_exponents(e, i)
+        out: dict[IndKey, object] = {}
+        for s, m in self.seed._ti_table(i, tau):
+            accumulate(out, (se, s), m)
+        if se != e:
+            coeff = self.ring.one - self.ring.q
+            for de, dc in divided_difference({e: self.ring.one}, i).items():
+                accumulate(out, (de, tau), coeff * dc)
+        return tuple(out.items())
+
+    def _pi_image(self, key: IndKey) -> tuple:
+        """t^(a_n) X_1^(a_n) X_2^(a_1) .. X_n^(a_{n-1})  (x)  pi(seed factor)."""
+        e, tau = key
+        last = e[-1]
+        ne = (last,) + e[:-1]
+        tpow = self.ring.t_power(last)
+        img = self.seed.apply_pi(self.seed.basis_vector(tau))
+        return tuple(((ne, s), m * tpow if last else m) for s, m in img.coeffs.items())
+
+    def apply_Ti(self, v: IndVector, i: int) -> IndVector:
+        return self._apply_table(v, self._ti_table, self._t_index(i))
+
+    def apply_Ti_inv(self, v: IndVector, i: int) -> IndVector:
+        return self._apply_table(v, self._tinv_table, self._t_index(i))
+
+    def apply_pi(self, v: IndVector) -> IndVector:
+        return self._apply_table(v, self._pi_table)
 
     def apply_Xi(self, v: IndVector, i: int) -> IndVector:
         if not 1 <= i <= self.n:
@@ -200,91 +165,6 @@ class InducedRealization:
             (e[: i - 1] + (e[i - 1] + 1,) + e[i:], tau): c
             for (e, tau), c in v.coeffs.items()
         }
-        return IndVector(self.n, self.lam, out)
-
-    def _add_key(self, out: dict, key: IndKey, val) -> None:
-        cur = out.get(key)
-        if cur is None:
-            if not val.is_zero():
-                out[key] = val
-        else:
-            cur = cur + val
-            if cur.is_zero():
-                del out[key]
-            else:
-                out[key] = cur
-
-    def _ti_key(self, i: int, key: IndKey) -> tuple:
-        memo = self._ti_memo
-        mkey = (i, key)
-        hit = memo.get(mkey)
-        if hit is not None:
-            return hit
-        e, tau = key
-        se = swap_exponents(e, i)
-        out: dict[IndKey, object] = {}
-        for s, m in self.seed._ti_tableau(i, tau):
-            self._add_key(out, (se, s), m)
-        if se != e:
-            coeff = self.ring.one - self.ring.q
-            for de, dc in divided_difference({e: self.ring.one}, i, self.ring).items():
-                self._add_key(out, (de, tau), coeff * dc)
-        result = tuple(out.items())
-        memo[mkey] = result
-        return result
-
-    def _tinv_key(self, i: int, key: IndKey) -> tuple:
-        memo = self._tinv_memo
-        mkey = (i, key)
-        hit = memo.get(mkey)
-        if hit is not None:
-            return hit
-        ring = self.ring
-        qinv = ring.q_power(-1)
-        out: dict[IndKey, object] = {}
-        for k2, m in self._ti_key(i, key):
-            out[k2] = m * qinv
-        self._add_key(out, key, (ring.q - ring.one) * qinv)
-        result = tuple(out.items())
-        memo[mkey] = result
-        return result
-
-    def _apply_table(self, v: IndVector, i: int, table) -> IndVector:
-        out: dict[IndKey, object] = {}
-        for key, c in v.coeffs.items():
-            for k2, m in table(i, key):
-                self._add_key(out, k2, c * m)
-        return IndVector(self.n, self.lam, out)
-
-    def apply_Ti(self, v: IndVector, i: int) -> IndVector:
-        if not 1 <= i <= self.n - 1:
-            raise IndexOutOfRange(f"T index {i} outside 1..{self.n - 1}")
-        return self._apply_table(v, i, self._ti_key)
-
-    def apply_Ti_inv(self, v: IndVector, i: int) -> IndVector:
-        if not 1 <= i <= self.n - 1:
-            raise IndexOutOfRange(f"T index {i} outside 1..{self.n - 1}")
-        return self._apply_table(v, i, self._tinv_key)
-
-    def _pi_key(self, key: IndKey) -> tuple:
-        hit = self._pi_memo.get(key)
-        if hit is not None:
-            return hit
-        e, tau = key
-        last = e[-1]
-        ne = (last,) + e[:-1]
-        tpow = self.ring.t_power(last)
-        img = self.seed.apply_pi(self.seed.basis_vector(tau))
-        result = tuple(((ne, s), m * tpow if last else m) for s, m in img.coeffs.items())
-        self._pi_memo[key] = result
-        return result
-
-    def apply_pi(self, v: IndVector) -> IndVector:
-        """t^(a_n) X_1^(a_n) X_2^(a_1) .. X_n^(a_{n-1})  (x)  pi(seed factor)."""
-        out: dict[IndKey, object] = {}
-        for key, c in v.coeffs.items():
-            for k2, m in self._pi_key(key):
-                self._add_key(out, k2, c * m)
         return IndVector(self.n, self.lam, out)
 
 
@@ -303,16 +183,7 @@ def pi_connect(v: IndVector, lam: Shape) -> IndVector:
             continue
         img = kappa_connect(SeedVector(m, lam, {tau: c}), lam)
         for s, cc in img.coeffs.items():
-            key = (e[:-1], s)
-            cur = coeffs.get(key)
-            if cur is None:
-                coeffs[key] = cc
-            else:
-                cur = cur + cc
-                if cur.is_zero():
-                    del coeffs[key]
-                else:
-                    coeffs[key] = cur
+            accumulate(coeffs, (e[:-1], s), cc)
     return IndVector(n, lam, coeffs)
 
 
@@ -328,16 +199,7 @@ def xi_truncate_broken(f: PolyVector) -> PolyVector:
     n = f.n - 1
     out: dict[Exponents, object] = {}
     for e, c in f.coeffs.items():
-        ne = e[: n - 1] + (e[n - 1] + e[n],)
-        cur = out.get(ne)
-        if cur is None:
-            out[ne] = c
-        else:
-            cur = cur + c
-            if cur.is_zero():
-                del out[ne]
-            else:
-                out[ne] = cur
+        accumulate(out, e[: n - 1] + (e[n - 1] + e[n],), c)
     return PolyVector(n, out)
 
 

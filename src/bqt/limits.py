@@ -20,17 +20,7 @@ from __future__ import annotations
 from .errors import InconsistentFlavors, InternalCheckFailed, NoStabilization
 from .induced import InducedRealization, pi_connect, xi_truncate
 from .linalg import RowBasis, solve_combination
-from .lspaces import (
-    LVector,
-    d_minus,
-    d_plus,
-    extract_basis,
-    lk_spanning_set,
-    phi_action,
-    t_action,
-    t_inv_action,
-    z_action,
-)
+from .lspaces import LVector, apply_flavored_word, extract_basis, lk_spanning_set
 from .polyrep import PolyRealization
 from .scalars import QT
 from .tableaux import check_shape, min_rank
@@ -259,9 +249,6 @@ def extend_tower(seq: CompatSeqSpec, tower: Tower, lo: int, hi: int) -> Tower:
     return Tower(tower.k, tower.degree, comps)
 
 
-_TOWER_OPS = ("T", "Tinv", "z", "dplus", "dminus", "phi")
-
-
 def _op_output(k: int, d: int, sym: tuple) -> tuple[int, int]:
     tag = sym[0]
     if tag == "dplus":
@@ -289,6 +276,14 @@ def _word_rank_floor(word, k_in: int, n_start: int) -> int:
     return req
 
 
+def widen_for_words(seq: CompatSeqSpec, tower: Tower, words) -> Tower:
+    """The tower moved up, window length kept, until every word is defined."""
+    floor = max(_word_rank_floor(word, tower.k, seq.n_start) for word in words)
+    if tower.lo < floor:
+        tower = extend_tower(seq, tower, floor, floor + tower.hi - tower.lo)
+    return tower
+
+
 def limit_act(seq: CompatSeqSpec, tower: Tower, sym: tuple, check: bool = True) -> Tower:
     """One operator applied componentwise; compatibility re-checked exactly."""
     return apply_tower_word(seq, tower, (sym,), check=check)
@@ -302,33 +297,11 @@ def apply_tower_word(
     The window is advanced (exact lifts) before application so that every
     step is defined at every rank in the window.
     """
-    floor = _word_rank_floor(word, tower.k, seq.n_start)
-    if tower.lo < floor:
-        length = tower.hi - tower.lo
-        tower = extend_tower(seq, tower, floor, floor + length)
-    out_comps: dict[int, LVector] = {}
-    for n, lv in tower.components.items():
-        M = seq.realization(n)
-        w = lv
-        for sym in reversed(list(word)):
-            tag = sym[0]
-            if tag == "T":
-                w = t_action(M, w, sym[1])
-            elif tag == "Tinv":
-                w = t_inv_action(M, w, sym[1])
-            elif tag == "z":
-                w = z_action(M, w, sym[1])
-            elif tag == "dplus":
-                w = d_plus(M, w)
-            elif tag == "dminus":
-                w = d_minus(M, w)
-            elif tag == "phi":
-                w = phi_action(M, w)
-            elif tag == "Scalar":
-                w = w.scale(sym[1])
-            else:
-                raise ValueError(f"unknown tower operator {sym!r}")
-        out_comps[n] = w
+    tower = widen_for_words(seq, tower, (word,))
+    out_comps = {
+        n: apply_flavored_word(seq.realization(n), lv, word)
+        for n, lv in tower.components.items()
+    }
     k_out, d_out = tower.k, tower.degree
     for sym in reversed(list(word)):
         k_out, d_out = _op_output(k_out, d_out, sym)

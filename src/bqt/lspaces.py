@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .linalg import RowBasis
-from .polyrep import apply_Y, apply_epsilon, apply_x1_tinv_chain
+from .polyrep import apply_Y, apply_epsilon, apply_x1_tinv_chain, tinv_chain_sum
 
 
 class LVector:
@@ -219,14 +219,17 @@ def d_minus(M, lv: LVector) -> LVector:
     if k == 0:
         raise FlavorAtMin("lowering operator undefined at flavor 0")
     ring = M.ring
-    acc = lv.payload
-    u = lv.payload
-    qpow = ring.one
-    for j in range(k, M.n):
-        u = M.apply_Ti_inv(u, j)
-        qpow = qpow * ring.q
-        acc = acc.add(u.scale(qpow))
-    return LVector(k - 1, acc.scale(ring.q - ring.one))
+    return LVector(k - 1, tinv_chain_sum(M, lv.payload, k).scale(ring.q - ring.one))
+
+
+def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
+    """[d_plus, d_minus]/(q-1) on lv, and its closed form q^{k-1} X_1 T_1^{-1}..T_{k-1}^{-1}."""
+    ring = M.ring
+    k = lv.k
+    comm = d_plus(M, d_minus(M, lv)).sub(d_minus(M, d_plus(M, lv)))
+    comm = comm.scale(ring.one / (ring.q - ring.one))
+    closed = LVector(k, apply_x1_tinv_chain(M, lv.payload, k - 1).scale(ring.q_power(k - 1)))
+    return comm, closed
 
 
 def phi_action(M, lv: LVector) -> LVector:
@@ -234,10 +237,7 @@ def phi_action(M, lv: LVector) -> LVector:
     k = lv.k
     if not 1 <= k <= M.n - 1:
         raise FlavorOutOfRange(f"phi undefined on flavor {k} at rank {M.n}")
-    ring = M.ring
-    comm = d_plus(M, d_minus(M, lv)).sub(d_minus(M, d_plus(M, lv)))
-    comm = comm.scale(ring.one / (ring.q - ring.one))
-    closed = LVector(k, apply_x1_tinv_chain(M, lv.payload, k - 1).scale(ring.q_power(k - 1)))
+    comm, closed = phi_sides(M, lv)
     if comm != closed:
         raise InternalCheckFailed(
             "phi commutator disagrees with its closed form; operator conventions broken"

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable, Protocol
 
-from .errors import IndexOutOfRange, UnsupportedOperation
+from .errors import ExactDivisionError, IndexOutOfRange, UnsupportedOperation
+from .keyed import KeyedRealization, SparseVec, accumulate
 from .scalars import QT, parse_scalar
 
 Exponents = tuple[int, ...]
@@ -56,13 +57,17 @@ def monomials_up_to_degree(n: int, d: int) -> list[Exponents]:
     return out
 
 
-class PolyVector:
-    """Sparse element of the rank-n polynomial space; immutable by convention."""
+def monomial_str(e: Exponents) -> str:
+    return "*".join(f"x{i+1}^{k}" if k > 1 else f"x{i+1}" for i, k in enumerate(e) if k)
 
-    __slots__ = ("n", "coeffs")
+
+class PolyVector(SparseVec):
+    """Sparse element of the rank-n polynomial space, keyed by exponent vectors."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs: dict[Exponents, object]):
-        self.n = n
+        self.meta = (n,)
         self.coeffs = coeffs
 
     @classmethod
@@ -75,83 +80,19 @@ class PolyVector:
             raise ValueError("exponent vector length disagrees with rank")
         return cls(n, {tuple(exps): coeff} if not coeff.is_zero() else {})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         if not self.coeffs:
             return -1
         return max(sum(e) for e in self.coeffs)
 
-    def add(self, other: "PolyVector") -> "PolyVector":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return PolyVector(self.n, out)
-
-    def sub(self, other: "PolyVector") -> "PolyVector":
-        if not other.coeffs:
-            return self
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in out:
-                s = out[e] - c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = -c
-        return PolyVector(self.n, out)
-
-    def scale(self, c) -> "PolyVector":
-        if c.is_zero() or not self.coeffs:
-            return PolyVector(self.n, {})
-        if c.is_one():
-            return self
-        return PolyVector(self.n, {e: v * c for e, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PolyVector)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.sorted_items():
-            mono = "*".join(
-                f"x{i+1}^{k}" if k > 1 else f"x{i+1}" for i, k in enumerate(e) if k
-            )
-            if not mono:
-                parts.append(f"({c})")
-            elif c.is_one():
-                parts.append(mono)
-            else:
-                parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"PolyVector(n={self.n}, {str(self)})"
+    def _term(self, e: Exponents, c) -> str:
+        mono = monomial_str(e)
+        if not mono:
+            return f"({c})"
+        return mono if c.is_one() else f"({c})*{mono}"
 
     def to_obj(self) -> dict:
         return {
@@ -198,7 +139,7 @@ def swap_exponents(exps: Exponents, i: int) -> Exponents:
     return tuple(lst)
 
 
-def divexact_by_var_difference(coeffs: dict[Exponents, object], i: int, ring) -> dict:
+def divexact_by_var_difference(coeffs: dict[Exponents, object], i: int) -> dict:
     """Exact quotient of a polynomial by (x_i - x_{i+1}), remainder asserted zero.
 
     Synthetic (Horner) division in x_i treating all other variables as
@@ -231,8 +172,6 @@ def divexact_by_var_difference(coeffs: dict[Exponents, object], i: int, ring) ->
             s = remainder.get(b)
             remainder[b] = c if s is None else s + c
         if any(not c.is_zero() for c in remainder.values()):
-            from .errors import ExactDivisionError
-
             raise ExactDivisionError(
                 "divided difference left a nonzero remainder (convention bug)"
             )
@@ -243,7 +182,7 @@ def divexact_by_var_difference(coeffs: dict[Exponents, object], i: int, ring) ->
     return out
 
 
-def divided_difference(coeffs: dict[Exponents, object], i: int, ring) -> dict:
+def divided_difference(coeffs: dict[Exponents, object], i: int) -> dict:
     """x_i (f - s_i f)/(x_i - x_{i+1}) on a raw coefficient map."""
     diff: dict[Exponents, object] = {}
     for e, c in coeffs.items():
@@ -257,11 +196,11 @@ def divided_difference(coeffs: dict[Exponents, object], i: int, ring) -> dict:
     diff = {e: c for e, c in diff.items() if not c.is_zero()}
     if not diff:
         return {}
-    quot = divexact_by_var_difference(diff, i, ring)
+    quot = divexact_by_var_difference(diff, i)
     return {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in quot.items()}
 
 
-class PolyRealization:
+class PolyRealization(KeyedRealization):
     """The rank-n polynomial representation over the given coefficient ring.
 
     demazure_coefficient selects the scalar multiplying the divided
@@ -271,12 +210,12 @@ class PolyRealization:
     """
 
     kind = "poly"
+    vector_type = PolyVector
 
     def __init__(self, n: int, ring=QT, demazure_coefficient: str = "1-q"):
         if n < 1:
             raise ValueError("rank must be positive")
-        self.n = n
-        self.ring = ring
+        super().__init__(n, ring, (n,))
         self.demazure_coefficient = demazure_coefficient
         if demazure_coefficient == "1-q":
             self._dl_coeff = ring.one - ring.q
@@ -284,9 +223,6 @@ class PolyRealization:
             self._dl_coeff = ring.q - ring.one
         else:
             raise ValueError("demazure_coefficient must be '1-q' or 'q-1'")
-        self._ti_memo: dict[tuple[int, Exponents], tuple] = {}
-        self._tinv_memo: dict[tuple[int, Exponents], tuple] = {}
-        self.cache: dict = {}
 
     def descriptor(self) -> dict:
         d = {"module": "poly", "n": self.n}
@@ -294,15 +230,11 @@ class PolyRealization:
             d["demazure_coefficient"] = self.demazure_coefficient
         return d
 
-    def zero(self) -> PolyVector:
-        return PolyVector.zero(self.n)
-
     def one(self) -> PolyVector:
         return PolyVector(self.n, {(0,) * self.n: self.ring.one})
 
     def basis(self, degree: int) -> list[PolyVector]:
-        one = self.ring.one
-        return [PolyVector(self.n, {e: one}) for e in monomials_of_degree(self.n, degree)]
+        return [v for _, v in self.basis_with_exponents(degree)]
 
     def basis_with_exponents(self, degree: int) -> list[tuple[Exponents, PolyVector]]:
         one = self.ring.one
@@ -310,84 +242,27 @@ class PolyRealization:
             (e, PolyVector(self.n, {e: one})) for e in monomials_of_degree(self.n, degree)
         ]
 
-    def _check_t_index(self, i: int) -> None:
-        if not 1 <= i <= self.n - 1:
-            raise IndexOutOfRange(f"T index {i} outside 1..{self.n - 1}")
-
-    def _ti_monomial(self, i: int, exps: Exponents) -> tuple:
-        memo = self._ti_memo
-        key = (i, exps)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def _ti_image(self, i: int, exps: Exponents) -> tuple:
         one = self.ring.one
         if exps[i - 1] == exps[i]:
-            result = ((exps, one),)
-        else:
-            out: dict[Exponents, object] = {swap_exponents(exps, i): one}
-            dd = divided_difference({exps: one}, i, self.ring)
-            for e, c in dd.items():
-                s = out.get(e)
-                v = c * self._dl_coeff
-                out[e] = v if s is None else s + v
-            result = tuple((e, c) for e, c in out.items() if not c.is_zero())
-        memo[key] = result
-        return result
-
-    def _tinv_monomial(self, i: int, exps: Exponents) -> tuple:
-        memo = self._tinv_memo
-        key = (i, exps)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        ring = self.ring
-        qinv = ring.q_power(-1)
-        out: dict[Exponents, object] = {}
-        for e, c in self._ti_monomial(i, exps):
-            out[e] = c * qinv
-        extra = (ring.q - ring.one) * qinv
-        s = out.get(exps)
-        v = extra if s is None else s + extra
-        if v.is_zero():
-            out.pop(exps, None)
-        else:
-            out[exps] = v
-        result = tuple(out.items())
-        memo[key] = result
-        return result
-
-    def _apply_table(self, v: PolyVector, i: int, table) -> PolyVector:
-        out: dict[Exponents, object] = {}
-        for exps, c in v.coeffs.items():
-            for e, m in table(i, exps):
-                s = out.get(e)
-                val = c * m
-                if s is None:
-                    if not val.is_zero():
-                        out[e] = val
-                else:
-                    s = s + val
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-        return PolyVector(self.n, out)
+            return ((exps, one),)
+        out: dict[Exponents, object] = {swap_exponents(exps, i): one}
+        for e, c in divided_difference({exps: one}, i).items():
+            accumulate(out, e, c * self._dl_coeff)
+        return tuple(out.items())
 
     def apply_Ti(self, v: PolyVector, i: int) -> PolyVector:
-        self._check_t_index(i)
-        return self._apply_table(v, i, self._ti_monomial)
+        return self._apply_table(v, self._ti_table, self._t_index(i))
 
     def apply_Ti_inv(self, v: PolyVector, i: int) -> PolyVector:
-        self._check_t_index(i)
-        return self._apply_table(v, i, self._tinv_monomial)
+        return self._apply_table(v, self._tinv_table, self._t_index(i))
 
     def apply_pi(self, v: PolyVector) -> PolyVector:
         ring = self.ring
         out: dict[Exponents, object] = {}
         for e, c in v.coeffs.items():
             last = e[-1]
-            ne = (last,) + e[:-1]
-            out[ne] = c * ring.t_power(last) if last else c
+            out[(last,) + e[:-1]] = c * ring.t_power(last) if last else c
         return PolyVector(self.n, out)
 
     def apply_Xi(self, v: PolyVector, i: int) -> PolyVector:
@@ -429,15 +304,20 @@ def apply_epsilon(M: ModuleRealization, v, k: int):
     ring = M.ring
     w = v
     for j in range(n - 1, k - 1, -1):
-        acc = w
-        u = w
-        qpow = ring.one
-        for r in range(1, n - j):
-            u = M.apply_Ti_inv(u, j + r)
-            qpow = qpow * ring.q
-            acc = acc.add(u.scale(qpow))
-        w = acc.scale(ring.one / ring.q_integer(n - j))
+        w = tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j))
     return w
+
+
+def tinv_chain_sum(M: ModuleRealization, v, a: int):
+    """v + q T_a^{-1} v + q^2 T_{a+1}^{-1} T_a^{-1} v + ... up to T_{n-1}^{-1}."""
+    ring = M.ring
+    acc = u = v
+    qpow = ring.one
+    for j in range(a, M.n):
+        u = M.apply_Ti_inv(u, j)
+        qpow = qpow * ring.q
+        acc = acc.add(u.scale(qpow))
+    return acc
 
 
 def apply_x1_tinv_chain(M: ModuleRealization, v, m: int):

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 from .errors import PoleAtPoint
 from .induced import InducedRealization, xi_truncate_broken
-from .limits import CompatSeqSpec, apply_tower_word, limit_component
-from .lspaces import LVector, apply_flavored_word, lk_spanning_set
+from .limits import CompatSeqSpec, apply_tower_word, limit_component, widen_for_words
+from .lspaces import LVector, apply_flavored_word, d_minus, lk_spanning_set, phi_sides
 from .polyrep import PolyRealization, apply_epsilon, apply_word
 from .scalars import QT, ModPField
-from .tableaux import SeedRealization, check_shape, theta_scalar
+from .tableaux import SeedRealization, check_shape, kappa_connect, theta_scalar
 
 PRIME = 2**31 - 1
 
@@ -51,7 +51,7 @@ def make_realization(desc: dict, ring=QT):
 
 
 # ---------------------------------------------------------------------------
-# report model
+# report model and the one suite loop
 # ---------------------------------------------------------------------------
 
 
@@ -67,11 +67,6 @@ class RelationReport:
     millis: float = 0.0
     mode: str = "exact"
     flavor: int | None = None
-
-    def fail(self, **details) -> None:
-        if self.status == "pass":
-            self.status = "fail"
-            self.counterexample = details
 
     def to_obj(self) -> dict:
         out = {
@@ -95,26 +90,46 @@ def all_passed(reports: list[RelationReport]) -> bool:
     return all(r.status == "pass" for r in reports)
 
 
+def run_suite(cases, evaluate, describe, **fields) -> RelationReport:
+    """One timed report: evaluate every case, count it, keep the first failure.
+
+    evaluate(case) returns None when the case holds and the offending values
+    otherwise; describe(case, values) turns the first failing case into the
+    counterexample.  fields are the RelationReport fields.
+    """
+    start = time.perf_counter()
+    rep = RelationReport(**fields)
+    for case in cases:
+        bad = evaluate(case)
+        rep.vectors_checked += 1
+        if bad is not None and rep.counterexample is None:
+            rep.status = "fail"
+            rep.counterexample = describe(case, bad)
+    rep.millis = (time.perf_counter() - start) * 1000
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # operator expressions: linear combinations of words
 # ---------------------------------------------------------------------------
 
 
-def _eval_expr(M, v, expr):
-    """Sum of scaled word applications on a module vector."""
+def _eval_expr(apply, M, v, expr):
+    """Sum of scaled word applications apply(M, v, word) over the expression."""
     out = None
     for coeff, word in expr:
-        w = apply_word(M, v, word).scale(coeff)
+        w = apply(M, v, word).scale(coeff)
         out = w if out is None else out.add(w)
     return out
 
 
-def _eval_flavored_expr(M, lv, expr):
-    out = None
-    for coeff, word in expr:
-        w = apply_flavored_word(M, lv, word).scale(coeff)
-        out = w if out is None else out.add(w)
-    return out
+def _mismatch(lhs, rhs):
+    return None if lhs == rhs else (lhs, rhs)
+
+
+def _sides(apply, M, ident, v):
+    """None when both sides of the identity agree on v, else (lhs, rhs)."""
+    return _mismatch(_eval_expr(apply, M, v, ident.lhs), _eval_expr(apply, M, v, ident.rhs))
 
 
 @dataclass
@@ -122,6 +137,32 @@ class Identity:
     label: str
     lhs: tuple
     rhs: tuple
+
+
+def _module_identity_reports(M, catalog, d_max, only, keep_empty) -> list[RelationReport]:
+    """A catalog's identities on every basis vector of degree <= d_max.
+
+    keep_empty also reports relations without instances at this rank.
+    """
+    bases = [M.basis(d) for d in range(d_max + 1)]
+    return [
+        run_suite(
+            ((ident, v) for ident in items for basis in bases for v in basis),
+            lambda case: _sides(apply_word, M, *case),
+            lambda case, got: {
+                "instance": case[0].label,
+                "vector": str(case[1]),
+                "lhs": str(got[0]),
+                "rhs": str(got[1]),
+            },
+            relation_id=rel_id,
+            anchor=anchor,
+            realization=M.descriptor(),
+            ranges={"degrees": list(range(d_max + 1)), "instances": len(items)},
+        )
+        for rel_id, anchor, items in catalog
+        if (only is None or rel_id == only) and (items or keep_empty)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +300,9 @@ def check_daha_relations(
     M, d_max: int, only: str | None = None
 ) -> list[RelationReport]:
     """All defining relations on every basis vector of degree <= d_max."""
-    reports = []
-    bases = [M.basis(d) for d in range(d_max + 1)]
-    for rel_id, anchor, items in daha_identities(M.n, M.ring):
-        if only is not None and rel_id != only:
-            continue
-        start = time.perf_counter()
-        rep = RelationReport(
-            relation_id=rel_id,
-            anchor=anchor,
-            realization=M.descriptor(),
-            ranges={"degrees": list(range(d_max + 1)), "instances": len(items)},
-        )
-        for ident in items:
-            for basis in bases:
-                for v in basis:
-                    lhs = _eval_expr(M, v, ident.lhs)
-                    rhs = _eval_expr(M, v, ident.rhs)
-                    rep.vectors_checked += 1
-                    if lhs != rhs:
-                        rep.fail(
-                            instance=ident.label,
-                            vector=str(v),
-                            lhs=str(lhs),
-                            rhs=str(rhs),
-                        )
-        rep.millis = (time.perf_counter() - start) * 1000
-        reports.append(rep)
-    return reports
+    return _module_identity_reports(
+        M, daha_identities(M.n, M.ring), d_max, only, keep_empty=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,35 +505,27 @@ def check_bqt_relations(
     reports = []
     for k in range(0, min(k_max, M.n) + 1):
         spans = {d: lk_spanning_set(M, k, d) for d in range(k, d_max + 1)}
+        graded = [(d, lv) for d in sorted(spans) for lv in spans[d]]
         for rel_id, anchor, items in bqt_identities(M.n, k, M.ring):
-            if only is not None and rel_id != only:
+            if (only is not None and rel_id != only) or not items:
                 continue
-            if not items:
-                continue
-            start = time.perf_counter()
-            rep = RelationReport(
+            rep = run_suite(
+                ((ident, d, lv) for ident in items for d, lv in graded),
+                lambda case: _sides(apply_flavored_word, M, case[0], case[2]),
+                lambda case, got: {
+                    "instance": case[0].label,
+                    "flavor": case[2].k,
+                    "degree": case[1],
+                    "vector": str(case[2].payload),
+                    "lhs": str(got[0].payload),
+                    "rhs": str(got[1].payload),
+                },
                 relation_id=rel_id,
                 anchor=anchor,
                 realization=M.descriptor(),
                 ranges={"degrees": sorted(spans), "instances": len(items)},
                 flavor=k,
             )
-            for ident in items:
-                for d in sorted(spans):
-                    for lv in spans[d]:
-                        lhs = _eval_flavored_expr(M, lv, ident.lhs)
-                        rhs = _eval_flavored_expr(M, lv, ident.rhs)
-                        rep.vectors_checked += 1
-                        if lhs != rhs:
-                            rep.fail(
-                                instance=ident.label,
-                                flavor=k,
-                                degree=d,
-                                vector=str(lv.payload),
-                                lhs=str(lhs.payload),
-                                rhs=str(rhs.payload),
-                            )
-            rep.millis = (time.perf_counter() - start) * 1000
             reports.append(rep)
     return reports
 
@@ -653,7 +661,41 @@ def aux_identities(n: int, ring) -> list[tuple[str, str, list[Identity]]]:
     return out
 
 
-def _check_jucys_murphy(M, d_max: int) -> RelationReport:
+# checks of check_aux_identities beyond the identity catalog, in report order
+AUX_CLOSED_FORMS = ("aux_jucys_murphy", "aux_phi_closed_form", "aux_dminus_closed_form")
+
+
+def check_aux_identities(M, d_max: int, only: str | None = None) -> list[RelationReport]:
+    """Idempotent laws, intertwiner conjugations, the braid-to-sum expansion,
+    and the closed forms of the lowering and degree-raising operators."""
+    reports = _module_identity_reports(
+        M, aux_identities(M.n, M.ring), d_max, only, keep_empty=False
+    )
+    checks = (_check_jucys_murphy, _check_phi_closed_form, _check_dminus_closed_form)
+    for rel_id, check in zip(AUX_CLOSED_FORMS, checks):
+        if only is None or only == rel_id:
+            reports.append(check(M, d_max, rel_id))
+    return reports
+
+
+def relation_ids(suite: str, n: int) -> list[str]:
+    """Relation ids of the daha, bqt or aux suite at rank n, in report order."""
+    if suite == "daha":
+        return [rid for rid, _, _ in daha_identities(n, QT)]
+    if suite == "bqt":
+        return [rid for rid, _, _ in bqt_identities(n, 0, QT)]
+    return [rid for rid, _, _ in aux_identities(n, QT)] + list(AUX_CLOSED_FORMS)
+
+
+def _flavored_spans(M, flavors, d_max: int):
+    """(flavor, degree, spanning vector) over the flavors and degrees <= d_max."""
+    for k in flavors:
+        for d in range(k, d_max + 1):
+            for lv in lk_spanning_set(M, k, d):
+                yield k, d, lv
+
+
+def _check_jucys_murphy(M, d_max: int, rel_id: str) -> RelationReport:
     """Braid-square expansion on tail-symmetric vectors.
 
     The displayed identity is not one of abstract algebra elements under
@@ -662,157 +704,96 @@ def _check_jucys_murphy(M, d_max: int) -> RelationReport:
     """
     ring = M.ring
     one, q = ring.one, ring.q
-    start = time.perf_counter()
-    rep = RelationReport(
-        relation_id="aux_jucys_murphy",
-        anchor="q^(n-k) T_k^{-1}..T_{n-1}^{-1} T_{n-1}^{-1}..T_k^{-1} = "
-        "1 + (q-1) sum_j q^(j-k) T_j^{-1}..T_k^{-1} on flavor-k vectors",
-        realization=M.descriptor(),
-        ranges={"flavors": list(range(1, M.n + 1)), "degrees": list(range(d_max + 1))},
-    )
     n = M.n
+    idents = {}
     for k in range(1, n + 1):
         ascending = tuple(("Tinv", j) for j in range(k, n))
         descending = tuple(("Tinv", j) for j in range(n - 1, k - 1, -1))
-        lhs_expr = ((ring.q_power(n - k), ascending + descending),)
         rhs_terms: list = [(one, ())]
         qpow = one
         for j in range(k, n):
             word = tuple(("Tinv", m) for m in range(j, k - 1, -1))
             rhs_terms.append(((q - one) * qpow, word))
             qpow = qpow * q
-        rhs_expr = tuple(rhs_terms)
-        for d in range(k, d_max + 1):
-            for lv in lk_spanning_set(M, k, d):
-                rep.vectors_checked += 1
-                lhs = _eval_expr(M, lv.payload, lhs_expr)
-                rhs = _eval_expr(M, lv.payload, rhs_expr)
-                if lhs != rhs:
-                    rep.fail(flavor=k, degree=d, vector=str(lv.payload))
-    rep.millis = (time.perf_counter() - start) * 1000
-    return rep
+        lhs = ((ring.q_power(n - k), ascending + descending),)
+        idents[k] = Identity("", lhs, tuple(rhs_terms))
+    return run_suite(
+        _flavored_spans(M, range(1, n + 1), d_max),
+        lambda case: _sides(apply_word, M, idents[case[0]], case[2].payload),
+        lambda case, _: {"flavor": case[0], "degree": case[1], "vector": str(case[2].payload)},
+        relation_id=rel_id,
+        anchor="q^(n-k) T_k^{-1}..T_{n-1}^{-1} T_{n-1}^{-1}..T_k^{-1} = "
+        "1 + (q-1) sum_j q^(j-k) T_j^{-1}..T_k^{-1} on flavor-k vectors",
+        realization=M.descriptor(),
+        ranges={"flavors": list(range(1, n + 1)), "degrees": list(range(d_max + 1))},
+    )
 
 
-def check_aux_identities(M, d_max: int, only: str | None = None) -> list[RelationReport]:
-    """Idempotent laws, intertwiner conjugations, the braid-to-sum expansion,
-    and the closed forms of the lowering and degree-raising operators."""
-    reports = []
-    bases = [M.basis(d) for d in range(d_max + 1)]
-    for rel_id, anchor, items in aux_identities(M.n, M.ring):
-        if only is not None and rel_id != only:
-            continue
-        if not items:
-            continue
-        start = time.perf_counter()
-        rep = RelationReport(
-            relation_id=rel_id,
-            anchor=anchor,
-            realization=M.descriptor(),
-            ranges={"degrees": list(range(d_max + 1)), "instances": len(items)},
-        )
-        for ident in items:
-            for basis in bases:
-                for v in basis:
-                    lhs = _eval_expr(M, v, ident.lhs)
-                    rhs = _eval_expr(M, v, ident.rhs)
-                    rep.vectors_checked += 1
-                    if lhs != rhs:
-                        rep.fail(
-                            instance=ident.label, vector=str(v), lhs=str(lhs), rhs=str(rhs)
-                        )
-        rep.millis = (time.perf_counter() - start) * 1000
-        reports.append(rep)
-    if only is None or only == "aux_jucys_murphy":
-        reports.append(_check_jucys_murphy(M, d_max))
-    if only is None or only == "aux_phi_closed_form":
-        reports.append(_check_phi_closed_form(M, d_max))
-    if only is None or only == "aux_dminus_closed_form":
-        reports.append(_check_dminus_closed_form(M, d_max))
-    return reports
-
-
-def _check_phi_closed_form(M, d_max: int) -> RelationReport:
-    from .lspaces import d_minus, d_plus
-
-    ring = M.ring
-    start = time.perf_counter()
-    rep = RelationReport(
-        relation_id="aux_phi_closed_form",
+def _check_phi_closed_form(M, d_max: int, rel_id: str) -> RelationReport:
+    return run_suite(
+        _flavored_spans(M, range(1, M.n), d_max),
+        lambda case: _mismatch(*phi_sides(M, case[2])),
+        lambda case, _: {"flavor": case[0], "degree": case[1], "vector": str(case[2].payload)},
+        relation_id=rel_id,
         anchor="[d_+, d_-]/(q-1) = q^(k-1) X_1 T_1^{-1}..T_{k-1}^{-1} on flavor k",
         realization=M.descriptor(),
         ranges={"flavors": list(range(1, M.n)), "degrees": list(range(d_max + 1))},
     )
-    from .polyrep import apply_x1_tinv_chain
-
-    for k in range(1, M.n):
-        for d in range(k, d_max + 1):
-            for lv in lk_spanning_set(M, k, d):
-                comm = d_plus(M, d_minus(M, lv)).sub(d_minus(M, d_plus(M, lv)))
-                comm = comm.scale(ring.one / (ring.q - ring.one))
-                closed = apply_x1_tinv_chain(M, lv.payload, k - 1).scale(
-                    ring.q_power(k - 1)
-                )
-                rep.vectors_checked += 1
-                if comm.payload != closed:
-                    rep.fail(flavor=k, degree=d, vector=str(lv.payload))
-    rep.millis = (time.perf_counter() - start) * 1000
-    return rep
 
 
-def _check_dminus_closed_form(M, d_max: int) -> RelationReport:
-    from .lspaces import d_minus
-
+def _check_dminus_closed_form(M, d_max: int, rel_id: str) -> RelationReport:
     ring = M.ring
-    start = time.perf_counter()
-    rep = RelationReport(
-        relation_id="aux_dminus_closed_form",
+
+    def evaluate(case):
+        k, _, w = case
+        lhs_payload = apply_epsilon(M, w, k)
+        for i in range(1, k + 1):
+            lhs_payload = M.apply_Xi(lhs_payload, i)
+        lhs = d_minus(M, LVector(k, lhs_payload))
+        scaled = M.apply_Xi(w, k).scale(ring.q_power(M.n - k + 1) - ring.one)
+        rhs = apply_epsilon(M, scaled, k - 1)
+        for i in range(1, k):
+            rhs = M.apply_Xi(rhs, i)
+        return _mismatch(lhs.payload, rhs)
+
+    return run_suite(
+        (
+            (k, d, w)
+            for k in range(1, M.n + 1)
+            for d in range(k, d_max + 1)
+            for w in M.basis(d - k)
+        ),
+        evaluate,
+        lambda case, _: {"flavor": case[0], "degree": case[1], "vector": str(case[2])},
+        relation_id=rel_id,
         anchor="d_-(X_1..X_k eps_k(w)) = X_1..X_{k-1} eps_{k-1}((q^(n-k+1)-1) X_k w)",
         realization=M.descriptor(),
         ranges={"flavors": list(range(1, M.n + 1)), "degrees": list(range(d_max + 1))},
     )
-    for k in range(1, M.n + 1):
-        for d in range(k, d_max + 1):
-            for w in M.basis(d - k):
-                lhs_payload = apply_epsilon(M, w, k)
-                for i in range(1, k + 1):
-                    lhs_payload = M.apply_Xi(lhs_payload, i)
-                lhs = d_minus(M, LVector(k, lhs_payload))
-                scaled = M.apply_Xi(w, k).scale(
-                    ring.q_power(M.n - k + 1) - ring.one
-                )
-                rhs = apply_epsilon(M, scaled, k - 1)
-                for i in range(1, k):
-                    rhs = M.apply_Xi(rhs, i)
-                rep.vectors_checked += 1
-                if lhs.payload != rhs:
-                    rep.fail(flavor=k, degree=d, vector=str(w))
-    rep.millis = (time.perf_counter() - start) * 1000
-    return rep
 
 
 def check_theta_eigenvalues(lam, n: int, ring=QT) -> RelationReport:
     """Diagonal action with eigenvalue q^content on every seed basis vector."""
     lam = check_shape(tuple(lam))
-    start = time.perf_counter()
     M = SeedRealization(lam, n, ring)
-    rep = RelationReport(
+
+    def evaluate(case):
+        tau, i = case
+        try:
+            got = theta_scalar(tau, i, n, ring=ring, realization=M)
+        except Exception as exc:  # NotAnEigenvector or arithmetic issue
+            return {"error": str(exc)}
+        return None if got == ring.q_power(tau.content(i)) else {"scalar": str(got)}
+
+    return run_suite(
+        ((tau, i) for tau in M.tableaux for i in range(1, n + 1)),
+        evaluate,
+        lambda case, got: {"tableau": case[0].to_obj(), "entry": case[1], **got},
         relation_id="aux_theta_eigen",
         anchor="theta_i(e_tau) = q^(content of i in tau) e_tau",
         realization={"module": "seed", "shape": list(lam), "n": n},
         ranges={"entries": n, "tableaux": len(M.tableaux)},
     )
-    for tau in M.tableaux:
-        for i in range(1, n + 1):
-            rep.vectors_checked += 1
-            try:
-                got = theta_scalar(tau, i, n, ring=ring, realization=M)
-            except Exception as exc:  # NotAnEigenvector or arithmetic issue
-                rep.fail(tableau=tau.to_obj(), entry=i, error=str(exc))
-                continue
-            if got != ring.q_power(tau.content(i)):
-                rep.fail(tableau=tau.to_obj(), entry=i, scalar=str(got))
-    rep.millis = (time.perf_counter() - start) * 1000
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -846,101 +827,95 @@ def check_compatibility(
     if not broken_connector:
         del desc["broken_connector"]
     reports = []
-    bases = [hi.basis(d) for d in range(d_max + 1)]
+    graded = [(d, v) for d in range(d_max + 1) for v in hi.basis(d)]
 
-    def new_report(rel_id, anchor):
-        return RelationReport(
-            relation_id=rel_id,
-            anchor=anchor,
-            realization=desc,
-            ranges={"degrees": list(range(d_max + 1))},
+    def report(rel_id, anchor, cases, evaluate, describe):
+        reports.append(
+            run_suite(
+                cases,
+                evaluate,
+                describe,
+                relation_id=rel_id,
+                anchor=anchor,
+                realization=desc,
+                ranges={"degrees": list(range(d_max + 1))},
+            )
         )
 
-    rep = new_report("compat_degree_preserving", "deg(Pi(v)) = deg(v) or Pi(v) = 0")
-    start = time.perf_counter()
-    for d, basis in enumerate(bases):
-        for v in basis:
-            img = connect(v)
-            rep.vectors_checked += 1
-            if not img.is_zero() and img.degree() != d:
-                rep.fail(vector=str(v), image=str(img))
-    rep.millis = (time.perf_counter() - start) * 1000
-    reports.append(rep)
+    def off_degree(case):
+        d, v = case
+        img = connect(v)
+        return img if not img.is_zero() and img.degree() != d else None
 
-    rep = new_report("compat_T_equivariance", "Pi T_i = T_i Pi for 1 <= i <= n-1")
-    start = time.perf_counter()
-    for basis in bases:
-        for v in basis:
-            for i in range(1, n):
-                rep.vectors_checked += 1
-                if connect(hi.apply_Ti(v, i)) != lo.apply_Ti(connect(v), i):
-                    rep.fail(vector=str(v), index=i)
-    rep.millis = (time.perf_counter() - start) * 1000
-    reports.append(rep)
+    def top_image(case):
+        img = connect(hi.apply_Xi(case[1], n + 1))
+        return None if img.is_zero() else img
 
-    rep = new_report("compat_X_equivariance", "Pi X_i = X_i Pi for 1 <= i <= n")
-    start = time.perf_counter()
-    for basis in bases:
-        for v in basis:
-            for i in range(1, n + 1):
-                rep.vectors_checked += 1
-                if connect(hi.apply_Xi(v, i)) != lo.apply_Xi(connect(v), i):
-                    rep.fail(vector=str(v), index=i)
-    rep.millis = (time.perf_counter() - start) * 1000
-    reports.append(rep)
+    def with_image(case, img):
+        return {"vector": str(case[1]), "image": str(img)}
 
-    rep = new_report("compat_kills_top_X", "Pi X_{n+1} = 0")
-    start = time.perf_counter()
-    for basis in bases:
-        for v in basis:
-            rep.vectors_checked += 1
-            img = connect(hi.apply_Xi(v, n + 1))
-            if not img.is_zero():
-                rep.fail(vector=str(v), image=str(img))
-    rep.millis = (time.perf_counter() - start) * 1000
-    reports.append(rep)
+    def with_index(case, _):
+        return {"vector": str(case[0]), "index": case[1]}
 
-    rep = new_report("compat_pi_intertwine", "Pi pi^(n+1) T_n = pi^(n) Pi")
-    start = time.perf_counter()
-    for basis in bases:
-        for v in basis:
-            rep.vectors_checked += 1
-            lhs = connect(hi.apply_pi(hi.apply_Ti(v, n)))
-            rhs = lo.apply_pi(connect(v))
-            if lhs != rhs:
-                rep.fail(vector=str(v), lhs=str(lhs), rhs=str(rhs))
-    rep.millis = (time.perf_counter() - start) * 1000
-    reports.append(rep)
+    def pi_sides(case):
+        v = case[1]
+        return _mismatch(connect(hi.apply_pi(hi.apply_Ti(v, n))), lo.apply_pi(connect(v)))
+
+    report("compat_degree_preserving", "deg(Pi(v)) = deg(v) or Pi(v) = 0", graded,
+           off_degree, with_image)
+    report(
+        "compat_T_equivariance",
+        "Pi T_i = T_i Pi for 1 <= i <= n-1",
+        ((v, i) for _, v in graded for i in range(1, n)),
+        lambda c: _mismatch(connect(hi.apply_Ti(*c)), lo.apply_Ti(connect(c[0]), c[1])),
+        with_index,
+    )
+    report(
+        "compat_X_equivariance",
+        "Pi X_i = X_i Pi for 1 <= i <= n",
+        ((v, i) for _, v in graded for i in range(1, n + 1)),
+        lambda c: _mismatch(connect(hi.apply_Xi(*c)), lo.apply_Xi(connect(c[0]), c[1])),
+        with_index,
+    )
+    report("compat_kills_top_X", "Pi X_{n+1} = 0", graded, top_image, with_image)
+    report(
+        "compat_pi_intertwine",
+        "Pi pi^(n+1) T_n = pi^(n) Pi",
+        graded,
+        pi_sides,
+        lambda c, got: {"vector": str(c[1]), "lhs": str(got[0]), "rhs": str(got[1])},
+    )
 
     if seq.kind == "murnaghan" and not broken_connector:
-        from .tableaux import kappa_connect
+        seed_hi, seed_lo = hi.seed, lo.seed
 
-        seed_hi = hi.seed
-        seed_lo = lo.seed
-        rep = new_report("precompat_kappa_T", "kappa T_i = T_i kappa for 1 <= i <= n-1")
-        start = time.perf_counter()
-        for tau in seed_hi.tableaux:
-            e = seed_hi.basis_vector(tau)
-            for i in range(1, n):
-                rep.vectors_checked += 1
-                if kappa_connect(seed_hi.apply_Ti(e, i), seq.shape) != seed_lo.apply_Ti(
-                    kappa_connect(e, seq.shape), i
-                ):
-                    rep.fail(tableau=tau.to_obj(), index=i)
-        rep.millis = (time.perf_counter() - start) * 1000
-        reports.append(rep)
+        def kappa(v):
+            return kappa_connect(v, seq.shape)
 
-        rep = new_report("precompat_kappa_pi", "kappa pi^(n+1) T_n = pi^(n) kappa")
-        start = time.perf_counter()
-        for tau in seed_hi.tableaux:
+        def kappa_T(case):
+            tau, i = case
             e = seed_hi.basis_vector(tau)
-            rep.vectors_checked += 1
-            lhs = kappa_connect(seed_hi.apply_pi(seed_hi.apply_Ti(e, n)), seq.shape)
-            rhs = seed_lo.apply_pi(kappa_connect(e, seq.shape))
-            if lhs != rhs:
-                rep.fail(tableau=tau.to_obj())
-        rep.millis = (time.perf_counter() - start) * 1000
-        reports.append(rep)
+            return _mismatch(kappa(seed_hi.apply_Ti(e, i)), seed_lo.apply_Ti(kappa(e), i))
+
+        def kappa_pi(tau):
+            e = seed_hi.basis_vector(tau)
+            lhs = kappa(seed_hi.apply_pi(seed_hi.apply_Ti(e, n)))
+            return _mismatch(lhs, seed_lo.apply_pi(kappa(e)))
+
+        report(
+            "precompat_kappa_T",
+            "kappa T_i = T_i kappa for 1 <= i <= n-1",
+            ((tau, i) for tau in seed_hi.tableaux for i in range(1, n)),
+            kappa_T,
+            lambda c, _: {"tableau": c[0].to_obj(), "index": c[1]},
+        )
+        report(
+            "precompat_kappa_pi",
+            "kappa pi^(n+1) T_n = pi^(n) kappa",
+            seed_hi.tableaux,
+            kappa_pi,
+            lambda tau, _: {"tableau": tau.to_obj()},
+        )
 
     return reports
 
@@ -964,59 +939,48 @@ def check_bqt_relations_on_towers(
     outputs are compared component by component (their own compatibility is
     re-checked inside the word application).
     """
-    from .limits import _word_rank_floor, extend_tower
-
-    ring = seq.ring
     n_ref = max(seq.n_start + k_max + 2, d_max + 2)
+    cells = {
+        (k, d): limit_component(seq, k, d, window=window, n_cap=n_cap)
+        for k in range(0, k_max + 1)
+        for d in range(k, d_max + 1)
+    }
+
+    def evaluate(case):
+        ident, _, tower = case
+        base = widen_for_words(seq, tower, [word for _, word in ident.lhs + ident.rhs])
+        return None if _sides(apply_tower_word, seq, ident, base) is None else base
+
     reports = []
-    cells = {}
     for k in range(0, k_max + 1):
-        for d in range(k, d_max + 1):
-            cells[(k, d)] = limit_component(seq, k, d, window=window, n_cap=n_cap)
-    for k in range(0, k_max + 1):
-        for rel_id, anchor, items in bqt_identities(n_ref, k, ring):
+        for rel_id, anchor, items in bqt_identities(n_ref, k, seq.ring):
             if not items:
                 continue
-            start = time.perf_counter()
-            rep = RelationReport(
+            rep = run_suite(
+                (
+                    (ident, d, tower)
+                    for ident in items
+                    for d in range(k, d_max + 1)
+                    for tower in cells[(k, d)].towers
+                ),
+                evaluate,
+                lambda case, base: {
+                    "instance": case[0].label,
+                    "flavor": base.k,
+                    "degree": case[1],
+                    "window": [base.lo, base.hi],
+                },
                 relation_id=rel_id,
                 anchor=anchor,
                 realization={**seq.descriptor(), "level": "towers"},
                 ranges={
-                    "degrees": [d for d in range(k, d_max + 1)],
+                    "degrees": list(range(k, d_max + 1)),
                     "instances": len(items),
                     "window": window,
                     "n_cap": n_cap,
                 },
                 flavor=k,
             )
-            for ident in items:
-                for d in range(k, d_max + 1):
-                    for tower in cells[(k, d)].towers:
-                        floor = max(
-                            _word_rank_floor(word, k, seq.n_start)
-                            for _, word in tuple(ident.lhs) + tuple(ident.rhs)
-                        )
-                        base = tower
-                        if base.lo < floor:
-                            span = base.hi - base.lo
-                            base = extend_tower(seq, base, floor, floor + span)
-                        lhs = rhs = None
-                        for coeff, word in ident.lhs:
-                            w = apply_tower_word(seq, base, word).scale(coeff)
-                            lhs = w if lhs is None else lhs.add(w)
-                        for coeff, word in ident.rhs:
-                            w = apply_tower_word(seq, base, word).scale(coeff)
-                            rhs = w if rhs is None else rhs.add(w)
-                        rep.vectors_checked += 1
-                        if lhs != rhs:
-                            rep.fail(
-                                instance=ident.label,
-                                flavor=k,
-                                degree=d,
-                                window=[base.lo, base.hi],
-                            )
-            rep.millis = (time.perf_counter() - start) * 1000
             reports.append(rep)
     return reports
 

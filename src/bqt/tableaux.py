@@ -19,12 +19,12 @@ from functools import lru_cache
 
 from .errors import (
     EntryOutOfRange,
-    IndexOutOfRange,
     NotAnEigenvector,
     RankTooSmall,
     ShapeMismatch,
     UnsupportedOperation,
 )
+from .keyed import KeyedRealization, SparseVec
 from .scalars import QT
 
 Shape = tuple[int, ...]
@@ -153,75 +153,30 @@ def enumerate_syt(shape: Shape) -> tuple[StandardTableau, ...]:
     return tuple(sorted(results))
 
 
-class SeedVector:
+class SeedVector(SparseVec):
     """Element of the seed module: sparse map from tableaux to scalars."""
 
-    __slots__ = ("n", "lam", "coeffs")
+    __slots__ = ()
 
     def __init__(self, n: int, lam: Shape, coeffs: dict[StandardTableau, object]):
-        self.n = n
-        self.lam = lam
+        self.meta = (n, lam)
         self.coeffs = coeffs
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def lam(self) -> Shape:
+        return self.meta[1]
 
     def degree(self) -> int:
         return 0 if self.coeffs else -1
 
-    def add(self, other: "SeedVector") -> "SeedVector":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            if k in out:
-                s = out[k] + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = c
-        return SeedVector(self.n, self.lam, out)
-
-    def sub(self, other: "SeedVector") -> "SeedVector":
-        return self.add(other.scale_neg()) if other.coeffs else self
-
-    def scale_neg(self) -> "SeedVector":
-        return SeedVector(self.n, self.lam, {k: -c for k, c in self.coeffs.items()})
-
-    def scale(self, c) -> "SeedVector":
-        if c.is_zero() or not self.coeffs:
-            return SeedVector(self.n, self.lam, {})
-        if c.is_one():
-            return self
-        return SeedVector(self.n, self.lam, {k: v * c for k, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SeedVector)
-            and self.n == other.n
-            and self.lam == other.lam
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].row_word())
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c})*e{list(t.row_word())}" for t, c in self.sorted_items())
-
-    def __repr__(self) -> str:
-        return f"SeedVector(n={self.n}, {str(self)})"
+    def _term(self, tau: StandardTableau, c) -> str:
+        return f"({c})*e{list(tau.row_word())}"
 
 
-class SeedRealization:
+class SeedRealization(KeyedRealization):
     """Seminormal module on the padded shape of lam at rank n.
 
     Exposes the shared realization surface; apply_Xi raises since the seed
@@ -229,24 +184,16 @@ class SeedRealization:
     """
 
     kind = "seed"
+    vector_type = SeedVector
 
     def __init__(self, lam: Shape, n: int, ring=QT):
         self.lam = check_shape(lam)
-        self.n = n
-        self.ring = ring
+        super().__init__(n, ring, (n, self.lam))
         self.shape = pad_shape(self.lam, n)
         self.tableaux = enumerate_syt(self.shape)
-        self._index = {t: j for j, t in enumerate(self.tableaux)}
-        self._ti_memo: dict[tuple[int, StandardTableau], tuple] = {}
-        self._tinv_memo: dict[tuple[int, StandardTableau], tuple] = {}
-        self._pi_memo: dict[StandardTableau, SeedVector] = {}
-        self.cache: dict = {}
 
     def descriptor(self) -> dict:
         return {"module": "seed", "shape": list(self.lam), "n": self.n}
-
-    def zero(self) -> SeedVector:
-        return SeedVector(self.n, self.lam, {})
 
     def basis_vector(self, tau: StandardTableau) -> SeedVector:
         return SeedVector(self.n, self.lam, {tau: self.ring.one})
@@ -256,97 +203,43 @@ class SeedRealization:
             return []
         return [self.basis_vector(t) for t in self.tableaux]
 
-    def _check_t_index(self, i: int) -> None:
-        if not 1 <= i <= self.n - 1:
-            raise IndexOutOfRange(f"T index {i} outside 1..{self.n - 1}")
-
-    def _ti_tableau(self, i: int, tau: StandardTableau) -> tuple:
-        key = (i, tau)
-        hit = self._ti_memo.get(key)
-        if hit is not None:
-            return hit
+    def _ti_image(self, i: int, tau: StandardTableau) -> tuple:
+        """The four-case seminormal formula."""
         ring = self.ring
         r1, c1 = tau.position(i)
         r2, c2 = tau.position(i + 1)
         if r1 == r2:
-            result = ((tau, ring.one),)
-        elif c1 == c2:
-            result = ((tau, -ring.q),)
-        else:
-            ci, cj = c1 - r1, c2 - r2
-            diag = (ring.one - ring.q) * ring.q_power(ci) / (ring.q_power(ci) - ring.q_power(cj))
-            other = tau.swap(i)
-            if ci - cj > 1:
-                result = ((other, ring.one), (tau, diag))
-            else:
-                num = (ring.q_power(cj + 1) - ring.q_power(ci)) * (
-                    ring.q_power(ci + 1) - ring.q_power(cj)
-                )
-                den = (ring.q_power(cj) - ring.q_power(ci)) * (
-                    ring.q_power(cj) - ring.q_power(ci)
-                )
-                result = ((other, -(num / den)), (tau, diag))
-        self._ti_memo[key] = result
-        return result
+            return ((tau, ring.one),)
+        if c1 == c2:
+            return ((tau, -ring.q),)
+        ci, cj = c1 - r1, c2 - r2
+        diag = (ring.one - ring.q) * ring.q_power(ci) / (ring.q_power(ci) - ring.q_power(cj))
+        other = tau.swap(i)
+        if ci - cj > 1:
+            return ((other, ring.one), (tau, diag))
+        num = (ring.q_power(cj + 1) - ring.q_power(ci)) * (
+            ring.q_power(ci + 1) - ring.q_power(cj)
+        )
+        den = (ring.q_power(cj) - ring.q_power(ci)) * (
+            ring.q_power(cj) - ring.q_power(ci)
+        )
+        return ((other, -(num / den)), (tau, diag))
 
-    def _tinv_tableau(self, i: int, tau: StandardTableau) -> tuple:
-        key = (i, tau)
-        hit = self._tinv_memo.get(key)
-        if hit is not None:
-            return hit
-        ring = self.ring
-        qinv = ring.q_power(-1)
-        out: dict[StandardTableau, object] = {}
-        for s, c in self._ti_tableau(i, tau):
-            out[s] = c * qinv
-        extra = (ring.q - ring.one) * qinv
-        cur = out.get(tau)
-        val = extra if cur is None else cur + extra
-        if val.is_zero():
-            out.pop(tau, None)
-        else:
-            out[tau] = val
-        result = tuple(out.items())
-        self._tinv_memo[key] = result
-        return result
-
-    def _apply_table(self, v: SeedVector, i: int, table) -> SeedVector:
-        out: dict[StandardTableau, object] = {}
-        for tau, c in v.coeffs.items():
-            for s, m in table(i, tau):
-                cur = out.get(s)
-                val = c * m
-                if cur is None:
-                    if not val.is_zero():
-                        out[s] = val
-                else:
-                    cur = cur + val
-                    if cur.is_zero():
-                        del out[s]
-                    else:
-                        out[s] = cur
-        return SeedVector(self.n, self.lam, out)
+    def _pi_image(self, tau: StandardTableau) -> tuple:
+        """pi through the pullback word T_1^{-1} ... T_{n-1}^{-1}."""
+        img = self.basis_vector(tau)
+        for j in range(self.n - 1, 0, -1):
+            img = self.apply_Ti_inv(img, j)
+        return tuple(img.coeffs.items())
 
     def apply_Ti(self, v: SeedVector, i: int) -> SeedVector:
-        self._check_t_index(i)
-        return self._apply_table(v, i, self._ti_tableau)
+        return self._apply_table(v, self._ti_table, self._t_index(i))
 
     def apply_Ti_inv(self, v: SeedVector, i: int) -> SeedVector:
-        self._check_t_index(i)
-        return self._apply_table(v, i, self._tinv_tableau)
+        return self._apply_table(v, self._tinv_table, self._t_index(i))
 
     def apply_pi(self, v: SeedVector) -> SeedVector:
-        """pi through the pullback word T_1^{-1} ... T_{n-1}^{-1}."""
-        out = self.zero()
-        for tau, c in v.coeffs.items():
-            img = self._pi_memo.get(tau)
-            if img is None:
-                img = self.basis_vector(tau)
-                for j in range(self.n - 1, 0, -1):
-                    img = self.apply_Ti_inv(img, j)
-                self._pi_memo[tau] = img
-            out = out.add(img.scale(c))
-        return out
+        return self._apply_table(v, self._pi_table)
 
     def apply_Xi(self, v: SeedVector, i: int):
         raise UnsupportedOperation("seed modules carry no X action before induction")

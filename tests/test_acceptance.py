@@ -289,12 +289,9 @@ def test_criterion_9_negative_controls():
 
 
 def test_murnaghan_one_box_table_golden():
-    """Self-generated regression oracle for the one-box dimension table."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    """Regression oracle for the one-box dimension table; a missing golden fails."""
     path = GOLDEN_DIR / "murnaghan_1_table.json"
+    assert path.exists(), f"golden {path} is missing"
     table = dim_table(CompatSeqSpec("murnaghan", (1,)), 2, 3)
-    if not path.exists():
-        assert all(c["dim"] is not None for c in table["cells"])
-        path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     golden = json.loads(path.read_text())
     assert table == golden

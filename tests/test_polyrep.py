@@ -21,7 +21,7 @@ from bqt.polyrep import (
     word_from_json,
     word_to_json,
 )
-from bqt.scalars import ONE, QT, parse_scalar
+from bqt.scalars import ONE, parse_scalar
 
 sq, st_ = sympy.symbols("q t")
 
@@ -141,7 +141,7 @@ def test_Xi_and_index_errors():
 
 def test_exact_division_guard_fires():
     with pytest.raises(ExactDivisionError):
-        divexact_by_var_difference({(0, 0): ONE}, 1, QT)
+        divexact_by_var_difference({(0, 0): ONE}, 1)
 
 
 # -- derived operators --------------------------------------------------------
