@@ -1,6 +1,7 @@
 """Command-line front end: relation checks, operator application, limits.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
+Exit codes: 0 all checks passed, 1 a check failed or a limit cell is
+unresolved, 2 configuration or input error.
 Reports are JSON; with --no-timing they are byte-identical across runs of
 the same configuration and seed.  All scalar output is exact; nothing is
 ever printed as a decimal approximation.
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BqtError
 from .limits import CompatSeqSpec, dim_table
-from .lspaces import LVector, apply_flavored_word, flavored_word_from_json
+from .lspaces import FLAVORED_ALPHABET, LVector, apply_flavored_word
 from .polyrep import apply_word, validate_word, word_from_json
 from .relations import (
     check_aux_identities,
@@ -51,10 +52,19 @@ def _module_descriptor(args) -> dict:
     return desc
 
 
+def _sequence(polynomial: bool, args) -> CompatSeqSpec:
+    if polynomial:
+        return CompatSeqSpec("polynomial")
+    return CompatSeqSpec("murnaghan", parse_shape(args.shape))
+
+
 def _default_jobs() -> int:
     env = os.environ.get("BQT_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"BQT_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -80,12 +90,7 @@ def cmd_check(args) -> int:
     seed = args.seed
 
     if args.suite == "compat":
-        seq = (
-            CompatSeqSpec("polynomial")
-            if args.module == "poly"
-            else CompatSeqSpec("murnaghan", parse_shape(args.shape))
-        )
-        reports = check_compatibility(seq, args.n, args.dmax)
+        reports = check_compatibility(_sequence(args.module == "poly", args), args.n, args.dmax)
         report_objs = [r.to_obj() for r in reports]
     elif args.probabilistic:
 
@@ -132,6 +137,17 @@ def cmd_check(args) -> int:
     return 0 if status else 1
 
 
+def _read_vector(M, obj):
+    """A vector of M's space from its JSON object; ValueError when it is not one."""
+    try:
+        vec = M.vector_type.from_obj(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed vector JSON: {type(exc).__name__} {exc}") from None
+    if vec.meta != M.meta:
+        raise ValueError(f"vector of space {vec.meta} does not belong to module {M.meta}")
+    return vec
+
+
 def cmd_act(args) -> int:
     desc = _module_descriptor(args)
     M = make_realization(desc)
@@ -139,12 +155,13 @@ def cmd_act(args) -> int:
         payload = json.load(fh)
     word_data = json.loads(args.word)
     if isinstance(payload, dict) and "flavor" in payload:
-        lv = LVector(int(payload["flavor"]), M.vector_type.from_obj(payload["vector"]))
-        word = flavored_word_from_json(word_data)
-        out = apply_flavored_word(M, lv, word)
+        if type(payload["flavor"]) is not int:
+            raise ValueError(f"flavor {payload['flavor']!r} is not an integer")
+        lv = LVector(payload["flavor"], _read_vector(M, payload.get("vector")))
+        out = apply_flavored_word(M, lv, word_from_json(word_data, FLAVORED_ALPHABET))
         result = {"flavor": out.k, "vector": out.payload.to_obj()}
     else:
-        vec = M.vector_type.from_obj(payload)
+        vec = _read_vector(M, payload)
         word = word_from_json(word_data)
         validate_word(word, M.n)
         out_vec = apply_word(M, vec, word)
@@ -154,11 +171,7 @@ def cmd_act(args) -> int:
 
 
 def cmd_limit(args, as_text: bool = False) -> int:
-    seq = (
-        CompatSeqSpec("polynomial")
-        if args.seq in ("pol", "polynomial")
-        else CompatSeqSpec("murnaghan", parse_shape(args.shape))
-    )
+    seq = _sequence(args.seq in ("pol", "polynomial"), args)
     table = dim_table(seq, args.kmax, args.dmax, window=args.window, n_cap=args.ncap)
     unresolved = [c for c in table["cells"] if c.get("dim") is None]
     if as_text:
@@ -175,6 +188,7 @@ def cmd_limit(args, as_text: bool = False) -> int:
         _emit(table, args.out)
     if unresolved:
         print(f"warning: {len(unresolved)} unresolved cells", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -244,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and args.command == "check":
-        args.jobs = _default_jobs()
     try:
+        if getattr(args, "jobs", None) is None and args.command == "check":
+            args.jobs = _default_jobs()
         return args.func(args)
     except (ValueError, BqtError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

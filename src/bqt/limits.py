@@ -95,33 +95,17 @@ class Tower:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components.values())
 
-    def add(self, other: "Tower") -> "Tower":
-        if (self.k, self.degree, self.lo, self.hi) != (
-            other.k,
-            other.degree,
-            other.lo,
-            other.hi,
-        ):
+    def _combine(self, other: "Tower", op) -> "Tower":
+        if (self.k, self.degree, self.window()) != (other.k, other.degree, other.window()):
             raise InconsistentFlavors("towers disagree in flavor, degree, or window")
-        return Tower(
-            self.k,
-            self.degree,
-            {n: self.components[n].add(other.components[n]) for n in self.components},
-        )
+        comps = {n: op(v, other.components[n]) for n, v in self.components.items()}
+        return Tower(self.k, self.degree, comps)
+
+    def add(self, other: "Tower") -> "Tower":
+        return self._combine(other, LVector.add)
 
     def sub(self, other: "Tower") -> "Tower":
-        if (self.k, self.degree, self.lo, self.hi) != (
-            other.k,
-            other.degree,
-            other.lo,
-            other.hi,
-        ):
-            raise InconsistentFlavors("towers disagree in flavor, degree, or window")
-        return Tower(
-            self.k,
-            self.degree,
-            {n: self.components[n].sub(other.components[n]) for n in self.components},
-        )
+        return self._combine(other, LVector.sub)
 
     def scale(self, c) -> "Tower":
         return Tower(self.k, self.degree, {n: v.scale(c) for n, v in self.components.items()})
@@ -249,17 +233,6 @@ def extend_tower(seq: CompatSeqSpec, tower: Tower, lo: int, hi: int) -> Tower:
     return Tower(tower.k, tower.degree, comps)
 
 
-def _op_output(k: int, d: int, sym: tuple) -> tuple[int, int]:
-    tag = sym[0]
-    if tag == "dplus":
-        return k + 1, d + 1
-    if tag == "dminus":
-        return k - 1, d
-    if tag == "phi":
-        return k, d + 1
-    return k, d
-
-
 def _word_rank_floor(word, k_in: int, n_start: int) -> int:
     """Smallest window rank at which every step of the word is defined."""
     req = max(n_start, k_in, 1)
@@ -284,11 +257,6 @@ def widen_for_words(seq: CompatSeqSpec, tower: Tower, words) -> Tower:
     return tower
 
 
-def limit_act(seq: CompatSeqSpec, tower: Tower, sym: tuple, check: bool = True) -> Tower:
-    """One operator applied componentwise; compatibility re-checked exactly."""
-    return apply_tower_word(seq, tower, (sym,), check=check)
-
-
 def apply_tower_word(
     seq: CompatSeqSpec, tower: Tower, word, check: bool = True
 ) -> Tower:
@@ -302,20 +270,12 @@ def apply_tower_word(
         n: apply_flavored_word(seq.realization(n), lv, word)
         for n, lv in tower.components.items()
     }
-    k_out, d_out = tower.k, tower.degree
-    for sym in reversed(list(word)):
-        k_out, d_out = _op_output(k_out, d_out, sym)
-    out = Tower(k_out, d_out, out_comps)
+    # d_plus and phi raise the degree; the flavor is tracked by the components
+    d_out = tower.degree + sum(sym[0] in ("dplus", "phi") for sym in word)
+    out = Tower(out_comps[tower.lo].k, d_out, out_comps)
     if check:
         out.check_compatible(seq)
     return out
-
-
-def align_towers(seq: CompatSeqSpec, a: Tower, b: Tower) -> tuple[Tower, Tower]:
-    """Bring two same-flavor towers onto a common window."""
-    lo = max(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    return extend_tower(seq, a, lo, hi), extend_tower(seq, b, lo, hi)
 
 
 def dim_table(

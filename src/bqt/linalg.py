@@ -99,23 +99,6 @@ def _one_like(vec: dict):
     return some / some if not some.is_zero() else some
 
 
-def rank_of(vectors) -> int:
-    basis = RowBasis()
-    for v in vectors:
-        basis.insert(v)
-    return basis.rank
-
-
-def independent_subset(vectors: list) -> list[int]:
-    """Indices of a maximal independent subfamily, first-come order."""
-    basis = RowBasis()
-    picked = []
-    for j, v in enumerate(vectors):
-        if basis.insert(v):
-            picked.append(j)
-    return picked
-
-
 def solve_combination(columns: list[dict], target: dict):
     """Exact x with sum_j x_j columns[j] = target, or None.
 

@@ -187,15 +187,12 @@ def spanning_reduction_agrees(M, k: int, d: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def t_action(M, lv: LVector, i: int) -> LVector:
+def t_action(M, lv: LVector, i: int, inverse: bool = False) -> LVector:
+    """T_i, or T_i^{-1} when inverse, on a flavor-k vector (1 <= i <= k-1)."""
     if not 1 <= i <= lv.k - 1:
         raise IndexOutOfRange(f"T index {i} outside 1..{lv.k - 1} on flavor {lv.k}")
-    return LVector(lv.k, M.apply_Ti(lv.payload, i))
-
-def t_inv_action(M, lv: LVector, i: int) -> LVector:
-    if not 1 <= i <= lv.k - 1:
-        raise IndexOutOfRange(f"T index {i} outside 1..{lv.k - 1} on flavor {lv.k}")
-    return LVector(lv.k, M.apply_Ti_inv(lv.payload, i))
+    apply = M.apply_Ti_inv if inverse else M.apply_Ti
+    return LVector(lv.k, apply(lv.payload, i))
 
 
 def z_action(M, lv: LVector, i: int) -> LVector:
@@ -248,25 +245,7 @@ def phi_action(M, lv: LVector) -> LVector:
 # flavored words: symbols ("T", i) ("Tinv", i) ("z", i) ("dplus",)
 # ("dminus",) ("phi",) ("Scalar", c), applied right to left
 
-_FLAVORED_TAGS = {"T", "Tinv", "z", "dplus", "dminus", "phi", "Scalar"}
-
-
-def flavored_word_from_json(data: list, ring=None) -> tuple:
-    from .scalars import QT, parse_scalar
-
-    ring = ring or QT
-    word = []
-    for sym in data:
-        tag = sym[0]
-        if tag not in _FLAVORED_TAGS:
-            raise ValueError(f"unknown flavored word symbol {sym!r}")
-        if tag == "Scalar":
-            word.append(("Scalar", ring.convert(parse_scalar(sym[1]))))
-        elif tag in ("dplus", "dminus", "phi"):
-            word.append((tag,))
-        else:
-            word.append((tag, int(sym[1])))
-    return tuple(word)
+FLAVORED_ALPHABET = {"T": 1, "Tinv": 1, "z": 1, "dplus": 0, "dminus": 0, "phi": 0, "Scalar": 1}
 
 
 def apply_flavored_word(M, lv: LVector, word) -> LVector:
@@ -276,7 +255,7 @@ def apply_flavored_word(M, lv: LVector, word) -> LVector:
         if tag == "T":
             w = t_action(M, w, sym[1])
         elif tag == "Tinv":
-            w = t_inv_action(M, w, sym[1])
+            w = t_action(M, w, sym[1], inverse=True)
         elif tag == "z":
             w = z_action(M, w, sym[1])
         elif tag == "dplus":

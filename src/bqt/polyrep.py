@@ -332,17 +332,16 @@ def apply_pi_tilde(M: ModuleRealization, v):
     return apply_x1_tinv_chain(M, v, M.n - 1)
 
 
-# formal generator words: tuples of symbols, applied right to left
-# symbols: ("T", i) ("Tinv", i) ("X", i) ("Y", i) ("Eps", k) ("Pi",)
-#          ("PiTilde",) ("Scalar", scalar)
+# formal generator words: tuples of symbols, applied right to left; the
+# alphabet maps each tag to its argument count
 
-_WORD_TAGS = {"T", "Tinv", "X", "Y", "Eps", "Pi", "PiTilde", "Scalar"}
+WORD_ALPHABET = {"T": 1, "Tinv": 1, "X": 1, "Y": 1, "Eps": 1, "Pi": 0, "PiTilde": 0, "Scalar": 1}
 
 
 def validate_word(word: Iterable[tuple], n: int) -> None:
     for sym in word:
         tag = sym[0]
-        if tag not in _WORD_TAGS:
+        if tag not in WORD_ALPHABET:
             raise ValueError(f"unknown word symbol {sym!r}")
         if tag in ("T", "Tinv"):
             if not 1 <= sym[1] <= n - 1:
@@ -391,16 +390,27 @@ def word_to_json(word: Iterable[tuple]) -> list:
     return out
 
 
-def word_from_json(data: list, ring=QT) -> tuple:
+def word_from_json(data, alphabet: dict = WORD_ALPHABET, ring=QT) -> tuple:
+    """Parse a JSON word such as [["X", 1], ["Pi"], ["Scalar", "q - 1"]].
+
+    Every symbol is a list of a tag of the alphabet and as many arguments as
+    the alphabet gives it: an int index, or the text of a Scalar.  Anything
+    else raises ValueError.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"a word is a JSON list of symbols, got {data!r}")
     word = []
     for sym in data:
-        tag = sym[0]
+        tag = sym[0] if isinstance(sym, list) and sym else None
+        arity = alphabet.get(tag) if isinstance(tag, str) else None
+        if arity is None or len(sym) != 1 + arity:
+            raise ValueError(f"malformed word symbol {sym!r}; tags and arities: {alphabet}")
         if tag == "Scalar":
+            if not isinstance(sym[1], str):
+                raise ValueError(f"Scalar argument {sym[1]!r} is not scalar text")
             word.append(("Scalar", ring.convert(parse_scalar(sym[1]))))
-        elif tag in ("Pi", "PiTilde"):
-            word.append((tag,))
-        elif tag in _WORD_TAGS:
-            word.append((tag, int(sym[1])))
+        elif arity and type(sym[1]) is not int:
+            raise ValueError(f"index in word symbol {sym!r} is not an integer")
         else:
-            raise ValueError(f"unknown word symbol {sym!r}")
+            word.append(tuple(sym))
     return tuple(word)

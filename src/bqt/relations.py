@@ -139,29 +139,121 @@ class Identity:
     rhs: tuple
 
 
-def _module_identity_reports(M, catalog, d_max, only, keep_empty) -> list[RelationReport]:
-    """A catalog's identities on every basis vector of degree <= d_max.
+def _catalog_reports(catalog, flavors, d_max, graded, evaluate, describe, realization,
+                     only=None, keep_empty=False, **extra_ranges) -> list[RelationReport]:
+    """One report per relation of catalog(k), for each flavor k in flavors.
 
-    keep_empty also reports relations without instances at this rank.
+    The flavor None stands for an unflavored module suite.  graded(k) lists
+    the (degree, vector) pairs of degrees k..d_max the flavor's identities
+    run on; it is built only when a selected relation has instances at k.
+    keep_empty also reports relations without instances.  evaluate(ident, v)
+    is None when the identity holds on v, else the values that
+    describe(degree, v, values) turns into the counterexample; extra_ranges
+    join the degrees and the instance count in each report's ranges.
     """
-    bases = [M.basis(d) for d in range(d_max + 1)]
+    reports = []
+    for k in flavors:
+        vectors = None
+        for rel_id, anchor, items in catalog(k):
+            if (only is not None and rel_id != only) or not (items or keep_empty):
+                continue
+            if vectors is None and items:
+                vectors = graded(k)
+            reports.append(
+                run_suite(
+                    ((ident, d, v) for ident in items for d, v in vectors),
+                    lambda case: evaluate(case[0], case[2]),
+                    lambda case, got: {
+                        "instance": case[0].label,
+                        **describe(case[1], case[2], got),
+                    },
+                    relation_id=rel_id,
+                    anchor=anchor,
+                    realization=realization,
+                    ranges={
+                        "degrees": list(range(k or 0, d_max + 1)),
+                        "instances": len(items),
+                        **extra_ranges,
+                    },
+                    flavor=k,
+                )
+            )
+    return reports
+
+
+def _module_identity_reports(M, catalog, d_max, only, keep_empty) -> list[RelationReport]:
+    """A catalog's identities on every basis vector of degree <= d_max."""
+    return _catalog_reports(
+        lambda _: catalog,
+        (None,),
+        d_max,
+        lambda _: [(d, v) for d in range(d_max + 1) for v in M.basis(d)],
+        lambda ident, v: _sides(apply_word, M, ident, v),
+        lambda _, v, got: {"vector": str(v), "lhs": str(got[0]), "rhs": str(got[1])},
+        M.descriptor(),
+        only,
+        keep_empty,
+    )
+
+
+# ---------------------------------------------------------------------------
+# relation families shared by the catalogs
+# ---------------------------------------------------------------------------
+
+DPLUS, DMINUS, PHI, PI, PITILDE = ("dplus",), ("dminus",), ("phi",), ("Pi",), ("PiTilde",)
+
+
+def _equal(one, label: str, lhs: tuple, rhs: tuple) -> Identity:
+    """The identity lhs = rhs of two words."""
+    return Identity(label, ((one, lhs),), ((one, rhs),))
+
+
+def _swaps(one, a: str, b: str, pairs, label: str = "i={},j={}") -> list[Identity]:
+    """a_x b_y = b_y a_x for each index pair (x, y); None marks an unindexed symbol."""
+    out = []
+    for x, y in pairs:
+        ax = (a,) if x is None else (a, x)
+        by = (b,) if y is None else (b, y)
+        indices = [j for j in (x, y) if j is not None]
+        out.append(_equal(one, label.format(*indices), (ax, by), (by, ax)))
+    return out
+
+
+def _shifts(one, g: str, a: str, indices) -> list[Identity]:
+    """g a_i = a_{i+1} g for each index i."""
+    return [_equal(one, f"i={i}", ((g,), (a, i)), ((a, i + 1), (g,))) for i in indices]
+
+
+def _ordered_pairs(m: int):
+    """(i, j) with 1 <= i < j <= m."""
+    return ((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
+
+
+def _far_pairs(n: int):
+    """(i, j) with 1 <= i <= n-1, 1 <= j <= n and j not in {i, i+1}."""
+    return ((i, j) for i in range(1, n) for j in range(1, n + 1) if j not in (i, i + 1))
+
+
+def hecke_identities(prefix: str, m: int, ring) -> list[tuple[str, str, list[Identity]]]:
+    """Quadratic, braid and far-commutation relations of T_1..T_{m-1}.
+
+    The rank-n algebra uses them at m = n and flavor k of the flavored
+    algebra at m = k.
+    """
+    one, q = ring.one, ring.q
+    quadratic = [
+        Identity(f"i={i}", ((one, (("T", i), ("T", i))),), ((one - q, (("T", i),)), (q, ())))
+        for i in range(1, m)
+    ]
+    braid = []
+    for i in range(1, m - 1):
+        ti, tj = ("T", i), ("T", i + 1)
+        braid.append(_equal(one, f"i={i}", (ti, tj, ti), (tj, ti, tj)))
+    far = ((i, j) for i in range(1, m) for j in range(i + 2, m))
     return [
-        run_suite(
-            ((ident, v) for ident in items for basis in bases for v in basis),
-            lambda case: _sides(apply_word, M, *case),
-            lambda case, got: {
-                "instance": case[0].label,
-                "vector": str(case[1]),
-                "lhs": str(got[0]),
-                "rhs": str(got[1]),
-            },
-            relation_id=rel_id,
-            anchor=anchor,
-            realization=M.descriptor(),
-            ranges={"degrees": list(range(d_max + 1)), "instances": len(items)},
-        )
-        for rel_id, anchor, items in catalog
-        if (only is None or rel_id == only) and (items or keep_empty)
+        (f"{prefix}_quadratic", "(T_i - 1)(T_i + q) = 0", quadratic),
+        (f"{prefix}_braid", "T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1}", braid),
+        (f"{prefix}_T_commute", "T_i T_j = T_j T_i for |i-j| > 1", _swaps(one, "T", "T", far)),
     ]
 
 
@@ -171,44 +263,8 @@ def _module_identity_reports(M, catalog, d_max, only, keep_empty) -> list[Relati
 
 
 def daha_identities(n: int, ring) -> list[tuple[str, str, list[Identity]]]:
-    one = ring.one
-    q = ring.q
-    t = ring.t
-    out: list[tuple[str, str, list[Identity]]] = []
-
-    items = []
-    for i in range(1, n):
-        items.append(
-            Identity(
-                f"i={i}",
-                ((one, (("T", i), ("T", i))),),
-                ((one - q, (("T", i),)), (q, ())),
-            )
-        )
-    out.append(("daha_quadratic", "(T_i - 1)(T_i + q) = 0", items))
-
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("T", i), ("T", i + 1), ("T", i))),),
-            ((one, (("T", i + 1), ("T", i), ("T", i + 1))),),
-        )
-        for i in range(1, n - 1)
-    ]
-    out.append(("daha_braid", "T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1}", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("T", i), ("T", j))),),
-            ((one, (("T", j), ("T", i))),),
-        )
-        for i in range(1, n)
-        for j in range(i + 2, n)
-    ]
-    out.append(("daha_T_commute", "T_i T_j = T_j T_i for |i-j| > 1", items))
-
-    items = [
+    one, q = ring.one, ring.q
+    txt = [
         Identity(
             f"i={i}",
             ((one, (("Tinv", i), ("X", i), ("Tinv", i))),),
@@ -216,84 +272,34 @@ def daha_identities(n: int, ring) -> list[tuple[str, str, list[Identity]]]:
         )
         for i in range(1, n)
     ]
-    out.append(("daha_TXT", "T_i^{-1} X_i T_i^{-1} = q^{-1} X_{i+1}", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("T", i), ("X", j))),),
-            ((one, (("X", j), ("T", i))),),
-        )
-        for i in range(1, n)
-        for j in range(1, n + 1)
-        if j not in (i, i + 1)
-    ]
-    out.append(("daha_TX_commute", "T_i X_j = X_j T_i for j not in {i, i+1}", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("X", i), ("X", j))),),
-            ((one, (("X", j), ("X", i))),),
-        )
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    out.append(("daha_X_commute", "X_i X_j = X_j X_i", items))
-
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("T", i), ("Y", i), ("T", i))),),
-            ((q, (("Y", i + 1),)),),
-        )
+    tyt = [
+        Identity(f"i={i}", ((one, (("T", i), ("Y", i), ("T", i))),), ((q, (("Y", i + 1),)),))
         for i in range(1, n)
     ]
-    out.append(("daha_TYT", "T_i Y_i T_i = q Y_{i+1}", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("T", i), ("Y", j))),),
-            ((one, (("Y", j), ("T", i))),),
-        )
-        for i in range(1, n)
-        for j in range(1, n + 1)
-        if j not in (i, i + 1)
-    ]
-    out.append(("daha_TY_commute", "T_i Y_j = Y_j T_i for j not in {i, i+1}", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("Y", i), ("Y", j))),),
-            ((one, (("Y", j), ("Y", i))),),
-        )
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    out.append(("daha_Y_commute", "Y_i Y_j = Y_j Y_i", items))
-
-    if n >= 2:
-        items = [
-            Identity(
-                "i=1",
-                ((one, (("Y", 1), ("T", 1), ("X", 1))),),
-                ((one, (("X", 2), ("Y", 1), ("T", 1))),),
-            )
-        ]
-        out.append(("daha_YTX", "Y_1 T_1 X_1 = X_2 Y_1 T_1", items))
-
+    ytx = _equal(one, "i=1", (("Y", 1), ("T", 1), ("X", 1)), (("X", 2), ("Y", 1), ("T", 1)))
     xs = tuple(("X", i) for i in range(1, n + 1))
-    items = [
-        Identity(
-            "",
-            ((one, (("Y", 1),) + xs),),
-            ((t, xs + (("Y", 1),)),),
-        )
-    ]
-    out.append(("daha_Y_Xchain", "Y_1 X_1..X_n = t X_1..X_n Y_1", items))
-    return out
+    y_xchain = Identity("", ((one, (("Y", 1),) + xs),), ((ring.t, xs + (("Y", 1),)),))
+    return (
+        hecke_identities("daha", n, ring)
+        + [
+            ("daha_TXT", "T_i^{-1} X_i T_i^{-1} = q^{-1} X_{i+1}", txt),
+            (
+                "daha_TX_commute",
+                "T_i X_j = X_j T_i for j not in {i, i+1}",
+                _swaps(one, "T", "X", _far_pairs(n)),
+            ),
+            ("daha_X_commute", "X_i X_j = X_j X_i", _swaps(one, "X", "X", _ordered_pairs(n))),
+            ("daha_TYT", "T_i Y_i T_i = q Y_{i+1}", tyt),
+            (
+                "daha_TY_commute",
+                "T_i Y_j = Y_j T_i for j not in {i, i+1}",
+                _swaps(one, "T", "Y", _far_pairs(n)),
+            ),
+            ("daha_Y_commute", "Y_i Y_j = Y_j Y_i", _swaps(one, "Y", "Y", _ordered_pairs(n))),
+        ]
+        + ([("daha_YTX", "Y_1 T_1 X_1 = X_2 Y_1 T_1", [ytx])] if n >= 2 else [])
+        + [("daha_Y_Xchain", "Y_1 X_1..X_n = t X_1..X_n Y_1", [y_xchain])]
+    )
 
 
 def check_daha_relations(
@@ -316,43 +322,14 @@ def bqt_identities(n: int, k: int, ring) -> list[tuple[str, str, list[Identity]]
     Each relation is read as an identity of maps out of flavor k and is
     instantiated exactly where every constituent operator is defined.
     """
-    one = ring.one
-    q = ring.q
-    qt = ring.q * ring.t
-    out = []
+    one, q = ring.one, ring.q
+    qt = q * ring.t
+    raises = k <= n - 1  # d_+ is defined on flavor k
 
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("T", i), ("T", i))),),
-            ((one - q, (("T", i),)), (q, ())),
-        )
-        for i in range(1, k)
-    ]
-    out.append(("bqt_quadratic", "(T_i - 1)(T_i + q) = 0", items))
+    def when(cond, ident):
+        return [ident] if cond else []
 
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("T", i), ("T", i + 1), ("T", i))),),
-            ((one, (("T", i + 1), ("T", i), ("T", i + 1))),),
-        )
-        for i in range(1, k - 1)
-    ]
-    out.append(("bqt_braid", "T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1}", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("T", i), ("T", j))),),
-            ((one, (("T", j), ("T", i))),),
-        )
-        for i in range(1, k)
-        for j in range(i + 2, k)
-    ]
-    out.append(("bqt_T_commute", "T_i T_j = T_j T_i for |i-j| > 1", items))
-
-    items = [
+    tzt = [
         Identity(
             f"i={i}",
             ((one, (("Tinv", i), ("z", i + 1), ("Tinv", i))),),
@@ -360,174 +337,80 @@ def bqt_identities(n: int, k: int, ring) -> list[tuple[str, str, list[Identity]]
         )
         for i in range(1, k)
     ]
-    out.append(("bqt_TzT", "T_i^{-1} z_{i+1} T_i^{-1} = q^{-1} z_i", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("z", i), ("T", j))),),
-            ((one, (("T", j), ("z", i))),),
-        )
-        for i in range(1, k + 1)
-        for j in range(1, k)
-        if i not in (j, j + 1)
-    ]
-    out.append(("bqt_zT_commute", "z_i T_j = T_j z_i for i not in {j, j+1}", items))
-
-    items = [
-        Identity(
-            f"i={i},j={j}",
-            ((one, (("z", i), ("z", j))),),
-            ((one, (("z", j), ("z", i))),),
-        )
-        for i in range(1, k + 1)
-        for j in range(i + 1, k + 1)
-    ]
-    out.append(("bqt_z_commute", "z_i z_j = z_j z_i", items))
-
-    items = []
-    if k >= 2:
-        items.append(
-            Identity(
-                "",
-                ((one, (("dminus",), ("dminus",), ("T", k - 1))),),
-                ((one, (("dminus",), ("dminus",))),),
-            )
-        )
-    out.append(("bqt_dminus_sq", "d_-^2 T_{k-1} = d_-^2 for k >= 2", items))
-
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("dminus",), ("T", i))),),
-            ((one, (("T", i), ("dminus",))),),
-        )
-        for i in range(1, k - 1)
-    ]
-    out.append(("bqt_dminus_T", "d_- T_i = T_i d_- for i <= k-2", items))
-
-    items = []
-    if k <= n - 2:
-        items.append(
-            Identity(
-                "",
-                ((one, (("T", 1), ("dplus",), ("dplus",))),),
-                ((one, (("dplus",), ("dplus",))),),
-            )
-        )
-    out.append(("bqt_T1_dplus_sq", "T_1 d_+^2 = d_+^2", items))
-
-    items = []
-    if k <= n - 1:
-        for i in range(1, k):
-            items.append(
-                Identity(
-                    f"i={i}",
-                    ((one, (("dplus",), ("T", i))),),
-                    ((one, (("T", i + 1), ("dplus",))),),
-                )
-            )
-    out.append(("bqt_dplus_T", "d_+ T_i = T_{i+1} d_+ for i <= k-1", items))
-
-    items = []
-    if 2 <= k <= n - 1:
-        items.append(
-            Identity(
-                "",
-                ((q, (("phi",), ("dminus",))),),
-                ((one, (("dminus",), ("phi",), ("T", k - 1))),),
-            )
-        )
-    out.append(("bqt_phi_dminus", "q phi d_- = d_- phi T_{k-1} for k >= 2", items))
-
-    items = []
-    if 1 <= k <= n - 2:
-        items.append(
-            Identity(
-                "",
-                ((one, (("T", 1), ("phi",), ("dplus",))),),
-                ((q, (("dplus",), ("phi",))),),
-            )
-        )
-    out.append(("bqt_phi_dplus", "T_1 phi d_+ = q d_+ phi for k >= 1", items))
-
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("z", i), ("dminus",))),),
-            ((one, (("dminus",), ("z", i))),),
-        )
-        for i in range(1, k)
-    ]
-    out.append(("bqt_z_dminus", "z_i d_- = d_- z_i", items))
-
-    items = []
-    if k <= n - 1:
-        for i in range(1, k + 1):
-            items.append(
-                Identity(
-                    f"i={i}",
-                    ((one, (("dplus",), ("z", i))),),
-                    ((one, (("z", i + 1), ("dplus",))),),
-                )
-            )
-    out.append(("bqt_dplus_z", "d_+ z_i = z_{i+1} d_+", items))
-
-    items = []
-    if 1 <= k <= n - 1:
-        items.append(
-            Identity(
-                "",
-                (
-                    (q, (("z", 1), ("dplus",), ("dminus",))),
-                    (-one, (("z", 1), ("dminus",), ("dplus",))),
-                ),
-                (
-                    (qt, (("dplus",), ("dminus",), ("z", k))),
-                    (-qt, (("dminus",), ("dplus",), ("z", k))),
-                ),
-            )
-        )
-    out.append(
+    zt_pairs = ((i, j) for i in range(1, k + 1) for j in range(1, k) if i not in (j, j + 1))
+    dminus_sq = _equal(one, "", (DMINUS, DMINUS, ("T", k - 1)), (DMINUS, DMINUS))
+    t1_dplus_sq = _equal(one, "", (("T", 1), DPLUS, DPLUS), (DPLUS, DPLUS))
+    phi_dminus = Identity("", ((q, (PHI, DMINUS)),), ((one, (DMINUS, PHI, ("T", k - 1))),))
+    phi_dplus = Identity("", ((one, (("T", 1), PHI, DPLUS)),), ((q, (DPLUS, PHI)),))
+    z1_commutator = Identity(
+        "",
+        ((q, (("z", 1), DPLUS, DMINUS)), (-one, (("z", 1), DMINUS, DPLUS))),
+        ((qt, (DPLUS, DMINUS, ("z", k))), (-qt, (DMINUS, DPLUS, ("z", k)))),
+    )
+    return hecke_identities("bqt", k, ring) + [
+        ("bqt_TzT", "T_i^{-1} z_{i+1} T_i^{-1} = q^{-1} z_i", tzt),
+        (
+            "bqt_zT_commute",
+            "z_i T_j = T_j z_i for i not in {j, j+1}",
+            _swaps(one, "z", "T", zt_pairs),
+        ),
+        ("bqt_z_commute", "z_i z_j = z_j z_i", _swaps(one, "z", "z", _ordered_pairs(k))),
+        ("bqt_dminus_sq", "d_-^2 T_{k-1} = d_-^2 for k >= 2", when(k >= 2, dminus_sq)),
+        (
+            "bqt_dminus_T",
+            "d_- T_i = T_i d_- for i <= k-2",
+            _swaps(one, "dminus", "T", ((None, i) for i in range(1, k - 1)), "i={}"),
+        ),
+        ("bqt_T1_dplus_sq", "T_1 d_+^2 = d_+^2", when(k <= n - 2, t1_dplus_sq)),
+        (
+            "bqt_dplus_T",
+            "d_+ T_i = T_{i+1} d_+ for i <= k-1",
+            _shifts(one, "dplus", "T", range(1, k) if raises else ()),
+        ),
+        (
+            "bqt_phi_dminus",
+            "q phi d_- = d_- phi T_{k-1} for k >= 2",
+            when(2 <= k <= n - 1, phi_dminus),
+        ),
+        ("bqt_phi_dplus", "T_1 phi d_+ = q d_+ phi for k >= 1", when(1 <= k <= n - 2, phi_dplus)),
+        (
+            "bqt_z_dminus",
+            "z_i d_- = d_- z_i",
+            _swaps(one, "z", "dminus", ((i, None) for i in range(1, k)), "i={}"),
+        ),
+        (
+            "bqt_dplus_z",
+            "d_+ z_i = z_{i+1} d_+",
+            _shifts(one, "dplus", "z", range(1, k + 1) if raises else ()),
+        ),
         (
             "bqt_z1_commutator",
             "z_1 (q d_+ d_- - d_- d_+) = qt (d_+ d_- - d_- d_+) z_k for k >= 1",
-            items,
-        )
-    )
-    return out
+            when(1 <= k <= n - 1, z1_commutator),
+        ),
+    ]
 
 
 def check_bqt_relations(
     M, k_max: int, d_max: int, only: str | None = None
 ) -> list[RelationReport]:
     """The fifteen-relation suite on spanning vectors of every flavor <= k_max."""
-    reports = []
-    for k in range(0, min(k_max, M.n) + 1):
-        spans = {d: lk_spanning_set(M, k, d) for d in range(k, d_max + 1)}
-        graded = [(d, lv) for d in sorted(spans) for lv in spans[d]]
-        for rel_id, anchor, items in bqt_identities(M.n, k, M.ring):
-            if (only is not None and rel_id != only) or not items:
-                continue
-            rep = run_suite(
-                ((ident, d, lv) for ident in items for d, lv in graded),
-                lambda case: _sides(apply_flavored_word, M, case[0], case[2]),
-                lambda case, got: {
-                    "instance": case[0].label,
-                    "flavor": case[2].k,
-                    "degree": case[1],
-                    "vector": str(case[2].payload),
-                    "lhs": str(got[0].payload),
-                    "rhs": str(got[1].payload),
-                },
-                relation_id=rel_id,
-                anchor=anchor,
-                realization=M.descriptor(),
-                ranges={"degrees": sorted(spans), "instances": len(items)},
-                flavor=k,
-            )
-            reports.append(rep)
-    return reports
+    return _catalog_reports(
+        lambda k: bqt_identities(M.n, k, M.ring),
+        range(0, min(k_max, M.n) + 1),
+        d_max,
+        lambda k: [(d, lv) for d in range(k, d_max + 1) for lv in lk_spanning_set(M, k, d)],
+        lambda ident, lv: _sides(apply_flavored_word, M, ident, lv),
+        lambda d, lv, got: {
+            "flavor": lv.k,
+            "degree": d,
+            "vector": str(lv.payload),
+            "lhs": str(got[0].payload),
+            "rhs": str(got[1].payload),
+        },
+        M.descriptor(),
+        only,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,128 +420,57 @@ def check_bqt_relations(
 
 def aux_identities(n: int, ring) -> list[tuple[str, str, list[Identity]]]:
     one = ring.one
-    q = ring.q
-    t = ring.t
-    out = []
-
-    items = [
-        Identity(f"k={k}", ((one, (("Eps", k), ("Eps", k))),), ((one, (("Eps", k),)),))
+    eps_absorbs_t = [
+        _equal(one, f"k={k},i={i} ({side})", word, (("Eps", k),))
         for k in range(0, n + 1)
+        for i in range(k + 1, n)
+        for side, word in (("right", (("Eps", k), ("T", i))), ("left", (("T", i), ("Eps", k))))
     ]
-    out.append(("aux_eps_idempotent", "eps_k^2 = eps_k", items))
+    eps_t_pairs = ((i, k) for k in range(0, n + 1) for i in range(1, k))
+    pitilde_ty = Identity("", ((ring.t, (PITILDE, ("Y", n))),), ((one, (("Y", 1), PITILDE)),))
 
-    items = [
-        Identity(
-            f"k={k},l={l}",
-            ((one, (("Eps", k), ("Eps", l))),),
-            ((one, (("Eps", min(k, l)),)),),
-        )
-        for k in range(0, n + 1)
-        for l in range(0, n + 1)
-        if k != l
+    def square_twist(g):
+        """g^2 T_{n-1} = T_1 g^2."""
+        return [_equal(one, "", (g, g, ("T", n - 1)), (("T", 1), g, g))] if n >= 2 else []
+
+    return [
+        (
+            "aux_eps_idempotent",
+            "eps_k^2 = eps_k",
+            [_equal(one, f"k={k}", (("Eps", k), ("Eps", k)), (("Eps", k),)) for k in range(n + 1)],
+        ),
+        (
+            "aux_eps_product",
+            "eps_k eps_l = eps_min(k,l)",
+            [
+                _equal(one, f"k={k},l={l}", (("Eps", k), ("Eps", l)), (("Eps", min(k, l)),))
+                for k in range(0, n + 1)
+                for l in range(0, n + 1)
+                if k != l
+            ],
+        ),
+        ("aux_eps_absorbs_T", "eps_k T_i = T_i eps_k = eps_k for k+1 <= i <= n-1", eps_absorbs_t),
+        (
+            "aux_eps_commutes_T",
+            "T_i eps_k = eps_k T_i for i <= k-1",
+            _swaps(one, "T", "Eps", eps_t_pairs, "k={1},i={0}"),
+        ),
+        ("aux_pi_X", "pi X_i = X_{i+1} pi for i <= n-1", _shifts(one, "Pi", "X", range(1, n))),
+        ("aux_pi_T", "pi T_i = T_{i+1} pi for i <= n-2", _shifts(one, "Pi", "T", range(1, n - 1))),
+        ("aux_pi_sq_T", "pi^2 T_{n-1} = T_1 pi^2", square_twist(PI)),
+        (
+            "aux_pitilde_Y",
+            "pitilde Y_i = Y_{i+1} pitilde for i <= n-1",
+            _shifts(one, "PiTilde", "Y", range(1, n)),
+        ),
+        ("aux_pitilde_tY", "pitilde t Y_n = Y_1 pitilde", [pitilde_ty]),
+        (
+            "aux_pitilde_T",
+            "pitilde T_i = T_{i+1} pitilde for i <= n-2",
+            _shifts(one, "PiTilde", "T", range(1, n - 1)),
+        ),
+        ("aux_pitilde_sq_T", "pitilde^2 T_{n-1} = T_1 pitilde^2", square_twist(PITILDE)),
     ]
-    out.append(("aux_eps_product", "eps_k eps_l = eps_min(k,l)", items))
-
-    items = []
-    for k in range(0, n + 1):
-        for i in range(k + 1, n):
-            items.append(
-                Identity(
-                    f"k={k},i={i} (right)",
-                    ((one, (("Eps", k), ("T", i))),),
-                    ((one, (("Eps", k),)),),
-                )
-            )
-            items.append(
-                Identity(
-                    f"k={k},i={i} (left)",
-                    ((one, (("T", i), ("Eps", k))),),
-                    ((one, (("Eps", k),)),),
-                )
-            )
-    out.append(
-        ("aux_eps_absorbs_T", "eps_k T_i = T_i eps_k = eps_k for k+1 <= i <= n-1", items)
-    )
-
-    items = [
-        Identity(
-            f"k={k},i={i}",
-            ((one, (("T", i), ("Eps", k))),),
-            ((one, (("Eps", k), ("T", i))),),
-        )
-        for k in range(0, n + 1)
-        for i in range(1, k)
-    ]
-    out.append(("aux_eps_commutes_T", "T_i eps_k = eps_k T_i for i <= k-1", items))
-
-    items = [
-        Identity(
-            f"i={i}", ((one, (("Pi",), ("X", i))),), ((one, (("X", i + 1), ("Pi",))),)
-        )
-        for i in range(1, n)
-    ]
-    out.append(("aux_pi_X", "pi X_i = X_{i+1} pi for i <= n-1", items))
-
-    items = [
-        Identity(
-            f"i={i}", ((one, (("Pi",), ("T", i))),), ((one, (("T", i + 1), ("Pi",))),)
-        )
-        for i in range(1, n - 1)
-    ]
-    out.append(("aux_pi_T", "pi T_i = T_{i+1} pi for i <= n-2", items))
-
-    items = []
-    if n >= 2:
-        items.append(
-            Identity(
-                "",
-                ((one, (("Pi",), ("Pi",), ("T", n - 1))),),
-                ((one, (("T", 1), ("Pi",), ("Pi",))),),
-            )
-        )
-    out.append(("aux_pi_sq_T", "pi^2 T_{n-1} = T_1 pi^2", items))
-
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("PiTilde",), ("Y", i))),),
-            ((one, (("Y", i + 1), ("PiTilde",))),),
-        )
-        for i in range(1, n)
-    ]
-    out.append(("aux_pitilde_Y", "pitilde Y_i = Y_{i+1} pitilde for i <= n-1", items))
-
-    items = [
-        Identity(
-            "",
-            ((t, (("PiTilde",), ("Y", n))),),
-            ((one, (("Y", 1), ("PiTilde",))),),
-        )
-    ]
-    out.append(("aux_pitilde_tY", "pitilde t Y_n = Y_1 pitilde", items))
-
-    items = [
-        Identity(
-            f"i={i}",
-            ((one, (("PiTilde",), ("T", i))),),
-            ((one, (("T", i + 1), ("PiTilde",))),),
-        )
-        for i in range(1, n - 1)
-    ]
-    out.append(("aux_pitilde_T", "pitilde T_i = T_{i+1} pitilde for i <= n-2", items))
-
-    items = []
-    if n >= 2:
-        items.append(
-            Identity(
-                "",
-                ((one, (("PiTilde",), ("PiTilde",), ("T", n - 1))),),
-                ((one, (("T", 1), ("PiTilde",), ("PiTilde",))),),
-            )
-        )
-    out.append(("aux_pitilde_sq_T", "pitilde^2 T_{n-1} = T_1 pitilde^2", items))
-
-    return out
 
 
 # checks of check_aux_identities beyond the identity catalog, in report order
@@ -940,62 +752,34 @@ def check_bqt_relations_on_towers(
     re-checked inside the word application).
     """
     n_ref = max(seq.n_start + k_max + 2, d_max + 2)
-    cells = {
-        (k, d): limit_component(seq, k, d, window=window, n_cap=n_cap)
-        for k in range(0, k_max + 1)
-        for d in range(k, d_max + 1)
-    }
 
-    def evaluate(case):
-        ident, _, tower = case
+    def towers(k):
+        return [
+            (d, tower)
+            for d in range(k, d_max + 1)
+            for tower in limit_component(seq, k, d, window=window, n_cap=n_cap).towers
+        ]
+
+    def evaluate(ident, tower):
         base = widen_for_words(seq, tower, [word for _, word in ident.lhs + ident.rhs])
         return None if _sides(apply_tower_word, seq, ident, base) is None else base
 
-    reports = []
-    for k in range(0, k_max + 1):
-        for rel_id, anchor, items in bqt_identities(n_ref, k, seq.ring):
-            if not items:
-                continue
-            rep = run_suite(
-                (
-                    (ident, d, tower)
-                    for ident in items
-                    for d in range(k, d_max + 1)
-                    for tower in cells[(k, d)].towers
-                ),
-                evaluate,
-                lambda case, base: {
-                    "instance": case[0].label,
-                    "flavor": base.k,
-                    "degree": case[1],
-                    "window": [base.lo, base.hi],
-                },
-                relation_id=rel_id,
-                anchor=anchor,
-                realization={**seq.descriptor(), "level": "towers"},
-                ranges={
-                    "degrees": list(range(k, d_max + 1)),
-                    "instances": len(items),
-                    "window": window,
-                    "n_cap": n_cap,
-                },
-                flavor=k,
-            )
-            reports.append(rep)
-    return reports
+    return _catalog_reports(
+        lambda k: bqt_identities(n_ref, k, seq.ring),
+        range(0, k_max + 1),
+        d_max,
+        towers,
+        evaluate,
+        lambda d, _, base: {"flavor": base.k, "degree": d, "window": [base.lo, base.hi]},
+        {**seq.descriptor(), "level": "towers"},
+        window=window,
+        n_cap=n_cap,
+    )
 
 
 # ---------------------------------------------------------------------------
 # probabilistic pre-filter
 # ---------------------------------------------------------------------------
-
-
-def random_eval_rings(seed: int, points: int = 2, prime: int = PRIME) -> list[ModPField]:
-    rng = random.Random(seed)
-    return [
-        ModPField(prime, rng.randrange(2, prime - 1), rng.randrange(2, prime - 1))
-        for _ in range(points)
-    ]
 
 
 def run_probabilistic(suite, seed: int, points: int = 2, attempts: int = 5):
@@ -1012,7 +796,8 @@ def run_probabilistic(suite, seed: int, points: int = 2, attempts: int = 5):
         attempt += 1
         if attempt > points + attempts:
             raise PoleAtPoint("too many evaluation points hit poles; use exact mode")
-        (ring,) = random_eval_rings(seed + attempt * 7919, points=1)
+        rng = random.Random(seed + attempt * 7919)
+        ring = ModPField(PRIME, rng.randrange(2, PRIME - 1), rng.randrange(2, PRIME - 1))
         try:
             reports = suite(ring)
         except PoleAtPoint:

@@ -5,8 +5,15 @@
 Each case is one CLI call run with --jobs 1 --no-timing, whose stdout is
 stored verbatim, or one library call whose reports are serialized with
 their millis zeroed.  The files go to tests/goldens/reports/ and
-tests/test_report_goldens.py compares against them byte for byte.  Rerun
-this script only when a report is meant to change, and review the diff.
+tests/test_report_goldens.py compares against them byte for byte.
+
+The script also writes tests/goldens/catalogs.json: every entry of the
+daha and aux identity catalogs at ranks 1..5 and of the bqt catalog at
+ranks 1..5 and flavors 0..n, with anchors, instance labels and both sides,
+so the catalogs are pinned at ranks the report goldens do not reach.
+
+Rerun this script only when a report or catalog is meant to change, and
+review the diff.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import sys
 from pathlib import Path
 
 REPORT_DIR = Path(__file__).parent / "reports"
+CATALOG_PATH = Path(__file__).parent / "catalogs.json"
+CATALOG_RANKS = range(1, 6)
 
 _CLI_FLAGS = ["--jobs", "1", "--no-timing"]
 
@@ -44,6 +53,10 @@ CASES = {
     "bqt_poly_n3_k2_d2_demazure_broken": (
         "check bqt --module poly --n 3 --kmax 2 --dmax 2 --demazure q-1",
         1,
+    ),
+    "bqt_poly_n3_k2_d2_probabilistic_seed3": (
+        "check bqt --module poly --n 3 --kmax 2 --dmax 2 --probabilistic --seed 3",
+        0,
     ),
     "compat_poly_n3_d2_broken_connector": ("library", None),
     "towers_polynomial_k1_d2": ("library", None),
@@ -81,6 +94,35 @@ def golden_path(name: str) -> Path:
     return REPORT_DIR / f"{name}.json"
 
 
+def render_catalogs() -> str:
+    """The exact text of catalogs.json: a JSON object from "suite n=.. [k=..]"
+    to its catalog, with one line per relation header and per instance."""
+    from bqt.relations import aux_identities, bqt_identities, daha_identities
+    from bqt.scalars import QT
+
+    def side(expr):
+        return [[str(coeff), [list(sym) for sym in word]] for coeff, word in expr]
+
+    catalogs = {}
+    for n in CATALOG_RANKS:
+        catalogs[f"daha n={n}"] = daha_identities(n, QT)
+        catalogs[f"aux n={n}"] = aux_identities(n, QT)
+        for k in range(n + 1):
+            catalogs[f"bqt n={n} k={k}"] = bqt_identities(n, k, QT)
+    blocks = []
+    for key, catalog in catalogs.items():
+        entries = []
+        for rel_id, anchor, items in catalog:
+            head = json.dumps({"relation_id": rel_id, "anchor": anchor})[:-1]
+            insts = ",".join(
+                "\n   " + json.dumps({"label": it.label, "lhs": side(it.lhs), "rhs": side(it.rhs)})
+                for it in items
+            )
+            entries.append(f'  {head}, "instances": [{insts}\n  ]}}')
+        blocks.append(f" {json.dumps(key)}: [\n" + ",\n".join(entries) + "\n ]")
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
 def main() -> int:
     REPORT_DIR.mkdir(exist_ok=True)
     for name, (_, expected_rc) in CASES.items():
@@ -90,6 +132,8 @@ def main() -> int:
             return 1
         golden_path(name).write_text(text)
         print(f"wrote {golden_path(name)}")
+    CATALOG_PATH.write_text(render_catalogs())
+    print(f"wrote {CATALOG_PATH}")
     return 0
 
 

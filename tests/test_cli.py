@@ -206,3 +206,66 @@ def test_limit_murnaghan_shape(capsys, tmp_path):
     assert code == 0
     table = json.loads(out.read_text())
     assert table["sequence"] == "murnaghan"
+
+
+def test_limit_and_dims_exit_1_on_unresolved_cells(capsys):
+    for command in ("limit", "dims"):
+        code, _, err = run(
+            capsys, command, "--seq", "pol", "--kmax", "1", "--dmax", "3", "--ncap", "2"
+        )
+        assert code == 1
+        assert "warning: 4 unresolved cells" in err
+
+
+POLY2 = {"rank": 2, "entries": [{"exponents": [0, 0], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "module_args, payload",
+    [
+        (["--module", "poly", "--n", "3"], POLY2),
+        (["--module", "poly", "--n", "3"], {"flavor": 0, "vector": POLY2}),
+        (
+            ["--module", "murnaghan", "--shape", "2", "--n", "4"],
+            {"rank": 4, "shape": [1], "entries": []},
+        ),
+    ],
+    ids=["poly_rank", "flavored_poly_rank", "murnaghan_shape"],
+)
+def test_act_rejects_vector_of_another_module(capsys, tmp_path, module_args, payload):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps(payload))
+    word = '[["dplus"]]' if "flavor" in payload else '[["X",1]]'
+    code, out, err = run(capsys, "act", *module_args, "--word", word, "--in", str(vec))
+    assert code == 2
+    assert out == ""
+    assert "error: vector of space" in err
+
+
+@pytest.mark.parametrize(
+    "word, payload, env",
+    [
+        ('[["T"]]', POLY2, None),
+        ("[1]", POLY2, None),
+        ('[["X","1"]]', POLY2, None),
+        ('[["z"]]', {"flavor": 0, "vector": POLY2}, None),
+        ('[["X",1]]', {"rank": 2}, None),
+        ('[["X",1]]', {"flavor": None, "vector": POLY2}, None),
+        (None, None, "x"),
+    ],
+    ids=["T_without_index", "bare_int", "string_index", "z_without_index",
+         "vector_without_entries", "flavor_not_int", "BQT_JOBS_not_int"],
+)
+def test_malformed_input_exits_2_with_message(
+    capsys, tmp_path, monkeypatch, word, payload, env
+):
+    if env is None:
+        vec = tmp_path / "vec.json"
+        vec.write_text(json.dumps(payload))
+        argv = ["act", "--module", "poly", "--n", "2", "--word", word, "--in", str(vec)]
+    else:
+        monkeypatch.setenv("BQT_JOBS", env)
+        argv = ["check", "daha", "--module", "poly", "--n", "2", "--dmax", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")

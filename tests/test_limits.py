@@ -12,7 +12,6 @@ from bqt.limits import (
     d_plus_power_rank,
     dim_table,
     extend_tower,
-    limit_act,
     limit_component,
 )
 from bqt.polyrep import PolyVector
@@ -101,7 +100,7 @@ def test_d_plus_acts_on_towers():
     seq = CompatSeqSpec("polynomial")
     cell = limit_component(seq, 0, 0)
     (tower,) = cell.towers
-    out = limit_act(seq, tower, ("dplus",))
+    out = apply_tower_word(seq, tower, (("dplus",),))
     assert out.k == 1 and out.degree == 1
     for n in range(out.lo, out.hi + 1):
         expected = PolyVector.monomial(n, (1,) + (0,) * (n - 1), ONE)
@@ -112,8 +111,8 @@ def test_z_fixes_the_x1_tower():
     seq = CompatSeqSpec("polynomial")
     cell = limit_component(seq, 0, 0)
     (tower,) = cell.towers
-    up = limit_act(seq, tower, ("dplus",))
-    z = limit_act(seq, up, ("z", 1))
+    up = apply_tower_word(seq, tower, (("dplus",),))
+    z = apply_tower_word(seq, up, (("z", 1),))
     assert z == up
 
 
@@ -121,10 +120,12 @@ def test_T_commutes_with_window_restriction():
     seq = CompatSeqSpec("polynomial")
     cell = limit_component(seq, 2, 3)
     for tower in cell.towers:
-        out = limit_act(seq, tower, ("T", 1))
+        out = apply_tower_word(seq, tower, (("T", 1),))
         out.check_compatible(seq)
         narrowed = extend_tower(seq, out, out.lo + 1, out.hi)
-        direct = limit_act(seq, extend_tower(seq, tower, tower.lo + 1, tower.hi), ("T", 1))
+        direct = apply_tower_word(
+            seq, extend_tower(seq, tower, tower.lo + 1, tower.hi), (("T", 1),)
+        )
         assert narrowed == direct
 
 

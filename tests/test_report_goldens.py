@@ -1,7 +1,8 @@
 """Relation-suite reports are byte-identical to the committed goldens.
 
-The goldens are written by tests/goldens/make_report_goldens.py and never by
-this test: a missing golden is a failure.
+The report and catalog goldens are written by
+tests/goldens/make_report_goldens.py and never by this test: a missing
+golden is a failure.
 """
 
 import importlib.util
@@ -22,3 +23,9 @@ def test_report_matches_golden(name):
     rc, text = goldens.render(name)
     assert rc == goldens.CASES[name][1]
     assert text.encode() == path.read_bytes()
+
+
+def test_catalogs_match_golden():
+    path = goldens.CATALOG_PATH
+    assert path.exists(), f"golden {path} is missing; write it with {_SCRIPT}"
+    assert goldens.render_catalogs().encode() == path.read_bytes()
