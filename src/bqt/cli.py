@@ -17,7 +17,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BqtError
 from .limits import CompatSeqSpec, dim_table
-from .lspaces import FLAVORED_ALPHABET, LVector, apply_flavored_word
+from .lspaces import (
+    FLAVORED_ALPHABET,
+    LVector,
+    apply_flavored_word,
+    certify_flavor_membership,
+)
 from .polyrep import apply_word, validate_word, word_from_json
 from .relations import (
     check_aux_identities,
@@ -78,10 +83,25 @@ def _run_checker(suite: str, M, params: dict, only: str | None = None):
     raise ValueError(suite)
 
 
+def _check_ids(suite: str, M, params: dict, ids) -> list[dict]:
+    """Report objects of the given relation ids, in order, all run on M."""
+    return [r.to_obj() for rid in ids for r in _run_checker(suite, M, params, rid)]
+
+
+# the realization a pool worker runs every one of its relation ids on; set by
+# the pool initializer, so it lives in worker processes only
+_worker_realization = None
+
+
+def _init_worker(desc: dict) -> None:
+    global _worker_realization
+    _worker_realization = make_realization(desc)
+
+
 # module-level so it can cross a process boundary
 def _check_task(task: tuple) -> list[dict]:
-    suite, desc, params, only = task
-    return [r.to_obj() for r in _run_checker(suite, make_realization(desc), params, only)]
+    suite, params, rid = task
+    return _check_ids(suite, _worker_realization, params, [rid])
 
 
 def cmd_check(args) -> int:
@@ -101,13 +121,14 @@ def cmd_check(args) -> int:
         report_objs = [r.to_obj() for r in reports]
     else:
         ids = relation_ids(args.suite, args.n)
-        tasks = [(args.suite, desc, params, rid) for rid in ids]
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                chunks = list(pool.map(_check_task, tasks))
+            tasks = [(args.suite, params, rid) for rid in ids]
+            with ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=_init_worker, initargs=(desc,)
+            ) as pool:
+                report_objs = [obj for chunk in pool.map(_check_task, tasks) for obj in chunk]
         else:
-            chunks = [_check_task(t) for t in tasks]
-        report_objs = [obj for chunk in chunks for obj in chunk]
+            report_objs = _check_ids(args.suite, make_realization(desc), params, ids)
 
     if args.suite == "aux" and args.module == "murnaghan" and not args.probabilistic:
         report_objs.append(check_theta_eigenvalues(parse_shape(args.shape), args.n).to_obj())
@@ -145,6 +166,9 @@ def _read_vector(M, obj):
         raise ValueError(f"malformed vector JSON: {type(exc).__name__} {exc}") from None
     if vec.meta != M.meta:
         raise ValueError(f"vector of space {vec.meta} does not belong to module {M.meta}")
+    for key in vec.coeffs:
+        if not M.contains_key(key):
+            raise ValueError(f"basis key {key!r} does not belong to module {M.meta}")
     return vec
 
 
@@ -158,6 +182,8 @@ def cmd_act(args) -> int:
         if type(payload["flavor"]) is not int:
             raise ValueError(f"flavor {payload['flavor']!r} is not an integer")
         lv = LVector(payload["flavor"], _read_vector(M, payload.get("vector")))
+        if not certify_flavor_membership(M, lv):
+            raise ValueError(f"vector does not lie in the flavor-{lv.k} space of {M.meta}")
         out = apply_flavored_word(M, lv, word_from_json(word_data, FLAVORED_ALPHABET))
         result = {"flavor": out.k, "vector": out.payload.to_obj()}
     else:

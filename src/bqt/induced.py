@@ -25,6 +25,7 @@ from .polyrep import (
     Exponents,
     PolyVector,
     divided_difference,
+    is_exponent_vector,
     monomial_str,
     monomials_of_degree,
     swap_exponents,
@@ -116,6 +117,10 @@ class InducedRealization(KeyedRealization):
     def vector(self, exps: Exponents, tau: StandardTableau, coeff=None) -> IndVector:
         c = self.ring.one if coeff is None else coeff
         return IndVector(self.n, self.lam, {(tuple(exps), tau): c})
+
+    def contains_key(self, key) -> bool:
+        e, tau = key
+        return is_exponent_vector(e, self.n) and self.seed.contains_key(tau)
 
     def basis(self, degree: int) -> list[IndVector]:
         return [v for _, v in self.basis_with_exponents(degree)]

@@ -11,7 +11,17 @@ KeyedRealization is the generator engine over such a basis.  A realization
 supplies the T_i image of one key (and its pi image where pi is
 memoized); the engine checks indices, derives
 T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation, memoizes the
-per-key images, and applies an image table to a vector.
+per-key images, and applies an image table to a vector.  Cherednik's
+
+    Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}
+
+is a table too: the image of a key is built on first use by running that
+chain of the realization's own apply_Ti_inv/apply_pi/apply_Ti on the key's
+basis vector, and every later Y_i application reads it.
+
+Every table entry stores its scalar through a per-realization pool keyed by
+the scalar's structure (scalar.pool_key()), so equal coefficients are one
+object however many keys and tables they occur in.
 """
 
 from __future__ import annotations
@@ -52,6 +62,13 @@ class SparseVec:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def homogeneous_parts(self) -> dict:
+        """Degree -> the part of self of that degree, for each degree present."""
+        parts: dict = {}
+        for k, c in self.coeffs.items():
+            parts.setdefault(self._like({k: c}).degree(), {})[k] = c
+        return {d: self._like(coeffs) for d, coeffs in parts.items()}
 
     def add(self, other):
         if not other.coeffs:
@@ -100,8 +117,9 @@ class KeyedRealization:
     """Generator tables per basis key, shared by every module realization.
 
     Subclasses set vector_type and implement _ti_image(i, key), returning
-    the T_i image of one key as a tuple of (key, scalar) pairs; those that
-    memoize pi also implement _pi_image(key).
+    the T_i image of one key as a tuple of (key, scalar) pairs, and
+    contains_key(key), telling whether a key is a basis key of the module;
+    those that memoize pi also implement _pi_image(key).
     """
 
     vector_type: type
@@ -113,6 +131,8 @@ class KeyedRealization:
         self._ti_memo: dict[tuple, tuple] = {}
         self._tinv_memo: dict[tuple, tuple] = {}
         self._pi_memo: dict = {}
+        self._y_memo: dict[tuple, tuple] = {}
+        self._pool: dict = {}
         self.cache: dict = {}
 
     def _vec(self, coeffs: dict):
@@ -126,10 +146,15 @@ class KeyedRealization:
             raise IndexOutOfRange(f"T index {i} outside 1..{self.n - 1}")
         return i
 
+    def _interned(self, items) -> tuple:
+        """(key, scalar) pairs as a table entry, each scalar taken from the pool."""
+        pool = self._pool
+        return tuple((k, pool.setdefault(c.pool_key(), c)) for k, c in items)
+
     def _ti_table(self, i: int, key) -> tuple:
         hit = self._ti_memo.get((i, key))
         if hit is None:
-            hit = self._ti_memo[(i, key)] = self._ti_image(i, key)
+            hit = self._ti_memo[(i, key)] = self._interned(self._ti_image(i, key))
         return hit
 
     def _tinv_table(self, i: int, key) -> tuple:
@@ -140,13 +165,30 @@ class KeyedRealization:
             qinv = ring.q_power(-1)
             out = {k: c * qinv for k, c in self._ti_table(i, key)}
             accumulate(out, key, (ring.q - ring.one) * qinv)
-            hit = self._tinv_memo[(i, key)] = tuple(out.items())
+            hit = self._tinv_memo[(i, key)] = self._interned(out.items())
         return hit
 
     def _pi_table(self, key) -> tuple:
         hit = self._pi_memo.get(key)
         if hit is None:
-            hit = self._pi_memo[key] = self._pi_image(key)
+            hit = self._pi_memo[key] = self._interned(self._pi_image(key))
+        return hit
+
+    def _y_table(self, i: int, key) -> tuple:
+        """q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1} of one key."""
+        hit = self._y_memo.get((i, key))
+        if hit is None:
+            ring = self.ring
+            w = self._vec({key: ring.one})
+            for j in range(i, self.n):
+                w = self.apply_Ti_inv(w, j)
+            w = self.apply_pi(w)
+            for j in range(1, i):
+                w = self.apply_Ti(w, j)
+            c = ring.q_power(self.n - i + 1)
+            hit = self._y_memo[(i, key)] = self._interned(
+                (k, m * c) for k, m in w.coeffs.items()
+            )
         return hit
 
     def _apply_table(self, v, table, *args):

@@ -165,13 +165,23 @@ def is_tail_symmetric(M, payload, k: int) -> bool:
 
 
 def certify_flavor_membership(M, lv: LVector, tail_sorted: bool = False) -> bool:
-    """Both halves of the flavor invariant: tail symmetry and span membership."""
+    """Both halves of the flavor invariant: tail symmetry and span membership.
+
+    Membership is decided degree by degree, each homogeneous part in the
+    span of its own graded piece.
+    """
+    if not 0 <= lv.k <= M.n:
+        raise FlavorOutOfRange(f"flavor {lv.k} outside 0..{M.n}")
     if lv.is_zero():
         return True
     if not is_tail_symmetric(M, lv.payload, lv.k):
         return False
-    span = lk_spanning_set(M, lv.k, lv.degree(), tail_sorted=tail_sorted)
-    return extract_basis(span).contains(lv)
+    return all(
+        extract_basis(lk_spanning_set(M, lv.k, d, tail_sorted=tail_sorted)).contains(
+            LVector(lv.k, part)
+        )
+        for d, part in lv.payload.homogeneous_parts().items()
+    )
 
 
 def spanning_reduction_agrees(M, k: int, d: int) -> bool:

@@ -13,7 +13,8 @@ remainder raises, it is never truncated).  T_i^{-1} comes from the quadratic
 relation as q^{-1}(T_i + (q-1)).
 
 Everything above the primitives is generic over any realization exposing
-the same surface: the derived operators Y_i, the partial symmetrizers
+the same surface: Y_i (read from the realization's per-key table, which
+bqt.keyed builds from these primitives), the partial symmetrizers
 eps_k (computed by the telescoping right-to-left recursion, not the
 factorial-size coset sum), the affine intertwiner word X_1 T_1^{-1} ... and
 formal generator words applied right to left.
@@ -125,11 +126,21 @@ class ModuleRealization(Protocol):
     def apply_Ti_inv(self, v, i: int): ...
     def apply_pi(self, v): ...
     def apply_Xi(self, v, i: int): ...
+    def contains_key(self, key) -> bool: ...
 
 
 # ---------------------------------------------------------------------------
 # Demazure-Lusztig kernels on raw coefficient maps
 # ---------------------------------------------------------------------------
+
+
+def is_exponent_vector(exps, n: int) -> bool:
+    """Whether exps is a tuple of n nonnegative ints."""
+    return (
+        type(exps) is tuple
+        and len(exps) == n
+        and all(type(a) is int and a >= 0 for a in exps)
+    )
 
 
 def swap_exponents(exps: Exponents, i: int) -> Exponents:
@@ -233,6 +244,9 @@ class PolyRealization(KeyedRealization):
     def one(self) -> PolyVector:
         return PolyVector(self.n, {(0,) * self.n: self.ring.one})
 
+    def contains_key(self, exps) -> bool:
+        return is_exponent_vector(exps, self.n)
+
     def basis(self, degree: int) -> list[PolyVector]:
         return [v for _, v in self.basis_with_exponents(degree)]
 
@@ -278,17 +292,10 @@ class PolyRealization(KeyedRealization):
 
 
 def apply_Y(M: ModuleRealization, v, i: int):
-    """Y_i as the word q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}."""
-    n = M.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"Y index {i} outside 1..{n}")
-    w = v
-    for j in range(i, n):
-        w = M.apply_Ti_inv(w, j)
-    w = M.apply_pi(w)
-    for j in range(1, i):
-        w = M.apply_Ti(w, j)
-    return w.scale(M.ring.q_power(n - i + 1))
+    """Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}, through its per-key table."""
+    if not 1 <= i <= M.n:
+        raise IndexOutOfRange(f"Y index {i} outside 1..{M.n}")
+    return M._apply_table(v, M._y_table, i)
 
 
 def apply_epsilon(M: ModuleRealization, v, k: int):

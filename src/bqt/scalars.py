@@ -640,6 +640,19 @@ class QtScalar:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def pool_key(self) -> tuple:
+        """Hashable key, equal exactly when the scalars are equal.
+
+        One flat tuple, the smallest such key to keep: the numerator's term
+        count, then (eq, et, coeff) of each numerator and each denominator
+        term in sorted order.
+        """
+        key = [len(self.num.terms)]
+        for poly in (self.num, self.den):
+            for (eq, et), c in sorted(poly.terms.items()):
+                key += (eq, et, c)
+        return tuple(key)
+
     def eval_mod(self, q0: int, t0: int, p: int) -> int:
         d = self.den.eval_mod(q0, t0, p)
         if d == 0:
@@ -904,6 +917,10 @@ class ModPScalar:
         return isinstance(other, ModPScalar) and self.value == other.value
 
     __hash__ = None  # type: ignore[assignment]
+
+    def pool_key(self) -> int:
+        """Hashable key, equal exactly when the scalars (of one field) are equal."""
+        return self.value
 
     def __str__(self) -> str:
         return str(self.value)

@@ -198,6 +198,9 @@ class SeedRealization(KeyedRealization):
     def basis_vector(self, tau: StandardTableau) -> SeedVector:
         return SeedVector(self.n, self.lam, {tau: self.ring.one})
 
+    def contains_key(self, tau) -> bool:
+        return isinstance(tau, StandardTableau) and tau.shape == self.shape
+
     def basis(self, degree: int) -> list[SeedVector]:
         if degree != 0:
             return []

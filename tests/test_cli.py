@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bqt import cli
 from bqt.cli import main, parse_shape
 
 
@@ -102,13 +103,16 @@ def test_reports_are_reproducible(capsys, tmp_path):
 
 
 def test_parallel_jobs_match_sequential(capsys, tmp_path):
-    base = [
-        "check", "daha", "--module", "poly", "--n", "2", "--dmax", "1", "--no-timing",
-    ]
-    f1, f2 = tmp_path / "seq.json", tmp_path / "par.json"
-    assert run(capsys, *base, "--jobs", "1", "--out", str(f1))[0] == 0
-    assert run(capsys, *base, "--jobs", "2", "--out", str(f2))[0] == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    for base in (
+        ["check", "daha", "--module", "poly", "--n", "2", "--dmax", "1"],
+        ["check", "daha", "--module", "murnaghan", "--shape", "1,1", "--n", "3", "--dmax", "1"],
+        ["check", "bqt", "--module", "poly", "--n", "3", "--kmax", "2", "--dmax", "2"],
+    ):
+        f1, f2 = tmp_path / "seq.json", tmp_path / "par.json"
+        assert run(capsys, *base, "--no-timing", "--jobs", "1", "--out", str(f1))[0] == 0
+        assert run(capsys, *base, "--no-timing", "--jobs", "2", "--out", str(f2))[0] == 0
+        assert f1.read_bytes() == f2.read_bytes()
+    assert cli._worker_realization is None
 
 
 def test_probabilistic_mode(capsys):
@@ -269,3 +273,58 @@ def test_malformed_input_exits_2_with_message(
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+
+
+CONST2 = {"rank": 2, "entries": [{"exponents": [0, 0], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "module_args, word, payload, message",
+    [
+        (["--n", "2"], '[["dminus"]]', {"flavor": 2, "vector": CONST2}, "below flavor 2"),
+        (["--n", "2"], '[["dminus"]]', {"flavor": 3, "vector": CONST2}, "flavor 3 outside"),
+        (
+            ["--n", "2"],
+            '[["dminus"]]',
+            {"flavor": 1, "vector": {"rank": 2, "entries": [{"exponents": [0, 1], "coeff": "1"}]}},
+            "does not lie in the flavor-1 space",
+        ),
+        (
+            ["--module", "murnaghan", "--shape", "1", "--n", "2"],
+            '[["T",1]]',
+            {"rank": 2, "shape": [1], "entries": [
+                {"exponents": [0, 0, 1], "tableau": [[1, 2]], "coeff": "1"}]},
+            "basis key",
+        ),
+        (
+            ["--module", "murnaghan", "--shape", "1", "--n", "2"],
+            '[["T",1]]',
+            {"rank": 2, "shape": [1], "entries": [
+                {"exponents": [0, 1], "tableau": [[1, 2]], "coeff": "1"}]},
+            "basis key",
+        ),
+        (
+            ["--n", "2"],
+            '[["T",1]]',
+            {"rank": 2, "entries": [{"exponents": [-1, 1], "coeff": "1"}]},
+            "basis key",
+        ),
+        (
+            ["--n", "2"],
+            '[["T",1]]',
+            {"rank": 2, "entries": [{"exponents": [0.5, 1], "coeff": "1"}]},
+            "basis key",
+        ),
+    ],
+    ids=["flavor_above_degree", "flavor_above_rank", "outside_flavor_span",
+         "three_exponents_at_rank_2", "tableau_of_another_shape", "negative_exponent",
+         "fractional_exponent"],
+)
+def test_act_rejects_payload_outside_module(capsys, tmp_path, module_args, word, payload, message):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "act", *module_args, "--word", word, "--in", str(vec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

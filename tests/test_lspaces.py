@@ -115,6 +115,12 @@ def test_membership_certification():
     # actually x1x2 = d_plus(x1) is in L_2; for flavor 1 degree 2 it is NOT tail-symmetric
     bad = LVector(1, pv(3, 0, 1, 0))
     assert not certify_flavor_membership(M, bad)
+    # membership is decided per degree: a sum of members of two graded pieces
+    # is a member, and a tail-symmetric non-member in one piece spoils the sum
+    a, b = lk_spanning_set(M, 1, 2)[0], lk_spanning_set(M, 1, 3)[0]
+    assert certify_flavor_membership(M, a.add(b))
+    x2_plus_x3 = LVector(1, pv(3, 0, 1, 0).add(pv(3, 0, 0, 1)))
+    assert not certify_flavor_membership(M, a.add(x2_plus_x3))
 
 
 def test_tail_sorted_reduction_spans_everything():
