@@ -17,13 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BqtError
 from .limits import CompatSeqSpec, dim_table
-from .lspaces import (
-    FLAVORED_ALPHABET,
-    LVector,
-    apply_flavored_word,
-    certify_flavor_membership,
-)
-from .polyrep import apply_word, validate_word, word_from_json
+from .lspaces import FLAVORED_ALPHABET, LVector, certify_flavor_membership
+from .polyrep import WORD_ALPHABET, apply_word, word_from_json
 from .relations import (
     check_aux_identities,
     check_bqt_relations,
@@ -181,18 +176,13 @@ def cmd_act(args) -> int:
     if isinstance(payload, dict) and "flavor" in payload:
         if type(payload["flavor"]) is not int:
             raise ValueError(f"flavor {payload['flavor']!r} is not an integer")
-        lv = LVector(payload["flavor"], _read_vector(M, payload.get("vector")))
-        if not certify_flavor_membership(M, lv):
-            raise ValueError(f"vector does not lie in the flavor-{lv.k} space of {M.meta}")
-        out = apply_flavored_word(M, lv, word_from_json(word_data, FLAVORED_ALPHABET))
-        result = {"flavor": out.k, "vector": out.payload.to_obj()}
+        v = LVector(payload["flavor"], _read_vector(M, payload.get("vector")))
+        if not certify_flavor_membership(M, v):
+            raise ValueError(f"vector does not lie in the flavor-{v.k} space of {M.meta}")
+        alphabet = FLAVORED_ALPHABET
     else:
-        vec = _read_vector(M, payload)
-        word = word_from_json(word_data)
-        validate_word(word, M.n)
-        out_vec = apply_word(M, vec, word)
-        result = out_vec.to_obj()
-    _emit(result, args.out)
+        v, alphabet = _read_vector(M, payload), WORD_ALPHABET
+    _emit(apply_word(M, v, word_from_json(word_data, alphabet), alphabet).to_obj(), args.out)
     return 0
 
 

@@ -20,7 +20,7 @@ negative control for the compatibility checker.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange, ShapeMismatch
-from .keyed import KeyedRealization, SparseVec, accumulate
+from .keyed import KeyedRealization, SparseVec, accumulate, coeffs_from_entries, strict_int
 from .polyrep import (
     Exponents,
     PolyVector,
@@ -30,7 +30,7 @@ from .polyrep import (
     monomials_of_degree,
     swap_exponents,
 )
-from .scalars import QT, parse_scalar
+from .scalars import QT
 from .tableaux import (
     SeedRealization,
     SeedVector,
@@ -90,12 +90,11 @@ class IndVector(SparseVec):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "IndVector":
-        n = int(obj["rank"])
+        n = strict_int(obj["rank"], "rank")
         lam = check_shape(tuple(obj.get("shape", ())))
-        coeffs: dict[IndKey, object] = {}
-        for entry in obj["entries"]:
-            key = (tuple(entry["exponents"]), StandardTableau(entry["tableau"]))
-            accumulate(coeffs, key, parse_scalar(entry["coeff"]))
+        coeffs = coeffs_from_entries(
+            obj["entries"], lambda e: (tuple(e["exponents"]), StandardTableau(e["tableau"]))
+        )
         return cls(n, lam, coeffs)
 
 

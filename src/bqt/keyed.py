@@ -5,7 +5,7 @@ vectors, standard tableaux, or pairs of both).  SparseVec holds a vector as
 a map from keys to nonzero scalars plus a metadata tuple naming its space,
 (n,) or (n, lam), and carries the linear algebra once.  The concrete vector
 types add only what depends on the key: constructor, degree, print order
-and format, serialization.
+and format, serialization; coeffs_from_entries reads every JSON entry list.
 
 KeyedRealization is the generator engine over such a basis.  A realization
 supplies the T_i image of one key (and its pi image where pi is
@@ -27,6 +27,22 @@ object however many keys and tables they occur in.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange
+from .scalars import parse_scalar
+
+
+def strict_int(x, what: str) -> int:
+    """x itself when it is an int (not a bool, not a float), else ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def coeffs_from_entries(entries, key_of) -> dict:
+    """Coefficient map of JSON entries: key_of(entry) -> parsed "coeff", summed."""
+    coeffs: dict = {}
+    for entry in entries:
+        accumulate(coeffs, key_of(entry), parse_scalar(entry["coeff"]))
+    return coeffs
 
 
 def accumulate(out: dict, key, val) -> None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from .errors import InconsistentFlavors, InternalCheckFailed, NoStabilization
 from .induced import InducedRealization, pi_connect, xi_truncate
 from .linalg import RowBasis, solve_combination
-from .lspaces import LVector, apply_flavored_word, extract_basis, lk_spanning_set
-from .polyrep import PolyRealization
+from .lspaces import DPLUS, FLAVORED_ALPHABET, LVector, extract_basis, lk_spanning_set
+from .polyrep import PolyRealization, apply_word, letter
 from .scalars import QT
 from .tableaux import check_shape, min_rank
 
@@ -238,13 +238,9 @@ def _word_rank_floor(word, k_in: int, n_start: int) -> int:
     req = max(n_start, k_in, 1)
     k = k_in
     for sym in reversed(list(word)):
-        tag = sym[0]
-        if tag in ("dplus", "phi"):
-            req = max(req, k + 1)
-        if tag == "dplus":
-            k += 1
-        elif tag == "dminus":
-            k -= 1
+        entry = letter(FLAVORED_ALPHABET, sym)
+        req = max(req, k + entry.degree_shift)
+        k += entry.flavor_shift
         req = max(req, k)
     return req
 
@@ -267,11 +263,11 @@ def apply_tower_word(
     """
     tower = widen_for_words(seq, tower, (word,))
     out_comps = {
-        n: apply_flavored_word(seq.realization(n), lv, word)
+        n: apply_word(seq.realization(n), lv, word, FLAVORED_ALPHABET)
         for n, lv in tower.components.items()
     }
-    # d_plus and phi raise the degree; the flavor is tracked by the components
-    d_out = tower.degree + sum(sym[0] in ("dplus", "phi") for sym in word)
+    # the flavor is tracked by the components
+    d_out = tower.degree + sum(letter(FLAVORED_ALPHABET, sym).degree_shift for sym in word)
     out = Tower(out_comps[tower.lo].k, d_out, out_comps)
     if check:
         out.check_compatible(seq)
@@ -313,7 +309,7 @@ def d_plus_power_rank(seq: CompatSeqSpec, k: int, d: int, window: int = DEFAULT_
                       n_cap: int = DEFAULT_N_CAP) -> tuple[int, int]:
     """(dim of flavor-0 degree-d piece, rank of its image under d_plus^k)."""
     cell = limit_component(seq, 0, d, window=window, n_cap=n_cap)
-    word = (("dplus",),) * k
+    word = (DPLUS,) * k
     images = RowBasis()
     rank = 0
     for tw in cell.towers:

@@ -33,10 +33,9 @@ from .errors import (
     IndexOutOfRange,
     InconsistentFlavors,
     InternalCheckFailed,
-    UnsupportedOperation,
 )
 from .linalg import RowBasis
-from .polyrep import apply_Y, apply_epsilon, apply_x1_tinv_chain, tinv_chain_sum
+from .polyrep import Letter, apply_Y, apply_epsilon, apply_x1_tinv_chain, tinv_chain_sum
 
 
 class LVector:
@@ -74,6 +73,9 @@ class LVector:
 
     def __repr__(self) -> str:
         return f"LVector(k={self.k}, {self.payload})"
+
+    def to_obj(self) -> dict:
+        return {"flavor": self.k, "vector": self.payload.to_obj()}
 
 
 def _tail_sorted(exps, k: int) -> bool:
@@ -116,29 +118,19 @@ class GradedBasis:
         self.degree = degree
         self.vectors: list[LVector] = []
         self._rows = RowBasis()
-        self._accepted: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def offer(self, lv: LVector) -> bool:
-        idx = self._rows.count
         if self._rows.insert(lv.payload.coeffs):
             self.vectors.append(lv)
-            self._accepted.append(idx)
             return True
         return False
 
     def contains(self, lv: LVector) -> bool:
         return self._rows.contains(lv.payload.coeffs)
-
-    def coordinates(self, lv: LVector):
-        """Coefficients on the accepted vectors, or None outside the span."""
-        sol = self._rows.solve(lv.payload.coeffs)
-        if sol is None:
-            return None
-        return [sol.get(j) for j in self._accepted]
 
 
 def extract_basis(vectors: list[LVector]) -> GradedBasis:
@@ -197,12 +189,15 @@ def spanning_reduction_agrees(M, k: int, d: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def t_action(M, lv: LVector, i: int, inverse: bool = False) -> LVector:
-    """T_i, or T_i^{-1} when inverse, on a flavor-k vector (1 <= i <= k-1)."""
+def _t_index(lv: LVector, i: int) -> int:
     if not 1 <= i <= lv.k - 1:
         raise IndexOutOfRange(f"T index {i} outside 1..{lv.k - 1} on flavor {lv.k}")
-    apply = M.apply_Ti_inv if inverse else M.apply_Ti
-    return LVector(lv.k, apply(lv.payload, i))
+    return i
+
+
+def t_action(M, lv: LVector, i: int) -> LVector:
+    """T_i on a flavor-k vector (1 <= i <= k-1)."""
+    return LVector(lv.k, M.apply_Ti(lv.payload, _t_index(lv, i)))
 
 
 def z_action(M, lv: LVector, i: int) -> LVector:
@@ -252,30 +247,18 @@ def phi_action(M, lv: LVector) -> LVector:
     return closed
 
 
-# flavored words: symbols ("T", i) ("Tinv", i) ("z", i) ("dplus",)
-# ("dminus",) ("phi",) ("Scalar", c), applied right to left
+# the flavored alphabet: d_plus raises flavor and degree, d_minus lowers the
+# flavor, phi raises the degree; the degree-raising letters need rank >= k+1
 
-FLAVORED_ALPHABET = {"T": 1, "Tinv": 1, "z": 1, "dplus": 0, "dminus": 0, "phi": 0, "Scalar": 1}
-
-
-def apply_flavored_word(M, lv: LVector, word) -> LVector:
-    w = lv
-    for sym in reversed(list(word)):
-        tag = sym[0]
-        if tag == "T":
-            w = t_action(M, w, sym[1])
-        elif tag == "Tinv":
-            w = t_action(M, w, sym[1], inverse=True)
-        elif tag == "z":
-            w = z_action(M, w, sym[1])
-        elif tag == "dplus":
-            w = d_plus(M, w)
-        elif tag == "dminus":
-            w = d_minus(M, w)
-        elif tag == "phi":
-            w = phi_action(M, w)
-        elif tag == "Scalar":
-            w = w.scale(sym[1])
-        else:
-            raise UnsupportedOperation(f"flavored word symbol {sym!r}")
-    return w
+FLAVORED_ALPHABET = {
+    "T": Letter(1, lambda M, lv, i: t_action(M, lv, i)),
+    "Tinv": Letter(
+        1, lambda M, lv, i: LVector(lv.k, M.apply_Ti_inv(lv.payload, _t_index(lv, i)))
+    ),
+    "z": Letter(1, lambda M, lv, i: z_action(M, lv, i)),
+    "dplus": Letter(0, lambda M, lv: d_plus(M, lv), flavor_shift=1, degree_shift=1),
+    "dminus": Letter(0, lambda M, lv: d_minus(M, lv), flavor_shift=-1),
+    "phi": Letter(0, lambda M, lv: phi_action(M, lv), degree_shift=1),
+    "Scalar": Letter(1, lambda M, lv, c: lv.scale(c)),
+}
+DPLUS = ("dplus",)

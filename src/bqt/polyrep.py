@@ -25,10 +25,10 @@ field evaluation); all scalar constants are built through ring methods.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .errors import ExactDivisionError, IndexOutOfRange, UnsupportedOperation
-from .keyed import KeyedRealization, SparseVec, accumulate
+from .keyed import KeyedRealization, SparseVec, accumulate, coeffs_from_entries, strict_int
 from .scalars import QT, parse_scalar
 
 Exponents = tuple[int, ...]
@@ -105,12 +105,8 @@ class PolyVector(SparseVec):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PolyVector":
-        n = int(obj["rank"])
-        vec = cls.zero(n)
-        for entry in obj["entries"]:
-            c = parse_scalar(entry["coeff"])
-            vec = vec.add(cls.monomial(n, tuple(entry["exponents"]), c))
-        return vec
+        n = strict_int(obj["rank"], "rank")
+        return cls(n, coeffs_from_entries(obj["entries"], lambda e: tuple(e["exponents"])))
 
 
 class ModuleRealization(Protocol):
@@ -339,51 +335,43 @@ def apply_pi_tilde(M: ModuleRealization, v):
     return apply_x1_tinv_chain(M, v, M.n - 1)
 
 
-# formal generator words: tuples of symbols, applied right to left; the
-# alphabet maps each tag to its argument count
-
-WORD_ALPHABET = {"T": 1, "Tinv": 1, "X": 1, "Y": 1, "Eps": 1, "Pi": 0, "PiTilde": 0, "Scalar": 1}
-
-
-def validate_word(word: Iterable[tuple], n: int) -> None:
-    for sym in word:
-        tag = sym[0]
-        if tag not in WORD_ALPHABET:
-            raise ValueError(f"unknown word symbol {sym!r}")
-        if tag in ("T", "Tinv"):
-            if not 1 <= sym[1] <= n - 1:
-                raise IndexOutOfRange(f"{tag} index {sym[1]} outside 1..{n - 1}")
-        elif tag in ("X", "Y"):
-            if not 1 <= sym[1] <= n:
-                raise IndexOutOfRange(f"{tag} index {sym[1]} outside 1..{n}")
-        elif tag == "Eps":
-            if not 0 <= sym[1] <= n:
-                raise IndexOutOfRange(f"Eps index {sym[1]} outside 0..{n}")
+# formal generator words: tuples of symbols applied right to left.  An
+# alphabet maps each tag to its Letter: argument count, action act(M, w, *args)
+# (looking its operator up when called), and flavor and degree shifts.
 
 
-def apply_word(M: ModuleRealization, v, word: Iterable[tuple]):
-    """Apply a generator word right to left; the empty word is the identity."""
+class Letter(NamedTuple):
+    arity: int
+    act: Callable
+    flavor_shift: int = 0
+    degree_shift: int = 0
+
+
+WORD_ALPHABET = {
+    "T": Letter(1, lambda M, w, i: M.apply_Ti(w, i)),
+    "Tinv": Letter(1, lambda M, w, i: M.apply_Ti_inv(w, i)),
+    "X": Letter(1, lambda M, w, i: M.apply_Xi(w, i)),
+    "Y": Letter(1, lambda M, w, i: apply_Y(M, w, i)),
+    "Eps": Letter(1, lambda M, w, k: apply_epsilon(M, w, k)),
+    "Pi": Letter(0, lambda M, w: M.apply_pi(w)),
+    "PiTilde": Letter(0, lambda M, w: apply_pi_tilde(M, w)),
+    "Scalar": Letter(1, lambda M, w, c: w.scale(c)),
+}
+
+
+def letter(alphabet: dict, sym: tuple) -> Letter:
+    """The alphabet's entry for the symbol's tag; UnsupportedOperation if none."""
+    entry = alphabet.get(sym[0])
+    if entry is None:
+        raise UnsupportedOperation(f"word symbol {sym!r}")
+    return entry
+
+
+def apply_word(M: ModuleRealization, v, word: Iterable[tuple], alphabet: dict = WORD_ALPHABET):
+    """Apply a word right to left (the empty word is the identity); operators check indices."""
     w = v
     for sym in reversed(list(word)):
-        tag = sym[0]
-        if tag == "T":
-            w = M.apply_Ti(w, sym[1])
-        elif tag == "Tinv":
-            w = M.apply_Ti_inv(w, sym[1])
-        elif tag == "X":
-            w = M.apply_Xi(w, sym[1])
-        elif tag == "Pi":
-            w = M.apply_pi(w)
-        elif tag == "Y":
-            w = apply_Y(M, w, sym[1])
-        elif tag == "Eps":
-            w = apply_epsilon(M, w, sym[1])
-        elif tag == "PiTilde":
-            w = apply_pi_tilde(M, w)
-        elif tag == "Scalar":
-            w = w.scale(sym[1])
-        else:
-            raise UnsupportedOperation(f"word symbol {sym!r}")
+        w = letter(alphabet, sym).act(M, w, *sym[1:])
     return w
 
 
@@ -409,9 +397,10 @@ def word_from_json(data, alphabet: dict = WORD_ALPHABET, ring=QT) -> tuple:
     word = []
     for sym in data:
         tag = sym[0] if isinstance(sym, list) and sym else None
-        arity = alphabet.get(tag) if isinstance(tag, str) else None
+        arity = alphabet[tag].arity if isinstance(tag, str) and tag in alphabet else None
         if arity is None or len(sym) != 1 + arity:
-            raise ValueError(f"malformed word symbol {sym!r}; tags and arities: {alphabet}")
+            arities = {t: entry.arity for t, entry in alphabet.items()}
+            raise ValueError(f"malformed word symbol {sym!r}; tags and arities: {arities}")
         if tag == "Scalar":
             if not isinstance(sym[1], str):
                 raise ValueError(f"Scalar argument {sym[1]!r} is not scalar text")

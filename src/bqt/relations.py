@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import PoleAtPoint
 from .induced import InducedRealization, xi_truncate_broken
 from .limits import CompatSeqSpec, apply_tower_word, limit_component, widen_for_words
-from .lspaces import LVector, apply_flavored_word, d_minus, lk_spanning_set, phi_sides
+from .lspaces import FLAVORED_ALPHABET, LVector, d_minus, lk_spanning_set, phi_sides
 from .polyrep import PolyRealization, apply_epsilon, apply_word
 from .scalars import QT, ModPField
 from .tableaux import SeedRealization, check_shape, kappa_connect, theta_scalar
@@ -121,6 +121,10 @@ def _eval_expr(apply, M, v, expr):
         w = apply(M, v, word).scale(coeff)
         out = w if out is None else out.add(w)
     return out
+
+
+def _apply_flavored(M, lv, word):
+    return apply_word(M, lv, word, FLAVORED_ALPHABET)
 
 
 def _mismatch(lhs, rhs):
@@ -400,7 +404,7 @@ def check_bqt_relations(
         range(0, min(k_max, M.n) + 1),
         d_max,
         lambda k: [(d, lv) for d in range(k, d_max + 1) for lv in lk_spanning_set(M, k, d)],
-        lambda ident, lv: _sides(apply_flavored_word, M, ident, lv),
+        lambda ident, lv: _sides(_apply_flavored, M, ident, lv),
         lambda d, lv, got: {
             "flavor": lv.k,
             "degree": d,

@@ -307,9 +307,6 @@ class IntPoly2:
     def is_one(self) -> bool:
         return self.terms == {(0, 0): 1}
 
-    def is_const(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
-
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
@@ -371,18 +368,6 @@ class IntPoly2:
                 else:
                     del out[e]
         return IntPoly2(out)
-
-    def __pow__(self, k: int) -> "IntPoly2":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _P_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPoly2) and self.terms == other.terms
@@ -851,7 +836,6 @@ class QtField:
     one = ONE
     q = Q
     t = T
-    minus_one = MINUS_ONE
 
     @staticmethod
     def from_int(c: int) -> QtScalar:
@@ -940,7 +924,6 @@ class ModPField:
         self.t0 = t0 % p
         self.zero = ModPScalar(0, self)
         self.one = ModPScalar(1, self)
-        self.minus_one = ModPScalar(p - 1, self)
         self.q = ModPScalar(self.q0, self)
         self.t = ModPScalar(self.t0, self)
 

@@ -24,14 +24,14 @@ from .errors import (
     ShapeMismatch,
     UnsupportedOperation,
 )
-from .keyed import KeyedRealization, SparseVec
+from .keyed import KeyedRealization, SparseVec, strict_int
 from .scalars import QT
 
 Shape = tuple[int, ...]
 
 
 def check_shape(parts: Shape) -> Shape:
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(strict_int(p, "diagram part") for p in parts)
     if any(p <= 0 for p in parts):
         raise ValueError(f"diagram parts must be positive: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -59,7 +59,7 @@ class StandardTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(strict_int(v, "tableau entry") for v in row) for row in rows)
         shape = tuple(len(row) for row in rows)
         check_shape(shape)
         size = sum(shape)

@@ -315,15 +315,62 @@ CONST2 = {"rank": 2, "entries": [{"exponents": [0, 0], "coeff": "1"}]}
             {"rank": 2, "entries": [{"exponents": [0.5, 1], "coeff": "1"}]},
             "basis key",
         ),
+        (["--n", "2"], '[["X",1]]', {**CONST2, "rank": 2.7}, "rank 2.7 is not an integer"),
+        (
+            ["--n", "1"],
+            '[["X",1]]',
+            {"rank": True, "entries": [{"exponents": [0], "coeff": "1"}]},
+            "rank True is not an integer",
+        ),
+        (
+            ["--module", "murnaghan", "--shape", "1", "--n", "2"],
+            '[["T",1]]',
+            {"rank": 2, "shape": [1.5], "entries": [
+                {"exponents": [0, 0], "tableau": [[1], [2]], "coeff": "1"}]},
+            "diagram part 1.5 is not an integer",
+        ),
+        (
+            ["--module", "murnaghan", "--shape", "1", "--n", "2"],
+            '[["T",1]]',
+            {"rank": 2, "shape": [1], "entries": [
+                {"exponents": [0, 0], "tableau": [[1.0], [2.9]], "coeff": "1"}]},
+            "tableau entry 1.0 is not an integer",
+        ),
     ],
     ids=["flavor_above_degree", "flavor_above_rank", "outside_flavor_span",
          "three_exponents_at_rank_2", "tableau_of_another_shape", "negative_exponent",
-         "fractional_exponent"],
+         "fractional_exponent", "fractional_rank", "bool_rank", "fractional_shape_part",
+         "fractional_tableau_entries"],
 )
 def test_act_rejects_payload_outside_module(capsys, tmp_path, module_args, word, payload, message):
     vec = tmp_path / "vec.json"
     vec.write_text(json.dumps(payload))
     code, out, err = run(capsys, "act", *module_args, "--word", word, "--in", str(vec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "word, payload, message",
+    [
+        ('[["T",3]]', CONST2, "T index 3 outside 1..1"),
+        ('[["Eps",4]]', CONST2, "index 4 outside 0..2"),
+        ('[["Y",0]]', CONST2, "Y index 0 outside 1..2"),
+        (
+            '[["z",2]]',
+            {"flavor": 1, "vector": {"rank": 2, "entries": [{"exponents": [1, 0], "coeff": "1"}]}},
+            "z index 2 outside 1..1",
+        ),
+    ],
+    ids=["T_above_rank", "Eps_above_rank", "Y_zero", "z_above_flavor"],
+)
+def test_act_rejects_index_out_of_range(capsys, tmp_path, word, payload, message):
+    # each operator checks its own index; the word is not pre-validated
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "act", "--n", "2", "--word", word, "--in", str(vec))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err

@@ -4,17 +4,19 @@ from itertools import product
 
 import pytest
 
-from bqt.errors import InternalCheckFailed, NoStabilization
+from bqt.errors import InternalCheckFailed, NoStabilization, UnsupportedOperation
 from bqt.limits import (
     CompatSeqSpec,
     Tower,
+    _word_rank_floor,
     apply_tower_word,
     d_plus_power_rank,
     dim_table,
     extend_tower,
     limit_component,
 )
-from bqt.polyrep import PolyVector
+from bqt.lspaces import FLAVORED_ALPHABET, LVector
+from bqt.polyrep import WORD_ALPHABET, PolyRealization, PolyVector, apply_word
 from bqt.scalars import ONE
 
 
@@ -146,6 +148,37 @@ def test_tower_word_requires_room_and_advances():
     assert out.k == 3 and out.degree == 3
     assert out.lo >= 3
     out.check_compatible(seq)
+
+
+D, PHI, DM, Z1, T1 = ("dplus",), ("phi",), ("dminus",), ("z", 1), ("T", 1)
+FLOOR_WORDS = [(D,), (PHI,), (DM,), (DM, D), (D, DM), (D, D, D), (PHI, D), (Z1, D, DM), (T1,)]
+
+
+@pytest.mark.parametrize(
+    "k, floors",
+    [
+        (0, [1, 1, 1, 1, 1, 3, 2, 1, 1]),
+        (1, [2, 2, 1, 2, 1, 4, 3, 1, 1]),
+        (2, [3, 3, 2, 3, 2, 5, 4, 2, 2]),
+    ],
+)
+def test_word_rank_floor_values(k, floors):
+    # frozen from the planner that tested each tag by hand
+    assert [_word_rank_floor(word, k, 1) for word in FLOOR_WORDS] == floors
+
+
+def test_unknown_tag_raises_unsupported_operation():
+    M = PolyRealization(2)
+    seq = CompatSeqSpec("polynomial")
+    (tower,) = limit_component(seq, 0, 0).towers
+    with pytest.raises(UnsupportedOperation):
+        apply_word(M, M.one(), (("Q", 1),), WORD_ALPHABET)
+    with pytest.raises(UnsupportedOperation):
+        apply_word(M, LVector(0, M.one()), (("X", 1),), FLAVORED_ALPHABET)
+    with pytest.raises(UnsupportedOperation):
+        apply_tower_word(seq, tower, (("dplus",), ("Q",)))
+    with pytest.raises(UnsupportedOperation):
+        _word_rank_floor((("Q",), ("dplus",)), 0, 1)
 
 
 def test_compatibility_checker_detects_corruption():

@@ -12,8 +12,8 @@ from bqt.errors import (
 from bqt.induced import InducedRealization, trivial_to_poly
 from bqt.linalg import RowBasis, solve_combination
 from bqt.lspaces import (
+    FLAVORED_ALPHABET,
     LVector,
-    apply_flavored_word,
     certify_flavor_membership,
     d_minus,
     d_plus,
@@ -24,7 +24,7 @@ from bqt.lspaces import (
     t_action,
     z_action,
 )
-from bqt.polyrep import PolyRealization, PolyVector
+from bqt.polyrep import PolyRealization, PolyVector, apply_word
 from bqt.scalars import ONE, parse_scalar
 
 
@@ -224,10 +224,14 @@ def test_operator_closure_into_target_flavors():
                     assert certify_flavor_membership(M, t_action(M, lv, i))
 
 
+def flavored(M, lv, word):
+    return apply_word(M, lv, word, FLAVORED_ALPHABET)
+
+
 def test_flavored_word_application():
     M = PolyRealization(2)
     lv = LVector(0, M.one())
-    out = apply_flavored_word(M, lv, (("dminus",), ("dplus",)))
+    out = flavored(M, lv, (("dminus",), ("dplus",)))
     assert out.k == 0
     expected = pv(2, 1, 0, coeff="q - 1").add(pv(2, 0, 1, coeff="q - 1"))
     assert out == LVector(0, expected)
@@ -238,13 +242,13 @@ def test_z1_commutator_value_on_x1():
     # at rank 2 come out to qt(q-1) x_1^2
     M = PolyRealization(2)
     lv = LVector(1, pv(2, 1, 0))
-    lhs = apply_flavored_word(M, lv, (("z", 1), ("dplus",), ("dminus",))).scale(
+    lhs = flavored(M, lv, (("z", 1), ("dplus",), ("dminus",))).scale(
         parse_scalar("q")
-    ).sub(apply_flavored_word(M, lv, (("z", 1), ("dminus",), ("dplus",))))
-    rhs = apply_flavored_word(M, lv, (("dplus",), ("dminus",), ("z", 1))).scale(
+    ).sub(flavored(M, lv, (("z", 1), ("dminus",), ("dplus",))))
+    rhs = flavored(M, lv, (("dplus",), ("dminus",), ("z", 1))).scale(
         parse_scalar("q*t")
     ).sub(
-        apply_flavored_word(M, lv, (("dminus",), ("dplus",), ("z", 1))).scale(
+        flavored(M, lv, (("dminus",), ("dplus",), ("z", 1))).scale(
             parse_scalar("q*t")
         )
     )

@@ -17,7 +17,6 @@ from bqt.polyrep import (
     apply_word,
     divexact_by_var_difference,
     monomials_of_degree,
-    validate_word,
     word_from_json,
     word_to_json,
 )
@@ -203,11 +202,13 @@ def test_word_application_examples():
 
 
 def test_word_validation_and_json():
-    validate_word((("T", 1), ("Eps", 2), ("Pi",)), 3)
+    M = PolyRealization(3)
+    v = mono(3, 1, 0, 0)
+    apply_word(M, v, (("T", 1), ("Eps", 2), ("Pi",)))
     with pytest.raises(IndexOutOfRange):
-        validate_word((("T", 3),), 3)
+        apply_word(M, v, (("T", 3),))
     with pytest.raises(IndexOutOfRange):
-        validate_word((("Eps", 4),), 3)
+        apply_word(M, v, (("Eps", 4),))
     word = (("T", 1), ("Scalar", parse_scalar("q^2 - 1")), ("PiTilde",))
     assert word_from_json(word_to_json(word)) == word
 
