@@ -12,13 +12,6 @@ reproducible run to run.
 from __future__ import annotations
 
 
-def _pivot_cost(key, coeff):
-    num = getattr(coeff, "num", None)
-    if num is None:  # prime-field scalars are all equally cheap
-        return (0, 0, key)
-    return (num.total_degree(), len(num.terms), key)
-
-
 class RowBasis:
     """Growing echelon basis with coordinate tracking.
 
@@ -68,7 +61,7 @@ class RowBasis:
         vec = {k: v for k, v in vec.items() if not v.is_zero()}
         if not vec:
             return False
-        pivot = min(vec, key=lambda k: _pivot_cost(k, vec[k]))
+        pivot = min(vec, key=lambda k: (*vec[k].pivot_cost(), k))
         inv = vec[pivot].inverse()
         row = {k: v * inv for k, v in vec.items()}
         coords = {j: v * inv for j, v in coords.items()}

@@ -12,11 +12,28 @@ Canonical form of a scalar num/den:
   * the graded-lex leading coefficient of den is positive,
   * zero is 0/1.
 
-The gcd kernel works on a dense recursive representation (polynomials in q
+Exponents are never negative: Laurent-like scalars such as q^-3 live in the
+fraction as 1/q^3.
+
+The gcd kernel knows a factored base (bqt.factored): polynomials
+c * q^a * t^b * prod Phi_m(q)^e_m, which covers every denominator the
+seminormal modules produce.  An IntPoly2 carries its factorization in the
+``fac`` slot, filled in on first use by trial division against cyclotomics
+(False outside the base), and one interned polynomial stands for each
+factorization.  poly_gcd, poly_divexact and IntPoly2.__mul__ each take one
+fast path when the divisor (for a product: both factors) lies in the base:
+exponent minima, differences or sums when both operands are factored, and
+univariate trial division of the other operand's q-slices by each Phi_m
+otherwise.  Results are the same polynomials the generic code gives, so
+the canonical form, str(), pool_key() and equality are unchanged.
+
+The generic kernel (_poly_gcd_generic, _poly_divexact_generic) still runs
+when the divisor lies outside the base: mixed q,t denominators such as
+parsed input (q^2 - t)/(1 - q*t), row-reduction pivots with bivariate
+numerators, and univariate ones that are not products of cyclotomics such
+as 2q + 1.  It works on a dense recursive representation (polynomials in q
 whose coefficients are integer polynomials in t) using the primitive
-pseudo-remainder sequence; sparse dicts are converted on entry.  Exponents
-are never negative: Laurent-like scalars such as q^-3 live in the fraction
-as 1/q^3.
+pseudo-remainder sequence; sparse dicts are converted on entry.
 
 There is a second scalar ring, ModPField, whose elements are evaluations of
 q,t at fixed points of a prime field.  It carries the same arithmetic
@@ -34,6 +51,7 @@ from .errors import (
     PoleAtPoint,
     ZeroDenominator,
 )
+from .factored import cyclotomic, divexact_by_fac, fac_div, fac_gcd, fac_mul, factor, gcd_by_fac
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers: a "tpoly" is a little-endian list of ints with no
@@ -282,10 +300,13 @@ class IntPoly2:
     after construction and may be shared.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "fac")
 
-    def __init__(self, terms: dict[tuple[int, int], int]):
+    def __init__(self, terms: dict[tuple[int, int], int], fac=None):
         self.terms = terms
+        # factorization (c, a, b, ((m, e), ...)) over the factored base,
+        # False outside it, None while not yet known
+        self.fac = fac
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int], int]) -> "IntPoly2":
@@ -293,13 +314,13 @@ class IntPoly2:
 
     @classmethod
     def const(cls, c: int) -> "IntPoly2":
-        return cls({(0, 0): c} if c else {})
+        return cls({(0, 0): c}, (c, 0, 0, ())) if c else _P_ZERO
 
     @classmethod
     def monomial(cls, eq: int, et: int, c: int = 1) -> "IntPoly2":
         if eq < 0 or et < 0:
             raise ValueError("stored exponents must be nonnegative")
-        return cls({(eq, et): c} if c else {})
+        return cls({(eq, et): c}, (c, eq, et, ())) if c else _P_ZERO
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -323,7 +344,10 @@ class IntPoly2:
         return max(eq + et for eq, et in self.terms)
 
     def __neg__(self) -> "IntPoly2":
-        return IntPoly2({e: -c for e, c in self.terms.items()})
+        f = self.fac
+        if f:
+            return _from_fac((-f[0],) + f[1:])
+        return IntPoly2({e: -c for e, c in self.terms.items()}, f)
 
     def __add__(self, other: "IntPoly2") -> "IntPoly2":
         if not self.terms:
@@ -358,6 +382,8 @@ class IntPoly2:
             return self
         if self.is_one():
             return other
+        if self.fac and other.fac:
+            return _from_fac(fac_mul(self.fac, other.fac))
         out: dict[tuple[int, int], int] = {}
         for (aq, at), ac in self.terms.items():
             for (bq, bt), bc in other.terms.items():
@@ -387,10 +413,37 @@ class IntPoly2:
         return f"IntPoly2({_poly_str(self)!r})"
 
 
-_P_ZERO = IntPoly2({})
-_P_ONE = IntPoly2({(0, 0): 1})
-_P_Q = IntPoly2({(1, 0): 1})
-_P_T = IntPoly2({(0, 1): 1})
+_P_ZERO = IntPoly2({}, False)
+_P_ONE = IntPoly2.const(1)
+_P_Q = IntPoly2.monomial(1, 0)
+_P_T = IntPoly2.monomial(0, 1)
+
+
+# intern table of the factored base: one polynomial per factorization
+_FACTORED: dict[tuple, IntPoly2] = {p.fac: p for p in (_P_ONE, _P_Q, _P_T)}
+
+
+def _fac(p: IntPoly2) -> tuple | bool:
+    """The factorization of p over the base, computed on first use."""
+    fac = p.fac
+    if fac is None:
+        fac = p.fac = factor(p.terms)
+        if fac:
+            _FACTORED.setdefault(fac, p)
+    return fac
+
+
+def _from_fac(fac: tuple) -> IntPoly2:
+    """The interned polynomial with the given factorization."""
+    p = _FACTORED.get(fac)
+    if p is None:
+        c, a, b, exps = fac
+        dense = [c]
+        for m, e in exps:
+            for _ in range(e):
+                dense = _t_mul(dense, cyclotomic(m))
+        p = _FACTORED[fac] = IntPoly2({(a + i, b): x for i, x in enumerate(dense) if x}, fac)
+    return p
 
 
 def _slicewise_gcd(da: dict, db: dict, axis: int) -> list[int]:
@@ -416,7 +469,21 @@ def _slicewise_gcd(da: dict, db: dict, axis: int) -> list[int]:
 
 
 def poly_gcd(a: IntPoly2, b: IntPoly2) -> IntPoly2:
-    """gcd in Z[q,t] with deterministic sign; gcd(0,0) = 0."""
+    """gcd in Z[q,t] with deterministic sign; gcd(0,0) = 0.
+
+    Against a b in the factored base the gcd is read off exponents (both
+    operands factored) or found by trial division of a by the Phi_m of b.
+    """
+    if a.terms:
+        fb = _fac(b)
+        if fb:
+            fa = a.fac
+            return _from_fac(fac_gcd(fa, fb) if fa else gcd_by_fac(a.terms, fb))
+    return _poly_gcd_generic(a, b)
+
+
+def _poly_gcd_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
+    """gcd by pseudo-remainder sequences; the reference for poly_gcd."""
     da, db = a.terms, b.terms
     if not da and not db:
         return _P_ZERO
@@ -430,15 +497,12 @@ def poly_gcd(a: IntPoly2, b: IntPoly2) -> IntPoly2:
     if vq or vt:
         da = {(eq - vq, et - vt): c for (eq, et), c in da.items()}
         db = {(eq - vq, et - vt): c for (eq, et), c in db.items()}
-    if len(da) == 1 or len(db) == 1:
-        # one side a monomial after extraction: only integer content remains
+    if len(da) == 1:
+        # a monomial after extraction: only integer content remains
         g = 0
-        for c in da.values():
+        for c in (*da.values(), *db.values()):
             g = igcd(g, c)
-        h = 0
-        for c in db.values():
-            h = igcd(h, c)
-        return IntPoly2({(vq, vt): igcd(g, h)})
+        return IntPoly2({(vq, vt): g})
     if da == db:
         g = IntPoly2({(eq + vq, et + vt): c for (eq, et), c in da.items()})
         return g if g.leading_coeff() > 0 else -g
@@ -463,21 +527,26 @@ def poly_gcd(a: IntPoly2, b: IntPoly2) -> IntPoly2:
 
 
 def poly_divexact(a: IntPoly2, b: IntPoly2) -> IntPoly2:
-    """Exact quotient a/b in Z[q,t]; ExactDivisionError on any remainder."""
+    """Exact quotient a/b in Z[q,t]; ExactDivisionError on any remainder.
+
+    A b in the factored base is divided out factor by factor: exponent
+    differences when a is factored too, else trial division of a's q-slices.
+    """
+    fb = _fac(b)
+    if fb and a.terms:
+        fa = a.fac
+        if fa:
+            return _from_fac(fac_div(fa, fb))
+        return IntPoly2(divexact_by_fac(a.terms, fb))
+    return _poly_divexact_generic(a, b)
+
+
+def _poly_divexact_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
+    """Exact quotient by dense division; the reference for poly_divexact."""
     if b.is_zero():
         raise ExactDivisionError("division by zero polynomial")
     if a.is_zero():
         return _P_ZERO
-    if b.is_one():
-        return a
-    if len(b.terms) == 1:
-        ((bq, bt), bc) = next(iter(b.terms.items()))
-        out = {}
-        for (eq, et), c in a.terms.items():
-            if eq < bq or et < bt or c % bc:
-                raise ExactDivisionError("inexact monomial division")
-            out[(eq - bq, et - bt)] = c // bc
-        return IntPoly2(out)
     # univariate divisor: divide each slice of the dividend independently
     for axis in (0, 1):
         if all(e[1 - axis] == 0 for e in b.terms):
@@ -637,6 +706,10 @@ class QtScalar:
             for (eq, et), c in sorted(poly.terms.items()):
                 key += (eq, et, c)
         return tuple(key)
+
+    def pivot_cost(self) -> tuple[int, int]:
+        """Row-reduction footprint: numerator total degree and term count."""
+        return (self.num.total_degree(), len(self.num.terms))
 
     def eval_mod(self, q0: int, t0: int, p: int) -> int:
         d = self.den.eval_mod(q0, t0, p)
@@ -905,6 +978,10 @@ class ModPScalar:
     def pool_key(self) -> int:
         """Hashable key, equal exactly when the scalars (of one field) are equal."""
         return self.value
+
+    def pivot_cost(self) -> tuple[int, int]:
+        """Row-reduction footprint: prime-field scalars are all equally cheap."""
+        return (0, 0)
 
     def __str__(self) -> str:
         return str(self.value)

@@ -25,7 +25,7 @@ from bqt.lspaces import (
     z_action,
 )
 from bqt.polyrep import PolyRealization, PolyVector, apply_word
-from bqt.scalars import ONE, parse_scalar
+from bqt.scalars import ONE, ModPField, parse_scalar
 
 
 def pv(n, *exps, coeff="1"):
@@ -43,6 +43,17 @@ def test_row_basis_rank_and_membership():
     assert not rows.insert({(1, 0): parse_scalar("q - 1"), (0, 1): parse_scalar("q^2 - q")})
     assert rows.rank == 2
     assert rows.contains({(0, 1): ONE})
+
+
+def test_row_basis_pivot_rule():
+    # exact: smallest (numerator degree, numerator terms), then key; prime field: smallest key
+    rows = RowBasis()
+    rows.insert({(0, 0): parse_scalar("q^2"), (2, 0): parse_scalar("q - 2"), (1, 0): parse_scalar("q + 1")})
+    assert rows.rows[0][0] == (1, 0)
+    f = ModPField(2**31 - 1, 5, 7)
+    rows = RowBasis()
+    rows.insert({(2, 0): f.convert(parse_scalar("q^2")), (1, 0): f.from_int(3)})
+    assert rows.rows[0][0] == (1, 0)
 
 
 def test_solve_combination_exact():

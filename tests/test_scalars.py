@@ -4,6 +4,7 @@ sympy serves as the independent oracle for fraction reduction; hypothesis
 drives the random-algebra properties.
 """
 
+import functools
 import random
 
 import pytest
@@ -11,8 +12,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqt.errors import DivisionByZero, PoleAtPoint, ZeroDenominator
+from bqt.errors import DivisionByZero, ExactDivisionError, PoleAtPoint, ZeroDenominator
+from bqt.relations import all_passed, check_daha_relations, make_realization
 from bqt.scalars import (
+    _FACTORED,
     MINUS_ONE,
     ONE,
     Q,
@@ -22,6 +25,9 @@ from bqt.scalars import (
     IntPoly2,
     ModPField,
     QtScalar,
+    _fac,
+    _poly_divexact_generic,
+    _poly_gcd_generic,
     parse_scalar,
     poly_divexact,
     poly_gcd,
@@ -139,6 +145,108 @@ def test_gcd_divides_both_and_captures_common_factor(a, b, c):
     # ... and the planted common factor divides g
     if not c.is_zero() and (not a.is_zero() or not b.is_zero()):
         poly_divexact(g, c)
+
+
+# -- the factored base c q^a t^b prod Phi_m(q)^e ------------------------------
+
+@functools.cache
+def cyclo(m: int) -> IntPoly2:
+    """Phi_m from sympy, so the tests do not lean on bqt.factored."""
+    poly = sympy.Poly(sympy.cyclotomic_poly(m, _sq), _sq)
+    return IntPoly2.from_terms({(e, 0): int(c) for (e,), c in poly.terms()})
+
+
+def fresh(p: IntPoly2) -> IntPoly2:
+    """The same terms with the factorization unknown, so only generic code sees it."""
+    return IntPoly2(dict(p.terms))
+
+
+def factored(p: IntPoly2) -> IntPoly2:
+    out = fresh(p)
+    assert _fac(out)
+    return out
+
+
+@st.composite
+def factored_polys(draw):
+    """c q^a t^b prod Phi_m^e (m <= 12, e <= 3), multiplied out by the generic product."""
+    c = draw(st.integers(-6, 6).filter(bool))
+    p = IntPoly2({(draw(st.integers(0, 3)), draw(st.integers(0, 3))): c})
+    for m in draw(st.lists(st.integers(1, 12), max_size=3, unique=True)):
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * cyclo(m)
+    return fresh(p)
+
+
+@given(factored_polys(), factored_polys(), polys())
+@settings(max_examples=60, deadline=None)
+def test_factored_fast_paths_match_generic(f, g, r):
+    ff, fg = factored(f), factored(g)
+    # factored x factored: exponent minima, sums and differences
+    assert poly_gcd(ff, fg).terms == _poly_gcd_generic(f, g).terms
+    prod = ff * fg
+    assert prod.terms == (f * g).terms
+    assert prod.fac == factored(prod).fac  # the one factorization, as trial division finds it
+    assert poly_divexact(prod, fg).terms == _poly_divexact_generic(f * g, g).terms
+    # numerator x factored: trial division of the numerator's q-slices, also
+    # where the numerator holds a Phi_m to a higher power than the divisor
+    assert poly_gcd(fresh(prod), fg).terms == _poly_gcd_generic(f * g, g).terms
+    assert poly_gcd(fresh(prod), ff).terms == _poly_gcd_generic(f * g, f).terms
+    assert poly_gcd(r, fg).terms == _poly_gcd_generic(r, g).terms
+    rg = fresh(r) * g
+    assert poly_gcd(rg, fg).terms == _poly_gcd_generic(rg, g).terms
+    assert poly_divexact(rg, fg).terms == _poly_divexact_generic(rg, g).terms
+
+
+@given(polys(), factored_polys(), polys(), factored_polys())
+@settings(max_examples=30, deadline=None)
+def test_factored_scalar_ops_agree_with_sympy_and_modp(n1, d1, n2, d2):
+    a, b = QtScalar.fraction(n1, d1), QtScalar.fraction(n2, d2)
+    oracle_a = sympy.Rational(1) * sp(n1) / sp(d1)
+    oracle_b = sympy.Rational(1) * sp(n2) / sp(d2)
+    for ours, exact in ((a * b, oracle_a * oracle_b), (a + b, oracle_a + oracle_b)):
+        theirs = sympy.cancel(exact)
+        lhs = sympy.expand(sp(ours.num) * sympy.fraction(theirs)[1])
+        rhs = sympy.expand(sp(ours.den) * sympy.fraction(theirs)[0])
+        assert lhs == rhs
+    f = ModPField(P, 1234567, 7654321)
+    try:
+        fa, fb = f.convert(a), f.convert(b)
+    except PoleAtPoint:
+        return
+    assert f.convert(a * b) == fa * fb
+    assert f.convert(a + b) == fa + fb
+
+
+def test_factored_divexact_inexact_raises():
+    q1, q2 = cyclo(2), cyclo(2) * cyclo(2)
+    cases = [
+        (factored(q1), factored(q2)),  # Phi_2 / Phi_2^2
+        (factored(q1 * IntPoly2.const(2)), factored(q1 * IntPoly2.const(3))),  # content
+        (factored(q1), IntPoly2.monomial(1, 0)),  # q-power
+        (poly_of("q + t"), factored(q1)),  # numerator against Phi_2
+        (poly_of("q*t + t"), factored(q1 * IntPoly2.monomial(0, 2))),  # t-power
+        (poly_of("3*q + 3"), factored(q1 * IntPoly2.const(2))),  # content
+    ]
+    for a, b in cases:
+        with pytest.raises(ExactDivisionError):
+            poly_divexact(a, b)
+        with pytest.raises(ExactDivisionError):
+            _poly_divexact_generic(fresh(a), fresh(b))
+
+
+def test_interned_factorizations_expand_to_their_terms():
+    M = make_realization({"module": "murnaghan", "shape": [1, 1], "n": 3})
+    assert all_passed(check_daha_relations(M, 2))
+    assert len(_FACTORED) > 10
+    for fac, p in _FACTORED.items():
+        c, a, b, exps = fac
+        expected = IntPoly2({(a, b): c})  # no factorization: the generic product
+        for m, e in exps:
+            for _ in range(e):
+                expected = expected * cyclo(m)
+        assert p.fac == fac
+        assert p.terms == expected.terms
 
 
 # -- field arithmetic -------------------------------------------------------
