@@ -108,6 +108,7 @@ def factor(terms: dict) -> tuple | bool:
 
 
 def fac_mul(f: tuple, g: tuple) -> tuple:
+    """The factorization of f * g."""
     exps = dict(f[3])
     for m, e in g[3]:
         exps[m] = exps.get(m, 0) + e
