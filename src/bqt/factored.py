@@ -23,7 +23,7 @@ by the distinct cyclotomics and univariate denominators a process meets.
 
 from __future__ import annotations
 
-from math import gcd as igcd
+from math import gcd as igcd, lcm
 
 from .errors import ExactDivisionError
 
@@ -162,8 +162,24 @@ def _rows_quo(rows: list, phi: list[int]) -> list | None:
     return out
 
 
-def gcd_by_fac(terms: dict, g: tuple) -> tuple:
-    """The factorization of gcd(p, g) for a nonzero polynomial p with these terms."""
+def fac_lcm(facs) -> tuple:
+    """The factorization of the lcm of nonzero factorizations, positive content."""
+    c, a, b, exps = 1, 0, 0, {}
+    for f in facs:
+        c = lcm(c, f[0])
+        a, b = max(a, f[1]), max(b, f[2])
+        for m, e in f[3]:
+            if e > exps.get(m, 0):
+                exps[m] = e
+    return (c, a, b, tuple(sorted(exps.items())))
+
+
+def cancel_by_fac(terms: dict, g: tuple) -> tuple:
+    """gcd(p, g) as a factorization and the terms of p / gcd, for nonzero p with these terms.
+
+    One trial division of p's q-slices finds both; the quotient is None when
+    the gcd is 1.
+    """
     c, a, b, exps = g
     c = abs(c)
     if c != 1:
@@ -177,14 +193,21 @@ def gcd_by_fac(terms: dict, g: tuple) -> tuple:
         b = min(b, min(et for _, et in terms))
     common = []
     if exps:
-        rows = _q_rows(terms)[1]
+        lo, rows = _q_rows(terms)
         for m, e in exps:
             phi, k = cyclotomic(m), 0
             while k < e and (quo := _rows_quo(rows, phi)) is not None:
                 rows, k = quo, k + 1
             if k:
                 common.append((m, k))
-    return (c, a, b, tuple(common))
+    gcd = (c, a, b, tuple(common))
+    if c == 1 and not (a or b or common):
+        return gcd, None
+    if not common:
+        return gcd, {(eq - a, et - b): x // c for (eq, et), x in terms.items()}
+    return gcd, {
+        (lo - a + i, et - b): x // c for et, row in rows for i, x in enumerate(row) if x
+    }
 
 
 def divexact_by_fac(terms: dict, g: tuple) -> dict[tuple[int, int], int]:

@@ -11,7 +11,9 @@ KeyedRealization is the generator engine over such a basis.  A realization
 supplies the T_i image of one key (and its pi image where pi is
 memoized); the engine checks indices, derives
 T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation, memoizes the
-per-key images, and applies an image table to a vector.  Cherednik's
+per-key images, and applies an image table to a vector: the products c * m
+that land on one output key are gathered and summed by the ring's lincomb,
+so each output coefficient is reduced once.  Cherednik's
 
     Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}
 
@@ -209,8 +211,14 @@ class KeyedRealization:
 
     def _apply_table(self, v, table, *args):
         """Linear extension of a per-key table: table(*args, key) per key of v."""
-        out: dict = {}
+        groups: dict = {}
         for key, c in v.coeffs.items():
             for k2, m in table(*args, key):
-                accumulate(out, k2, c * m)
+                groups.setdefault(k2, []).append((c, m))
+        lincomb = self.ring.lincomb
+        out = {}
+        for k2, pairs in groups.items():
+            s = lincomb(pairs)
+            if not s.is_zero():
+                out[k2] = s
         return self._vec(out)

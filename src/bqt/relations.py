@@ -22,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import PoleAtPoint
+from .errors import BqtError, PoleAtPoint
 from .induced import InducedRealization, xi_truncate_broken
 from .limits import CompatSeqSpec, apply_tower_word, limit_component, widen_for_words
 from .lspaces import FLAVORED_ALPHABET, LVector, d_minus, lk_spanning_set, phi_sides
@@ -95,16 +95,32 @@ def run_suite(cases, evaluate, describe, **fields) -> RelationReport:
 
     evaluate(case) returns None when the case holds and the offending values
     otherwise; describe(case, values) turns the first failing case into the
-    counterexample.  fields are the RelationReport fields.
+    counterexample.  A case whose evaluation raises a BqtError fails too:
+    describe(case, None) locates it and the counterexample names the error.
+    A PoleAtPoint still propagates, since it condemns the evaluation point
+    rather than the case.  fields are the RelationReport fields.
     """
     start = time.perf_counter()
     rep = RelationReport(**fields)
     for case in cases:
-        bad = evaluate(case)
+        error = None
+        try:
+            bad = evaluate(case)
+        except PoleAtPoint:
+            raise
+        except BqtError as exc:
+            bad = error = exc
         rep.vectors_checked += 1
         if bad is not None and rep.counterexample is None:
             rep.status = "fail"
-            rep.counterexample = describe(case, bad)
+            if error is None:
+                rep.counterexample = describe(case, bad)
+            else:
+                rep.counterexample = {
+                    "error": type(error).__name__,
+                    "message": str(error),
+                    **describe(case, None),
+                }
     rep.millis = (time.perf_counter() - start) * 1000
     return rep
 
@@ -125,6 +141,11 @@ def _eval_expr(apply, M, v, expr):
 
 def _apply_flavored(M, lv, word):
     return apply_word(M, lv, word, FLAVORED_ALPHABET)
+
+
+def _shown(got, show=str) -> dict:
+    """Both sides of a mismatch as text; nothing when the evaluation raised."""
+    return {} if got is None else {"lhs": show(got[0]), "rhs": show(got[1])}
 
 
 def _mismatch(lhs, rhs):
@@ -193,7 +214,7 @@ def _module_identity_reports(M, catalog, d_max, only, keep_empty) -> list[Relati
         d_max,
         lambda _: [(d, v) for d in range(d_max + 1) for v in M.basis(d)],
         lambda ident, v: _sides(apply_word, M, ident, v),
-        lambda _, v, got: {"vector": str(v), "lhs": str(got[0]), "rhs": str(got[1])},
+        lambda _, v, got: {"vector": str(v), **_shown(got)},
         M.descriptor(),
         only,
         keep_empty,
@@ -409,8 +430,7 @@ def check_bqt_relations(
             "flavor": lv.k,
             "degree": d,
             "vector": str(lv.payload),
-            "lhs": str(got[0].payload),
-            "rhs": str(got[1].payload),
+            **_shown(got, lambda w: str(w.payload)),
         },
         M.descriptor(),
         only,
@@ -604,7 +624,7 @@ def check_theta_eigenvalues(lam, n: int, ring=QT) -> RelationReport:
     return run_suite(
         ((tau, i) for tau in M.tableaux for i in range(1, n + 1)),
         evaluate,
-        lambda case, got: {"tableau": case[0].to_obj(), "entry": case[1], **got},
+        lambda case, got: {"tableau": case[0].to_obj(), "entry": case[1], **(got or {})},
         relation_id="aux_theta_eigen",
         anchor="theta_i(e_tau) = q^(content of i in tau) e_tau",
         realization={"module": "seed", "shape": list(lam), "n": n},
@@ -668,7 +688,10 @@ def check_compatibility(
         return None if img.is_zero() else img
 
     def with_image(case, img):
-        return {"vector": str(case[1]), "image": str(img)}
+        out = {"vector": str(case[1])}
+        if img is not None:
+            out["image"] = str(img)
+        return out
 
     def with_index(case, _):
         return {"vector": str(case[0]), "index": case[1]}
@@ -699,7 +722,7 @@ def check_compatibility(
         "Pi pi^(n+1) T_n = pi^(n) Pi",
         graded,
         pi_sides,
-        lambda c, got: {"vector": str(c[1]), "lhs": str(got[0]), "rhs": str(got[1])},
+        lambda c, got: {"vector": str(c[1]), **_shown(got)},
     )
 
     if seq.kind == "murnaghan" and not broken_connector:
@@ -774,7 +797,11 @@ def check_bqt_relations_on_towers(
         d_max,
         towers,
         evaluate,
-        lambda d, _, base: {"flavor": base.k, "degree": d, "window": [base.lo, base.hi]},
+        lambda d, tower, base: {
+            "flavor": tower.k,
+            "degree": d,
+            "window": list((base or tower).window()),
+        },
         {**seq.descriptor(), "level": "towers"},
         window=window,
         n_cap=n_cap,

@@ -26,6 +26,16 @@ exponent minima, differences or sums when both operands are factored, and
 univariate trial division of the other operand's q-slices by each Phi_m
 otherwise.  Results are the same polynomials the generic code gives, so
 the canonical form, str(), pool_key() and equality are unchanged.
+QtScalar.__mul__ cancels each cross pair (a numerator against the other
+operand's denominator) with one trial division that yields the gcd and the
+quotient together (factored.cancel_by_fac).
+
+Both rings have lincomb(pairs), the sum of c * m over (c, m) pairs, which is
+how a generator table is applied (bqt.keyed).  Over Q(q,t), when every
+denominator lies in the base, the products are lifted to the lcm of their
+denominators (exponent maxima, factored.fac_lcm), added as polynomials and
+reduced once by QtScalar.fraction, instead of being reduced after every
+term; any other denominator makes it add the products one by one.
 
 The generic kernel (_poly_gcd_generic, _poly_divexact_generic) still runs
 when the divisor lies outside the base: mixed q,t denominators such as
@@ -51,7 +61,16 @@ from .errors import (
     PoleAtPoint,
     ZeroDenominator,
 )
-from .factored import cyclotomic, divexact_by_fac, fac_div, fac_gcd, fac_mul, factor, gcd_by_fac
+from .factored import (
+    cancel_by_fac,
+    cyclotomic,
+    divexact_by_fac,
+    fac_div,
+    fac_gcd,
+    fac_lcm,
+    fac_mul,
+    factor,
+)
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers: a "tpoly" is a little-endian list of ints with no
@@ -326,7 +345,8 @@ class IntPoly2:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0): 1}
+        t = self.terms
+        return len(t) == 1 and t.get((0, 0)) == 1
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in descending graded-lex order (leading term first)."""
@@ -478,8 +498,17 @@ def poly_gcd(a: IntPoly2, b: IntPoly2) -> IntPoly2:
         fb = _fac(b)
         if fb:
             fa = a.fac
-            return _from_fac(fac_gcd(fa, fb) if fa else gcd_by_fac(a.terms, fb))
+            return _from_fac(fac_gcd(fa, fb) if fa else cancel_by_fac(a.terms, fb)[0])
     return _poly_gcd_generic(a, b)
+
+
+def _strip_monomial(terms: dict) -> tuple[int, int, dict]:
+    """(i, j, terms of p / (q^i t^j)) for the largest monomial q^i t^j dividing p."""
+    i = min(eq for eq, _ in terms)
+    j = min(et for _, et in terms)
+    if i or j:
+        terms = {(eq - i, et - j): c for (eq, et), c in terms.items()}
+    return i, j, terms
 
 
 def _poly_gcd_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
@@ -491,14 +520,14 @@ def _poly_gcd_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
         return b if b.leading_coeff() > 0 else -b
     if not db:
         return a if a.leading_coeff() > 0 else -a
-    # common monomial factor
-    vq = min(min(eq for eq, _ in da), min(eq for eq, _ in db))
-    vt = min(min(et for _, et in da), min(et for _, et in db))
-    if vq or vt:
-        da = {(eq - vq, et - vt): c for (eq, et), c in da.items()}
-        db = {(eq - vq, et - vt): c for (eq, et), c in db.items()}
+    # q and t are prime: the gcd is q^vq t^vt times the gcd of the parts
+    # free of monomial factors, and stripping each operand's own monomial
+    # leaves t^b times a q-only polynomial on the univariate paths below
+    aq, at, da = _strip_monomial(da)
+    bq, bt, db = _strip_monomial(db)
+    vq, vt = min(aq, bq), min(at, bt)
     if len(da) == 1:
-        # a monomial after extraction: only integer content remains
+        # a constant after extraction: only integer content remains
         g = 0
         for c in (*da.values(), *db.values()):
             g = igcd(g, c)
@@ -569,6 +598,22 @@ def _poly_divexact_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
     return IntPoly2(_to_sparse(_q_divexact(_to_dense(a.terms), _to_dense(b.terms))))
 
 
+def _cancel(a: IntPoly2, b: IntPoly2) -> tuple[IntPoly2, IntPoly2]:
+    """a / g and b / g for g = gcd(a, b) and a nonzero; a and b themselves when g = 1."""
+    fb = _fac(b)
+    if not fb:
+        g = poly_gcd(a, b)
+        return (a, b) if g.is_one() else (poly_divexact(a, g), poly_divexact(b, g))
+    fa = a.fac
+    if fa:
+        g = fac_gcd(fa, fb)
+        if g == _P_ONE.fac:
+            return a, b
+        return _from_fac(fac_div(fa, g)), _from_fac(fac_div(fb, g))
+    g, quo = cancel_by_fac(a.terms, fb)
+    return (a, b) if quo is None else (IntPoly2(quo), _from_fac(fac_div(fb, g)))
+
+
 # ---------------------------------------------------------------------------
 # the exact field Q(q,t)
 # ---------------------------------------------------------------------------
@@ -605,7 +650,8 @@ class QtScalar:
         return cls(IntPoly2.const(c), _P_ONE)
 
     def den_is_one(self) -> bool:
-        return self.den.terms == {(0, 0): 1}
+        t = self.den.terms
+        return len(t) == 1 and t.get((0, 0)) == 1
 
     def is_zero(self) -> bool:
         return not self.num.terms
@@ -656,16 +702,8 @@ class QtScalar:
             return other
         if other.is_one():
             return self
-        a_num, a_den = self.num, self.den
-        b_num, b_den = other.num, other.den
-        g1 = poly_gcd(a_num, b_den)
-        if not g1.is_one():
-            a_num = poly_divexact(a_num, g1)
-            b_den = poly_divexact(b_den, g1)
-        g2 = poly_gcd(b_num, a_den)
-        if not g2.is_one():
-            b_num = poly_divexact(b_num, g2)
-            a_den = poly_divexact(a_den, g2)
+        a_num, b_den = _cancel(self.num, other.den)
+        b_num, a_den = _cancel(other.num, self.den)
         num = a_num * b_num
         den = a_den * b_den
         if den.leading_coeff() < 0:
@@ -930,6 +968,30 @@ class QtField:
     def q_integer(m: int) -> QtScalar:
         return q_integer(m)
 
+    @staticmethod
+    def lincomb(pairs: list) -> QtScalar:
+        """Sum of c * m over the (c, m) pairs.
+
+        When every denominator lies in the factored base the products are
+        lifted to the lcm of their denominators, added as polynomials and
+        reduced once; otherwise the products are added one by one.
+        """
+        if len(pairs) > 1:
+            dens = [(_fac(c.den), _fac(m.den)) for c, m in pairs]
+            if all(f and g for f, g in dens):
+                facs = [fac_mul(f, g) for f, g in dens]
+                lcm = fac_lcm(facs)
+                total: dict = {}
+                for (c, m), f in zip(pairs, facs):
+                    for e, x in (c.num * m.num * _from_fac(fac_div(lcm, f))).terms.items():
+                        total[e] = total.get(e, 0) + x
+                return QtScalar.fraction(IntPoly2.from_terms(total), _from_fac(lcm))
+        c, m = pairs[0]
+        out = c * m
+        for c, m in pairs[1:]:
+            out = out + c * m
+        return out
+
 
 QT = QtField()
 
@@ -1025,3 +1087,7 @@ class ModPField:
 
     def convert(self, s: QtScalar) -> ModPScalar:
         return ModPScalar(s.eval_mod(self.q0, self.t0, self.p), self)
+
+    def lincomb(self, pairs: list) -> ModPScalar:
+        """Sum of c * m over the (c, m) pairs, reduced mod p once."""
+        return ModPScalar(sum(c.value * m.value for c, m in pairs) % self.p, self)

@@ -6,6 +6,8 @@ import pytest
 
 from bqt import cli
 from bqt.cli import main, parse_shape
+from bqt.errors import ExactDivisionError
+from bqt.polyrep import PolyRealization
 
 
 def run(capsys, *argv):
@@ -375,3 +377,33 @@ def test_act_rejects_index_out_of_range(capsys, tmp_path, word, payload, message
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_error_inside_a_suite_is_a_fail_report(capsys, monkeypatch, tmp_path):
+    args = ("check", "daha", "--module", "poly", "--n", "2", "--dmax", "1",
+            "--jobs", "1", "--no-timing")
+    code, _, _ = run(capsys, *args, "--out", str(tmp_path / "good.json"))
+    assert code == 0
+    good = json.loads((tmp_path / "good.json").read_text())["reports"]
+
+    def broken_Xi(self, v, i):
+        raise ExactDivisionError("inexact division planted in X_i")
+
+    monkeypatch.setattr(PolyRealization, "apply_Xi", broken_Xi)
+    code, _, err = run(capsys, *args, "--out", str(tmp_path / "bad.json"))
+    assert code == 1
+    assert "Traceback" not in err
+    doc = json.loads((tmp_path / "bad.json").read_text())
+    assert doc["status"] == "fail"
+    failed = {r["relation_id"]: r for r in doc["reports"] if r["status"] == "fail"}
+    assert "daha_X_commute" in failed and "daha_quadratic" not in failed
+    for rid, rep in failed.items():
+        cex = rep["counterexample"]
+        assert cex["error"] == "ExactDivisionError"
+        assert cex["message"] == "inexact division planted in X_i"
+        assert cex["vector"] == "(1)"
+        assert "lhs" not in cex
+    # every case is still counted, the failing ones included
+    assert [r["vectors_checked"] for r in doc["reports"]] == [
+        r["vectors_checked"] for r in good
+    ]

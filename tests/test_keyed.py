@@ -2,7 +2,9 @@
 
 The tabled Y_i is checked against the primitive word it stands for, applied
 generator by generator through apply_word, on random vectors of all three
-realizations over Q(q,t) and over a prime field.
+realizations over Q(q,t) and over a prime field.  Table application, which
+sums the products landing on one key through ring.lincomb, is checked against
+adding the products one by one.
 """
 
 from functools import lru_cache
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqt.induced import InducedRealization
+from bqt.keyed import accumulate
 from bqt.polyrep import PolyRealization, apply_word, apply_Y
 from bqt.relations import check_daha_relations
 from bqt.scalars import QT, ModPField
@@ -72,6 +75,28 @@ def module_vectors(draw):
 def test_tabled_Y_equals_its_primitive_word(case):
     M, v, i = case
     assert apply_Y(M, v, i) == apply_word(M, v, y_word(M.n, i, M.ring))
+
+
+def fold_table(M, v, table, *args):
+    """The linear extension of a table, adding each product c * m in turn."""
+    out: dict = {}
+    for key, c in v.coeffs.items():
+        for k2, m in table(*args, key):
+            accumulate(out, k2, c * m)
+    return M._vec(out)
+
+
+@given(module_vectors())
+@settings(max_examples=40, deadline=None)
+def test_table_application_equals_the_product_by_product_sum(case):
+    M, v, i = case
+    tables = [(M._y_table, i)]
+    if i < M.n:
+        tables += [(M._ti_table, i), (M._tinv_table, i)]
+    for table, *args in tables:
+        got = M._apply_table(v, table, *args)
+        assert got == fold_table(M, v, table, *args)
+        assert str(got) == str(fold_table(M, v, table, *args))
 
 
 def test_equal_table_scalars_are_one_object():

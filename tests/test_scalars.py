@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqt.errors import DivisionByZero, ExactDivisionError, PoleAtPoint, ZeroDenominator
+from bqt.factored import cancel_by_fac, fac_lcm
 from bqt.relations import all_passed, check_daha_relations, make_realization
 from bqt.scalars import (
     _FACTORED,
@@ -26,6 +27,7 @@ from bqt.scalars import (
     ModPField,
     QtScalar,
     _fac,
+    _from_fac,
     _poly_divexact_generic,
     _poly_gcd_generic,
     parse_scalar,
@@ -149,6 +151,17 @@ def test_gcd_divides_both_and_captures_common_factor(a, b, c):
 
 # -- the factored base c q^a t^b prod Phi_m(q)^e ------------------------------
 
+def test_generic_gcd_with_a_t_power_times_a_q_only_operand():
+    # t^2 times a q-only polynomial, against operands without that t-power:
+    # with each operand's own monomial stripped the gcd runs on q-slices
+    # (the dense bivariate sequence took seconds on the first pair)
+    r = poly_of("4*q^3*t^4 + 2*q^4 - 7*q^3*t + 9*t^3 + q")
+    g = poly_of("3*t^2*(q^4 + q^3 + q^2 + q + 1)^3*(q^6 + q^3 + 1)^2")
+    for a, b in ((r, g), (r * g, g * g), (g, r * IntPoly2.monomial(2, 1))):
+        got, expected = sp(_poly_gcd_generic(a, b)), sympy.gcd(sp(a), sp(b))
+        assert sympy.expand(got - expected) == 0 or sympy.expand(got + expected) == 0
+
+
 @functools.cache
 def cyclo(m: int) -> IntPoly2:
     """Phi_m from sympy, so the tests do not lean on bqt.factored."""
@@ -233,6 +246,76 @@ def test_factored_divexact_inexact_raises():
             poly_divexact(a, b)
         with pytest.raises(ExactDivisionError):
             _poly_divexact_generic(fresh(a), fresh(b))
+
+
+@given(polys().filter(lambda p: not p.is_zero()), factored_polys())
+@settings(max_examples=60, deadline=None)
+def test_cancel_by_fac_matches_generic_gcd_then_divexact(r, g):
+    # r alone, r times g (a gcd of g at least) and r times g^2 (Phi_m to a
+    # higher power than the divisor holds)
+    for p in (r, fresh(r * g), fresh(r * g * g)):
+        gcd, quo = cancel_by_fac(p.terms, factored(g).fac)
+        expected = _poly_gcd_generic(p, g)
+        assert _from_fac(gcd).terms == expected.terms
+        if expected.is_one():
+            assert quo is None
+        else:
+            assert quo == _poly_divexact_generic(p, expected).terms
+
+
+@st.composite
+def factored_scalars(draw):
+    """Scalars over a factored denominator, as the seminormal tables hold."""
+    return QtScalar.fraction(draw(polys()), factored(draw(factored_polys())))
+
+
+@st.composite
+def lincomb_groups(draw):
+    """1-4 (c, m) pairs; sometimes with each product's negation, so the sum is 0."""
+    pairs = draw(st.lists(st.tuples(factored_scalars(), factored_scalars()), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs + [(-c, m) for c, m in pairs]))
+    return pairs
+
+
+def fold(pairs):
+    out = ZERO
+    for c, m in pairs:
+        out = out + c * m
+    return out
+
+
+@given(lincomb_groups())
+@settings(max_examples=60, deadline=None)
+def test_lincomb_equals_the_sequential_fold(pairs):
+    got = QT.lincomb(pairs)
+    assert got == fold(pairs)
+    assert str(got) == str(fold(pairs))
+
+
+def test_lincomb_outside_the_base_takes_the_fold(monkeypatch):
+    lifts = []
+    monkeypatch.setattr("bqt.scalars.fac_lcm", lambda facs: lifts.append(facs) or fac_lcm(facs))
+    a, b = parse_scalar("(q + 1)/(q^2 + q + 1)"), parse_scalar("q/(q + 1)^2")
+    mixed = parse_scalar("(q^2 - t)/(1 - q*t)")
+    assert QT.lincomb([(a, b), (b, a)]) == fold([(a, b), (b, a)])
+    assert len(lifts) == 1
+    for pairs in ([(a, b), (mixed, a)], [(a, mixed), (b, a), (-a, mixed)]):
+        assert QT.lincomb(pairs) == fold(pairs)
+        assert str(QT.lincomb(pairs)) == str(fold(pairs))
+    assert QT.lincomb([(mixed, a), (-mixed, a)]) == ZERO
+    assert len(lifts) == 1
+
+
+@given(lincomb_groups())
+@settings(max_examples=30, deadline=None)
+def test_modp_convert_commutes_with_lincomb(pairs):
+    f = ModPField(P, 1234567, 7654321)
+    try:
+        converted = [(f.convert(c), f.convert(m)) for c, m in pairs]
+    except PoleAtPoint:
+        return
+    assert f.convert(QT.lincomb(pairs)) == f.lincomb(converted)
 
 
 def test_interned_factorizations_expand_to_their_terms():
