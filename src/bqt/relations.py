@@ -624,7 +624,7 @@ def check_theta_eigenvalues(lam, n: int, ring=QT) -> RelationReport:
     return run_suite(
         ((tau, i) for tau in M.tableaux for i in range(1, n + 1)),
         evaluate,
-        lambda case, got: {"tableau": case[0].to_obj(), "entry": case[1], **(got or {})},
+        lambda case, got: {"tableau": case[0].to_obj(), "entry": case[1], **got},
         relation_id="aux_theta_eigen",
         anchor="theta_i(e_tau) = q^(content of i in tau) e_tau",
         realization={"module": "seed", "shape": list(lam), "n": n},
