@@ -13,13 +13,19 @@ memoized); the engine checks indices, derives
 T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation, memoizes the
 per-key images, and applies an image table to a vector: the products c * m
 that land on one output key are gathered and summed by the ring's lincomb,
-so each output coefficient is reduced once.  Cherednik's
+so each output coefficient is reduced once.
+
+Every operator derived from the generators goes through one more table.
+apply_derived(v, op, arg) takes op(M, w, arg), the operator's definition on
+whole vectors, and builds the image of a key the first time it is needed by
+running op on the key's basis vector; every later application reads that
+image.  Each such operator is linear on the whole module, so the linear
+extension is exact.  The operators tabled this way are Cherednik's
 
     Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}
 
-is a table too: the image of a key is built on first use by running that
-chain of the realization's own apply_Ti_inv/apply_pi/apply_Ti on the key's
-basis vector, and every later Y_i application reads it.
+(bqt.polyrep) and the flavored z_i, d_+ and d_- (bqt.lspaces).  eps_k is
+not tabled: its images are large and rarely reused.
 
 Every table entry stores its scalar through a per-realization pool keyed by
 the scalar's structure (scalar.pool_key()), so equal coefficients are one
@@ -149,7 +155,7 @@ class KeyedRealization:
         self._ti_memo: dict[tuple, tuple] = {}
         self._tinv_memo: dict[tuple, tuple] = {}
         self._pi_memo: dict = {}
-        self._y_memo: dict[tuple, tuple] = {}
+        self._derived_memo: dict[tuple, tuple] = {}
         self._pool: dict = {}
         self.cache: dict = {}
 
@@ -192,22 +198,20 @@ class KeyedRealization:
             hit = self._pi_memo[key] = self._interned(self._pi_image(key))
         return hit
 
-    def _y_table(self, i: int, key) -> tuple:
-        """q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1} of one key."""
-        hit = self._y_memo.get((i, key))
+    def _derived_table(self, op, arg, key) -> tuple:
+        """op(self, basis vector of key, arg) as a table entry, built on first use."""
+        hit = self._derived_memo.get((op, arg, key))
         if hit is None:
-            ring = self.ring
-            w = self._vec({key: ring.one})
-            for j in range(i, self.n):
-                w = self.apply_Ti_inv(w, j)
-            w = self.apply_pi(w)
-            for j in range(1, i):
-                w = self.apply_Ti(w, j)
-            c = ring.q_power(self.n - i + 1)
-            hit = self._y_memo[(i, key)] = self._interned(
-                (k, m * c) for k, m in w.coeffs.items()
-            )
+            img = op(self, self._vec({key: self.ring.one}), arg)
+            hit = self._derived_memo[(op, arg, key)] = self._interned(img.coeffs.items())
         return hit
+
+    def apply_derived(self, v, op, arg):
+        """op(self, v, arg) for a linear op, by linear extension of its per-key images.
+
+        Callers check arg before the call, so a bad argument stores nothing.
+        """
+        return self._apply_table(v, self._derived_table, op, arg)
 
     def _apply_table(self, v, table, *args):
         """Linear extension of a per-key table: table(*args, key) per key of v."""

@@ -4,9 +4,12 @@ Vectors are plain dicts from hashable, mutually comparable keys to scalars.
 RowBasis keeps a reduced echelon family with a cost-aware pivot rule: when a
 new row is inserted its pivot is the entry whose coefficient has the
 smallest (numerator degree, term count) footprint, which keeps the rational
-function entries from blowing up during elimination.  All choices are
-deterministic, so ranks, coordinates, and solved combinations are
-reproducible run to run.
+function entries from blowing up during elimination.  Rows are kept as
+reduced, not divided by their pivot coefficient; eliminating by a row
+divides only the coefficient it cancels by that pivot coefficient, which
+gives the same exact results as normalized rows without a product per row
+entry.  All choices are deterministic, so ranks, coordinates, and solved
+combinations are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 class RowBasis:
     """Growing echelon basis with coordinate tracking.
 
-    Each stored row is (pivot_key, entries, coords) where entries has
-    pivot coefficient one and coords expresses the row in terms of the
-    inserted vectors.
+    Each stored row is (pivot_key, entries, coords) where entries is the
+    inserted vector as reduced, entries[pivot_key] its pivot coefficient,
+    and coords expresses the row in terms of the inserted vectors.
     """
 
     def __init__(self):
@@ -34,6 +37,7 @@ class RowBasis:
             c = vec.get(pivot)
             if c is None or c.is_zero():
                 continue
+            c = c / row[pivot]
             for k, v in row.items():
                 cur = vec.get(k)
                 s = -(c * v) if cur is None else cur - c * v
@@ -62,10 +66,7 @@ class RowBasis:
         if not vec:
             return False
         pivot = min(vec, key=lambda k: (*vec[k].pivot_cost(), k))
-        inv = vec[pivot].inverse()
-        row = {k: v * inv for k, v in vec.items()}
-        coords = {j: v * inv for j, v in coords.items()}
-        self.rows.append((pivot, row, coords))
+        self.rows.append((pivot, vec, coords))
         return True
 
     def residual(self, vec: dict) -> dict:

@@ -16,6 +16,14 @@ The degree-raising endomorphism phi is computed as the commutator
 [d_plus, d_minus]/(q-1) and cross-checked on every call against its closed
 form q^{k-1} X_1 T_1^{-1} .. T_{k-1}^{-1}; disagreement raises.
 
+z_i, d_plus and d_minus are linear maps on the whole module, so each is
+applied through the realization's derived-operator table (see bqt.keyed):
+z_chain, dplus_chain and dminus_chain give an operator on whole vectors,
+and the table runs it once per basis key and argument.  phi's closed form
+is dplus_chain at k-1, so it reads the same table.  Every public operator
+checks its index or flavor before it reaches a table, so a bad argument
+stores nothing.
+
 Spanning sets are cached per realization.  The tail_sorted variant keeps
 only basis monomials whose tail exponents weakly decrease; straightening
 by the tail braid action shows the span is unchanged, and
@@ -200,28 +208,41 @@ def t_action(M, lv: LVector, i: int) -> LVector:
     return LVector(lv.k, M.apply_Ti(lv.payload, _t_index(lv, i)))
 
 
+def z_chain(M, v, i: int):
+    """Y_i v / (qt), through the Y_i table."""
+    ring = M.ring
+    return apply_Y(M, v, i).scale(ring.q_power(-1) * ring.t_power(-1))
+
+
+def dplus_chain(M, v, k: int):
+    """q^k X_1 T_1^{-1}..T_k^{-1} v: d_plus from flavor k, phi's closed form on flavor k+1."""
+    return apply_x1_tinv_chain(M, v, k).scale(M.ring.q_power(k))
+
+
+def dminus_chain(M, v, k: int):
+    """(q-1)(v + q T_k^{-1} v + ... + q^(n-k) T_{n-1}^{-1}..T_k^{-1} v)."""
+    ring = M.ring
+    return tinv_chain_sum(M, v, k).scale(ring.q - ring.one)
+
+
 def z_action(M, lv: LVector, i: int) -> LVector:
     if not 1 <= i <= lv.k:
         raise IndexOutOfRange(f"z index {i} outside 1..{lv.k}")
-    ring = M.ring
-    w = apply_Y(M, lv.payload, i)
-    return LVector(lv.k, w.scale(ring.q_power(-1) * ring.t_power(-1)))
+    return LVector(lv.k, M.apply_derived(lv.payload, z_chain, i))
 
 
 def d_plus(M, lv: LVector) -> LVector:
     k = lv.k
     if k >= M.n:
         raise FlavorAtMax(f"no flavor {k + 1} inside rank {M.n}")
-    w = apply_x1_tinv_chain(M, lv.payload, k)
-    return LVector(k + 1, w.scale(M.ring.q_power(k)))
+    return LVector(k + 1, M.apply_derived(lv.payload, dplus_chain, k))
 
 
 def d_minus(M, lv: LVector) -> LVector:
     k = lv.k
     if k == 0:
         raise FlavorAtMin("lowering operator undefined at flavor 0")
-    ring = M.ring
-    return LVector(k - 1, tinv_chain_sum(M, lv.payload, k).scale(ring.q - ring.one))
+    return LVector(k - 1, M.apply_derived(lv.payload, dminus_chain, k))
 
 
 def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
@@ -230,8 +251,7 @@ def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
     k = lv.k
     comm = d_plus(M, d_minus(M, lv)).sub(d_minus(M, d_plus(M, lv)))
     comm = comm.scale(ring.one / (ring.q - ring.one))
-    closed = LVector(k, apply_x1_tinv_chain(M, lv.payload, k - 1).scale(ring.q_power(k - 1)))
-    return comm, closed
+    return comm, LVector(k, M.apply_derived(lv.payload, dplus_chain, k - 1))
 
 
 def phi_action(M, lv: LVector) -> LVector:

@@ -13,8 +13,8 @@ remainder raises, it is never truncated).  T_i^{-1} comes from the quadratic
 relation as q^{-1}(T_i + (q-1)).
 
 Everything above the primitives is generic over any realization exposing
-the same surface: Y_i (read from the realization's per-key table, which
-bqt.keyed builds from these primitives), the partial symmetrizers
+the same surface: Y_i (read from the realization's derived-operator table,
+which bqt.keyed builds from y_chain on first use), the partial symmetrizers
 eps_k (computed by the telescoping right-to-left recursion, not the
 factorial-size coset sum), the affine intertwiner word X_1 T_1^{-1} ... and
 formal generator words applied right to left.
@@ -122,6 +122,7 @@ class ModuleRealization(Protocol):
     def apply_Ti_inv(self, v, i: int): ...
     def apply_pi(self, v): ...
     def apply_Xi(self, v, i: int): ...
+    def apply_derived(self, v, op, arg): ...
     def contains_key(self, key) -> bool: ...
 
 
@@ -287,11 +288,22 @@ class PolyRealization(KeyedRealization):
 # ---------------------------------------------------------------------------
 
 
+def y_chain(M: ModuleRealization, v, i: int):
+    """q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1} v, generator by generator."""
+    w = v
+    for j in range(i, M.n):
+        w = M.apply_Ti_inv(w, j)
+    w = M.apply_pi(w)
+    for j in range(1, i):
+        w = M.apply_Ti(w, j)
+    return w.scale(M.ring.q_power(M.n - i + 1))
+
+
 def apply_Y(M: ModuleRealization, v, i: int):
-    """Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}, through its per-key table."""
+    """Y_i, through the per-key table of y_chain."""
     if not 1 <= i <= M.n:
         raise IndexOutOfRange(f"Y index {i} outside 1..{M.n}")
-    return M._apply_table(v, M._y_table, i)
+    return M.apply_derived(v, y_chain, i)
 
 
 def apply_epsilon(M: ModuleRealization, v, k: int):

@@ -635,10 +635,7 @@ class QtScalar:
             raise ZeroDenominator("denominator is the zero polynomial")
         if num.is_zero():
             return ZERO
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
+        num, den = _cancel(num, den)
         if den.leading_coeff() < 0:
             num, den = -num, -den
         return cls(num, den)

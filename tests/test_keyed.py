@@ -1,20 +1,33 @@
-"""The keyed generator-table engine: per-key Y_i tables and the scalar pool.
+"""The keyed generator-table engine: derived-operator tables and the scalar pool.
 
-The tabled Y_i is checked against the primitive word it stands for, applied
-generator by generator through apply_word, on random vectors of all three
-realizations over Q(q,t) and over a prime field.  Table application, which
-sums the products landing on one key through ring.lincomb, is checked against
-adding the products one by one.
+Each tabled operator is checked against the primitive word it stands for,
+applied generator by generator through apply_word: Y_i on random vectors of
+all three realizations, and z_i, d_+ and d_- on flavored spanning vectors of
+polynomial modules, over Q(q,t) and over a prime field.  A bad index or
+flavor must raise before any table entry is stored.  Table application,
+which sums the products landing on one key through ring.lincomb, is checked
+against adding the products one by one.
 """
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bqt.errors import FlavorAtMax, IndexOutOfRange
 from bqt.induced import InducedRealization
 from bqt.keyed import accumulate
-from bqt.polyrep import PolyRealization, apply_word, apply_Y
+from bqt.lspaces import (
+    FLAVORED_ALPHABET,
+    LVector,
+    d_minus,
+    d_plus,
+    lk_spanning_set,
+    t_action,
+    z_action,
+)
+from bqt.polyrep import PolyRealization, apply_word, apply_Y, y_chain
 from bqt.relations import check_daha_relations
 from bqt.scalars import QT, ModPField
 from bqt.tableaux import SeedRealization
@@ -90,7 +103,7 @@ def fold_table(M, v, table, *args):
 @settings(max_examples=40, deadline=None)
 def test_table_application_equals_the_product_by_product_sum(case):
     M, v, i = case
-    tables = [(M._y_table, i)]
+    tables = [(M._derived_table, y_chain, i)]
     if i < M.n:
         tables += [(M._ti_table, i), (M._tinv_table, i)]
     for table, *args in tables:
@@ -103,12 +116,87 @@ def test_equal_table_scalars_are_one_object():
     for ring in RINGS.values():
         M = InducedRealization((1,), 3, ring)
         assert all(r.status == "pass" for r in check_daha_relations(M, 1))
-        assert M._y_memo
+        assert any(op is y_chain for op, _, _ in M._derived_memo)
         for R in (M, M.seed):
-            tables = (R._ti_memo, R._tinv_memo, R._pi_memo, R._y_memo)
+            tables = (R._ti_memo, R._tinv_memo, R._pi_memo, R._derived_memo)
             scalars = [c for t in tables for entry in t.values() for _, c in entry]
             objects_by_text: dict = {}
             for c in scalars:
                 objects_by_text.setdefault(str(c), set()).add(id(c))
             assert all(len(ids) == 1 for ids in objects_by_text.values())
             assert len(objects_by_text) < len(scalars)
+
+
+def tinv_run(a: int, b: int) -> tuple:
+    """T_b^{-1} .. T_a^{-1} as a word (T_a^{-1} applied first); empty when b < a."""
+    return tuple(("Tinv", j) for j in range(b, a - 1, -1))
+
+
+def z_word(n: int, i: int, ring) -> tuple:
+    return (("Scalar", ring.q_power(-1) * ring.t_power(-1)),) + y_word(n, i, ring)
+
+
+def dplus_word(k: int, ring) -> tuple:
+    """q^k X_1 T_1^{-1} .. T_k^{-1}."""
+    return (("Scalar", ring.q_power(k)), ("X", 1)) + tuple(("Tinv", j) for j in range(1, k + 1))
+
+
+def dminus_words(n: int, k: int, ring) -> list:
+    """(q-1) q^r T_{k+r-1}^{-1} .. T_k^{-1} for r = 0 .. n-k; d_- is their sum."""
+    qm1 = ring.q - ring.one
+    return [(("Scalar", qm1 * ring.q_power(r)),) + tinv_run(k, k + r - 1) for r in range(n - k + 1)]
+
+
+@st.composite
+def flavored_vectors(draw):
+    n = draw(st.integers(1, 4))
+    ring_name = draw(st.sampled_from(sorted(RINGS)))
+    M = realization("poly", (), n, ring_name)
+    ring = M.ring
+    k = draw(st.integers(0, n))
+    d = k + draw(st.integers(0, 1 if n == 4 else 2))
+    span = lk_spanning_set(M, k, d)
+    picks = draw(st.lists(st.sampled_from(span), min_size=1, max_size=3))
+    payload = M.zero()
+    for lv in picks:
+        c = ring.from_int(draw(st.integers(-3, 3))) * ring.q_power(draw(st.integers(-1, 1)))
+        payload = payload.add(lv.payload.scale(c))
+    return M, LVector(k, payload)
+
+
+@given(flavored_vectors())
+@settings(max_examples=60, deadline=None)
+def test_tabled_flavored_operators_equal_their_primitive_words(case):
+    M, lv = case
+    n, k, ring, v = M.n, lv.k, M.ring, lv.payload
+    for i in range(1, k + 1):
+        assert z_action(M, lv, i) == LVector(k, apply_word(M, v, z_word(n, i, ring)))
+    if k < n:
+        assert d_plus(M, lv) == LVector(k + 1, apply_word(M, v, dplus_word(k, ring)))
+    if k >= 1:
+        total = M.zero()
+        for word in dminus_words(n, k, ring):
+            total = total.add(apply_word(M, v, word))
+        assert d_minus(M, lv) == LVector(k - 1, total)
+
+
+def test_bad_index_or_flavor_raises_before_any_table_entry():
+    for ring in RINGS.values():
+        M = PolyRealization(3, ring)
+        (e,) = [b for b in M.basis(2) if b.coeffs == {(1, 1, 0): ring.one}]
+        lv = LVector(2, e)
+        bad = [
+            (IndexOutOfRange, lambda: z_action(M, lv, 3)),
+            (IndexOutOfRange, lambda: z_action(M, lv, 0)),
+            (IndexOutOfRange, lambda: t_action(M, lv, 2)),
+            (IndexOutOfRange, lambda: apply_word(M, lv, (("Tinv", 2),), FLAVORED_ALPHABET)),
+            (IndexOutOfRange, lambda: apply_Y(M, e, 4)),
+            (FlavorAtMax, lambda: d_plus(M, LVector(3, e))),
+        ]
+        for error, call in bad:
+            with pytest.raises(error):
+                call()
+        assert not (M._ti_memo or M._tinv_memo or M._pi_memo or M._derived_memo)
+        assert not M._pool
+        d_minus(M, lv)
+        assert M._derived_memo and M._tinv_memo
