@@ -127,11 +127,6 @@ def test_equal_table_scalars_are_one_object():
             assert len(objects_by_text) < len(scalars)
 
 
-def tinv_run(a: int, b: int) -> tuple:
-    """T_b^{-1} .. T_a^{-1} as a word (T_a^{-1} applied first); empty when b < a."""
-    return tuple(("Tinv", j) for j in range(b, a - 1, -1))
-
-
 def z_word(n: int, i: int, ring) -> tuple:
     return (("Scalar", ring.q_power(-1) * ring.t_power(-1)),) + y_word(n, i, ring)
 
@@ -144,7 +139,10 @@ def dplus_word(k: int, ring) -> tuple:
 def dminus_words(n: int, k: int, ring) -> list:
     """(q-1) q^r T_{k+r-1}^{-1} .. T_k^{-1} for r = 0 .. n-k; d_- is their sum."""
     qm1 = ring.q - ring.one
-    return [(("Scalar", qm1 * ring.q_power(r)),) + tinv_run(k, k + r - 1) for r in range(n - k + 1)]
+    return [
+        (("Scalar", qm1 * ring.q_power(r)),) + tuple(("Tinv", j) for j in range(k + r - 1, k - 1, -1))
+        for r in range(n - k + 1)
+    ]
 
 
 @st.composite
