@@ -271,10 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(args) -> None:
+    """ValueError when --dmax, --kmax or --jobs is negative."""
+    for name in ("dmax", "kmax", "jobs"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name} must be nonnegative, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         if getattr(args, "jobs", None) is None and args.command == "check":
             args.jobs = _default_jobs()
         return args.func(args)

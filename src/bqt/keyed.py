@@ -28,11 +28,29 @@ extension is exact.  The operators tabled this way are Cherednik's
 not tabled: its images are large and rarely reused.
 
 Every table entry stores its scalar through a per-realization pool keyed by
-the scalar's structure (scalar.pool_key()), so equal coefficients are one
-object however many keys and tables they occur in.
+scalar.pool_key(), so equal coefficients are one object however many keys
+and tables they occur in.
+
+The vector operations that do scalar work compute each distinct result once
+per call, keyed by scalar.value_key(): like pool_key() it is equal exactly
+when the scalars are, and it is quicker to build but larger to keep, so the
+long-lived pool keeps the compact key.  scale forms one product per
+distinct coefficient value and add and sub one sum per distinct pair of
+values.  Table application replaces equal input coefficients by one of
+them, and sums the (c, m) pairs of an output key only if no earlier output
+key of the same call had the same pair objects; with a single input
+coefficient it forms one product per distinct table scalar.  Equal results
+come out as one object.  These memos are local variables of the call and
+are dropped when it returns, so nothing grows across calls.  A memo key may
+hold the id() of a scalar only while the memo or the call's inputs keep
+that scalar alive: the input vector holds the canonical coefficients and
+the tables hold the pooled ones.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import chain
 
 from .errors import IndexOutOfRange
 from .scalars import parse_scalar
@@ -99,17 +117,30 @@ class SparseVec:
             return self
         if not self.coeffs:
             return other
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            accumulate(out, k, c)
-        return self._like(out)
+        return self._merged(other, False)
 
     def sub(self, other):
         if not other.coeffs:
             return self
+        return self._merged(other, True)
+
+    def _merged(self, other, negate: bool):
+        """self + other, or self - other when negate; one sum per distinct pair of values."""
         out = dict(self.coeffs)
+        memo: dict = {}
         for k, c in other.coeffs.items():
-            accumulate(out, k, -c)
+            cur = out.get(k)
+            if cur is None and not negate:
+                out[k] = c
+                continue
+            vkey = (None if cur is None else cur.value_key(), c.value_key())
+            s = memo.get(vkey)
+            if s is None:
+                s = memo[vkey] = (-c if cur is None else cur - c) if negate else cur + c
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
         return self._like(out)
 
     def scale(self, c):
@@ -117,7 +148,21 @@ class SparseVec:
             return self._like({})
         if c.is_one():
             return self
-        return self._like({k: v * c for k, v in self.coeffs.items()})
+        coeffs = self.coeffs
+        if len(coeffs) == 1:
+            return self._like({k: v * c for k, v in coeffs.items()})
+        classes: dict = {}
+        for k, v in coeffs.items():
+            classes.setdefault(v.value_key(), []).append(k)
+        # the value keys are dropped before any product is formed, so the
+        # short-lived keys and the products do not share memory pages
+        classes = list(classes.values())
+        out = dict.fromkeys(coeffs)
+        for ks in classes:
+            p = coeffs[ks[0]] * c
+            for k in ks:
+                out[k] = p
+        return self._like(out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -214,15 +259,46 @@ class KeyedRealization:
         return self._apply_table(v, self._derived_table, op, arg)
 
     def _apply_table(self, v, table, *args):
-        """Linear extension of a per-key table: table(*args, key) per key of v."""
+        """Linear extension of a per-key table: table(*args, key) per key of v.
+
+        Equal input coefficients are replaced by one of them, and table
+        scalars are pooled, so two output keys whose (c, m) pairs are the
+        same objects get the same sum; it is computed once.  The ids in a
+        signature are those of objects that v and the tables hold alive.
+        """
+        coeffs = v.coeffs
+        if len(coeffs) == 1:
+            # every group is one pair (c, m) with the same c
+            ((key, c),) = coeffs.items()
+            products: dict = {}
+            out = {}
+            for k2, m in table(*args, key):
+                s = products.get(id(m))
+                if s is None:
+                    s = products[id(m)] = c * m
+                if not s.is_zero():
+                    out[k2] = s
+            return self._vec(out)
+        canon: dict = {}
         groups: dict = {}
-        for key, c in v.coeffs.items():
+        for key, c in coeffs.items():
+            c = canon.setdefault(c.value_key(), c)
             for k2, m in table(*args, key):
                 groups.setdefault(k2, []).append((c, m))
         lincomb = self.ring.lincomb
+        sums: dict = {}
         out = {}
         for k2, pairs in groups.items():
-            s = lincomb(pairs)
+            if len(pairs) == 1:
+                ((c, m),) = pairs
+                sig = (id(c), id(m))
+            else:
+                # one bytes object: a tuple of fresh int objects per group
+                # raised the peak RSS
+                sig = array("Q", map(id, chain.from_iterable(pairs))).tobytes()
+            s = sums.get(sig)
+            if s is None:
+                s = sums[sig] = lincomb(pairs)
             if not s.is_zero():
                 out[k2] = s
         return self._vec(out)

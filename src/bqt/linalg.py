@@ -77,10 +77,12 @@ class RowBasis:
         return not self.residual(vec)
 
     def solve(self, vec: dict) -> dict[int, object] | None:
-        """Coordinates of vec in terms of the inserted vectors, or None.
+        """Coordinates of vec in the span of the accepted vectors, or None.
 
-        Only meaningful when every offered vector was accepted (independent
-        family); the returned map sends insertion index to coefficient.
+        The returned map sends the insertion index of an accepted vector to
+        its coefficient.  A vector that insert() rejected as dependent gets
+        no entry, so when some offers were dependent the result is the one
+        solution over the first independent subfamily in insertion order.
         """
         res, coords = self._reduce(vec, {})
         if any(not v.is_zero() for v in res.values()):

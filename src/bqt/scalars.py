@@ -734,13 +734,23 @@ class QtScalar:
 
         One flat tuple, the smallest such key to keep: the numerator's term
         count, then (eq, et, coeff) of each numerator and each denominator
-        term in sorted order.
+        term in sorted order.  It keys the long-lived table pool; the
+        per-call memos use value_key(), quicker to build but larger.
         """
         key = [len(self.num.terms)]
         for poly in (self.num, self.den):
             for (eq, et), c in sorted(poly.terms.items()):
                 key += (eq, et, c)
         return tuple(key)
+
+    def value_key(self):
+        """Hashable key, equal exactly when the scalars are equal.
+
+        The numerator's terms as a set, and the denominator's factorization
+        over the factored base, or its terms as a set outside the base.
+        """
+        den = self.den
+        return (frozenset(self.num.terms.items()), _fac(den) or frozenset(den.terms.items()))
 
     def pivot_cost(self) -> tuple[int, int]:
         """Row-reduction footprint: numerator total degree and term count."""
@@ -1037,6 +1047,8 @@ class ModPScalar:
     def pool_key(self) -> int:
         """Hashable key, equal exactly when the scalars (of one field) are equal."""
         return self.value
+
+    value_key = pool_key
 
     def pivot_cost(self) -> tuple[int, int]:
         """Row-reduction footprint: prime-field scalars are all equally cheap."""

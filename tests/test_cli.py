@@ -248,33 +248,50 @@ def test_act_rejects_vector_of_another_module(capsys, tmp_path, module_args, pay
     assert "error: vector of space" in err
 
 
+CHECK_POLY2 = ["--module", "poly", "--n", "2"]
+
+
 @pytest.mark.parametrize(
-    "word, payload, env",
+    "word, payload, env, argv",
     [
-        ('[["T"]]', POLY2, None),
-        ("[1]", POLY2, None),
-        ('[["X","1"]]', POLY2, None),
-        ('[["z"]]', {"flavor": 0, "vector": POLY2}, None),
-        ('[["X",1]]', {"rank": 2}, None),
-        ('[["X",1]]', {"flavor": None, "vector": POLY2}, None),
-        (None, None, "x"),
+        ('[["T"]]', POLY2, None, None),
+        ("[1]", POLY2, None, None),
+        ('[["X","1"]]', POLY2, None, None),
+        ('[["z"]]', {"flavor": 0, "vector": POLY2}, None, None),
+        ('[["X",1]]', {"rank": 2}, None, None),
+        ('[["X",1]]', {"flavor": None, "vector": POLY2}, None, None),
+        (None, None, "x", None),
+        (None, None, None, ["check", "daha", *CHECK_POLY2, "--dmax", "-1"]),
+        (None, None, None, ["check", "daha", *CHECK_POLY2, "--jobs", "-3"]),
+        (None, None, None, ["check", "bqt", *CHECK_POLY2, "--kmax", "-1"]),
+        (None, None, None, ["check", "bqt", *CHECK_POLY2, "--dmax", "-2"]),
+        (None, None, None, ["limit", "--kmax", "-1"]),
+        (None, None, None, ["limit", "--dmax", "-1"]),
+        (None, None, None, ["dims", "--kmax", "-1"]),
+        (None, None, None, ["dims", "--dmax", "-1"]),
     ],
     ids=["T_without_index", "bare_int", "string_index", "z_without_index",
-         "vector_without_entries", "flavor_not_int", "BQT_JOBS_not_int"],
+         "vector_without_entries", "flavor_not_int", "BQT_JOBS_not_int",
+         "check_dmax_negative", "check_jobs_negative", "check_kmax_negative",
+         "check_bqt_dmax_negative", "limit_kmax_negative", "limit_dmax_negative",
+         "dims_kmax_negative", "dims_dmax_negative"],
 )
 def test_malformed_input_exits_2_with_message(
-    capsys, tmp_path, monkeypatch, word, payload, env
+    capsys, tmp_path, monkeypatch, word, payload, env, argv
 ):
-    if env is None:
+    if env is not None:
+        monkeypatch.setenv("BQT_JOBS", env)
+        argv = ["check", "daha", *CHECK_POLY2, "--dmax", "1"]
+    elif argv is None:
         vec = tmp_path / "vec.json"
         vec.write_text(json.dumps(payload))
-        argv = ["act", "--module", "poly", "--n", "2", "--word", word, "--in", str(vec)]
-    else:
-        monkeypatch.setenv("BQT_JOBS", env)
-        argv = ["check", "daha", "--module", "poly", "--n", "2", "--dmax", "1"]
-    code, _, err = run(capsys, *argv)
+        argv = ["act", *CHECK_POLY2, "--word", word, "--in", str(vec)]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+    if word is None and env is None:
+        assert out == ""
+        assert f"error: {argv[-2]} must be nonnegative, got {argv[-1]}" in err
 
 
 CONST2 = {"rank": 2, "entries": [{"exponents": [0, 0], "coeff": "1"}]}

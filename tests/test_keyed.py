@@ -7,6 +7,13 @@ polynomial modules, over Q(q,t) and over a prime field.  A bad index or
 flavor must raise before any table entry is stored.  Table application,
 which sums the products landing on one key through ring.lincomb, is checked
 against adding the products one by one.
+
+Table application, scale, add and sub compute one scalar result per distinct
+coefficient value inside one call.  They are checked against the plain
+product-by-product fold on vectors whose equal coefficients are distinct
+objects, value keys are checked to be equal exactly when the scalars are,
+and a repeated application must leave every table, the pool and the
+realization's attributes as they were.
 """
 
 from functools import lru_cache
@@ -29,7 +36,7 @@ from bqt.lspaces import (
 )
 from bqt.polyrep import PolyRealization, apply_word, apply_Y, y_chain
 from bqt.relations import check_daha_relations
-from bqt.scalars import QT, ModPField
+from bqt.scalars import QT, ModPField, parse_scalar
 from bqt.tableaux import SeedRealization
 
 RINGS = {"qt": QT, "modp": ModPField(2**31 - 1, 5, 7)}
@@ -198,3 +205,99 @@ def test_bad_index_or_flavor_raises_before_any_table_entry():
         assert not M._pool
         d_minus(M, lv)
         assert M._derived_memo and M._tinv_memo
+
+
+# equal values in different forms, numerators shared across denominators,
+# and a denominator outside the factored base
+VALUE_TEXTS = [
+    "1", "q/q", "-1", "t", "t/q", "t/(1 + q)", "t*q/(q + q^2)", "q - 1", "(q^2 - 1)/(q + 1)",
+    "1/(q + 1)", "(q^2 - t)/(1 - q*t)", "(t - q^2)/(q*t - 1)", "(q^2 - t)/(1 + q)",
+]
+
+
+def fresh_scalar(ring, text: str):
+    """A new scalar object of the given value, never one shared with another call."""
+    s = parse_scalar(text)
+    return s if ring is QT else ring.convert(s)
+
+
+@st.composite
+def twin_coefficient_vectors(draw):
+    """(M, v, w, c, i): v and w share keys, and equal coefficients are distinct objects."""
+    kind, lam, n, dmax = draw(st.sampled_from(MODULES))
+    M = realization(kind, lam, n, draw(st.sampled_from(sorted(RINGS))))
+    basis = sorted({k for d in range(dmax + 1) for b in M.basis(d) for k in b.coeffs}, key=repr)
+    texts = st.sampled_from(VALUE_TEXTS)
+
+    def vec():
+        keys = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=6, unique=True))
+        return M._vec({k: fresh_scalar(M.ring, draw(texts)) for k in keys})
+
+    return M, vec(), vec(), fresh_scalar(M.ring, draw(texts)), draw(st.integers(1, n))
+
+
+def folded(v, items):
+    """dict(v.coeffs) with each (key, scalar) of items added by accumulate."""
+    out = dict(v.coeffs)
+    for k, c in items:
+        accumulate(out, k, c)
+    return v._like(out)
+
+
+def assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+
+
+@given(twin_coefficient_vectors())
+@settings(max_examples=80, deadline=None)
+def test_memoized_vector_ops_equal_the_plain_fold(case):
+    M, v, w, c, i = case
+    assert_same(v.scale(c), v._like({k: x * c for k, x in v.coeffs.items()}))
+    assert_same(v.add(w), folded(v, w.coeffs.items()))
+    assert_same(v.sub(w), folded(v, ((k, -x) for k, x in w.coeffs.items())))
+    assert_same(v.sub(v), M.zero())
+    tables = [(M._derived_table, y_chain, i)]
+    if i < M.n:
+        tables += [(M._ti_table, i), (M._tinv_table, i)]
+    for table, *args in tables:
+        assert_same(M._apply_table(v, table, *args), fold_table(M, v, table, *args))
+    # one product per distinct value: equal products are one object
+    if not c.is_one():
+        scaled = v.scale(c).coeffs.values()
+        assert len({id(x) for x in scaled}) == len({str(x) for x in scaled})
+
+
+@given(st.sampled_from(VALUE_TEXTS), st.sampled_from(VALUE_TEXTS), st.sampled_from(sorted(RINGS)))
+@settings(max_examples=200, deadline=None)
+def test_value_and_pool_keys_are_equal_exactly_when_the_values_are(a, b, ring_name):
+    ring = RINGS[ring_name]
+    x, y = fresh_scalar(ring, a), fresh_scalar(ring, b)
+    assert (x.value_key() == y.value_key()) == (x == y)
+    assert (x.pool_key() == y.pool_key()) == (x == y)
+    if ring is QT:
+        assert (x == y) == (str(x) == str(y))
+
+
+def table_state(M) -> list:
+    """Sizes of every table and pool of M (and of its seed), and M's attribute names."""
+    out = []
+    for R in (M, getattr(M, "seed", None)):
+        if R is not None:
+            memos = (R._ti_memo, R._tinv_memo, R._pi_memo, R._derived_memo, R._pool, R.cache)
+            out += [sorted(vars(R)), [len(t) for t in memos]]
+    return out
+
+
+@given(twin_coefficient_vectors())
+@settings(max_examples=40, deadline=None)
+def test_application_on_warm_tables_leaves_the_realization_as_it_was(case):
+    M, v, w, c, i = case
+    ops = [lambda: apply_Y(M, v, i), lambda: v.scale(c).add(w).sub(v)]
+    if i < M.n:
+        ops += [lambda: M.apply_Ti(v, i), lambda: M.apply_Ti_inv(v, i)]
+    for op in ops:
+        first = op()
+        before = table_state(M)
+        assert_same(op(), first)
+        assert table_state(M) == before
