@@ -1,8 +1,8 @@
 """tools/bench_pairs.py: the summary of alternating parent/change pairs.
 
-The runs themselves are perfbench/run.py processes; these tests feed the
-record builder fabricated run results and check the medians, quartiles,
-ratios, pair counts and the claim verdict it writes.
+The runs themselves are perfbench/run.py processes; these tests feed
+record() fabricated run results and check the medians, quartiles, ratios,
+pair counts and the claim verdict it writes.
 """
 
 import importlib.util

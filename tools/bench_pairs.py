@@ -1,4 +1,4 @@
-"""Alternating parent/change benchmark pairs, written as a BENCH_<pr>.json.
+"""Alternating parent/change benchmark pairs, written as a BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pr N --title TEXT
         --seed S [--pairs 10] [--seconds 30] [--workloads W ...]
@@ -156,7 +156,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path)
     ap.add_argument("--change", required=True, type=Path)
-    ap.add_argument("--pr", required=True, type=int)
+    ap.add_argument("--pr", required=True, type=int,
+                    help="the change's number n in the BENCH_<n>.json series")
     ap.add_argument("--title", required=True)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", type=int, default=10)
