@@ -31,20 +31,26 @@ Every table entry stores its scalar through a per-realization pool keyed by
 scalar.pool_key(), so equal coefficients are one object however many keys
 and tables they occur in.
 
-The vector operations that do scalar work compute each distinct result once
-per call, keyed by scalar.value_key(): like pool_key() it is equal exactly
-when the scalars are, and it is quicker to build but larger to keep, so the
-long-lived pool keeps the compact key.  scale forms one product per
-distinct coefficient value and add and sub one sum per distinct pair of
-values.  Table application replaces equal input coefficients by one of
-them, and sums the (c, m) pairs of an output key only if no earlier output
-key of the same call had the same pair objects; with a single input
-coefficient it forms one product per distinct table scalar.  Equal results
-come out as one object.  These memos are local variables of the call and
-are dropped when it returns, so nothing grows across calls.  A memo key may
-hold the id() of a scalar only while the memo or the call's inputs keep
-that scalar alive: the input vector holds the canonical coefficients and
-the tables hold the pooled ones.
+The vector operations that do scalar work can compute each distinct result
+once per call, keyed by scalar.value_key(): like pool_key() it is equal
+exactly when the scalars are, and it is quicker to build but larger to keep,
+so the long-lived pool keeps the compact key.  add and sub form one sum per
+distinct pair of values.  Table application and scale take the memo only
+when two of the input's coefficients are one object: equal results of an
+earlier memoized call, or pooled table scalars, come out shared, so a shared
+object marks an input whose values repeat, and the check costs one set of
+ids.  On inputs with no shared object (most of the Y-heavy DAHA checks, and
+every single-coefficient input) values rarely repeat and the value keys and
+signatures cost more than they save, so those calls run the plain fold.
+With the memo, scale forms one product per distinct coefficient value, and
+table application replaces equal input coefficients by one of them and sums
+the (c, m) pairs of an output key only if no earlier output key of the same
+call had the same pair objects.  Equal results come out as one object.
+These memos are local variables of the call and are dropped when it
+returns, so nothing grows across calls.  A memo key may hold the id() of a
+scalar only while the memo or the call's inputs keep that scalar alive: the
+input vector holds the canonical coefficients and the tables hold the
+pooled ones.
 """
 
 from __future__ import annotations
@@ -83,6 +89,20 @@ def accumulate(out: dict, key, val) -> None:
             del out[key]
         else:
             out[key] = cur
+
+
+def _repeats(coeffs: dict) -> bool:
+    """Whether two of the coefficients are one object, the sign that values repeat."""
+    return len(coeffs) > 1 and len(set(map(id, coeffs.values()))) < len(coeffs)
+
+
+def _signature(pairs: list):
+    """The ids of the (c, m) objects of one output group, as a hashable key."""
+    if len(pairs) == 1:
+        ((c, m),) = pairs
+        return (id(c), id(m))
+    # one bytes object: a tuple of fresh int objects per group raised the peak RSS
+    return array("Q", map(id, chain.from_iterable(pairs))).tobytes()
 
 
 class SparseVec:
@@ -149,7 +169,7 @@ class SparseVec:
         if c.is_one():
             return self
         coeffs = self.coeffs
-        if len(coeffs) == 1:
+        if not _repeats(coeffs):
             return self._like({k: v * c for k, v in coeffs.items()})
         classes: dict = {}
         for k, v in coeffs.items():
@@ -261,44 +281,32 @@ class KeyedRealization:
     def _apply_table(self, v, table, *args):
         """Linear extension of a per-key table: table(*args, key) per key of v.
 
-        Equal input coefficients are replaced by one of them, and table
-        scalars are pooled, so two output keys whose (c, m) pairs are the
-        same objects get the same sum; it is computed once.  The ids in a
-        signature are those of objects that v and the tables hold alive.
+        When v's coefficients repeat an object, equal input coefficients are
+        replaced by one of them, and table scalars are pooled, so two output
+        keys whose (c, m) pairs are the same objects get the same sum; it is
+        computed once.  The ids in a signature are those of objects that v
+        and the tables hold alive.
         """
         coeffs = v.coeffs
-        if len(coeffs) == 1:
-            # every group is one pair (c, m) with the same c
-            ((key, c),) = coeffs.items()
-            products: dict = {}
-            out = {}
-            for k2, m in table(*args, key):
-                s = products.get(id(m))
-                if s is None:
-                    s = products[id(m)] = c * m
-                if not s.is_zero():
-                    out[k2] = s
-            return self._vec(out)
+        memo = _repeats(coeffs)
         canon: dict = {}
         groups: dict = {}
         for key, c in coeffs.items():
-            c = canon.setdefault(c.value_key(), c)
+            if memo:
+                c = canon.setdefault(c.value_key(), c)
             for k2, m in table(*args, key):
                 groups.setdefault(k2, []).append((c, m))
         lincomb = self.ring.lincomb
         sums: dict = {}
         out = {}
         for k2, pairs in groups.items():
-            if len(pairs) == 1:
-                ((c, m),) = pairs
-                sig = (id(c), id(m))
+            if memo:
+                sig = _signature(pairs)
+                s = sums.get(sig)
+                if s is None:
+                    s = sums[sig] = lincomb(pairs)
             else:
-                # one bytes object: a tuple of fresh int objects per group
-                # raised the peak RSS
-                sig = array("Q", map(id, chain.from_iterable(pairs))).tobytes()
-            s = sums.get(sig)
-            if s is None:
-                s = sums[sig] = lincomb(pairs)
+                s = lincomb(pairs)
             if not s.is_zero():
                 out[k2] = s
         return self._vec(out)

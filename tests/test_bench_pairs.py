@@ -16,11 +16,11 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def fake_run(verdict: float, rss: float) -> dict:
+def fake_run(verdict: float, rss: float, failed: int = 0) -> dict:
     values = {"verdict_s": (verdict, "s"), "setup_s": (0.06, "s"), "cpu_s": (verdict, "s"),
               "peak_rss_mb": (rss, "MB"), "ok_share": (1.0, "ratio")}
     return {"provenance": {"git_sha": "x"},
-            "result": {"correct": True, "failed": 0,
+            "result": {"correct": True, "failed": failed,
                        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in values.items()}}}
 
 
@@ -35,7 +35,7 @@ def test_summary_counts_pairs_by_each_metrics_direction():
 
 def test_record_has_every_end_to_end_metric_and_the_claim():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args = SimpleNamespace(pr=1, title="t", seed=5, seconds=30, claim="w:verdict_s:0.7")
+    args = SimpleNamespace(pr=1, title="t", seed=5, claim="w:verdict_s:0.7")
     runs = {"w": {"parent": [fake_run(2.0, 20.0), fake_run(2.2, 20.1)],
                   "change": [fake_run(1.2, 19.0), fake_run(1.3, 19.1), fake_run(9.0, 99.0)]}}
     doc = bench_pairs.record(args, spec, runs, {}, {"parent": "a", "change": "b"})
@@ -45,3 +45,33 @@ def test_record_has_every_end_to_end_metric_and_the_claim():
     assert w["metrics"]["peak_rss_mb"]["change"] == [19.0, 19.1]
     claim = doc["claim"]
     assert claim["met"] and claim["change_better_pairs"] == 2 and claim["ratio"] == 0.5952
+    assert doc["command"].startswith(f"python3 perfbench/run.py --workload W --seed 5 "
+                                     f"--seconds {spec['run_seconds']},")
+
+
+def claim_of(parent: list, change: list, failed=(0, 0)) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = SimpleNamespace(pr=1, title="t", seed=5, claim="w:verdict_s:0.7")
+    runs = {"w": {"parent": [fake_run(x, 20.0, failed[0]) for x in parent],
+                  "change": [fake_run(x, 20.0, failed[1]) for x in change]}}
+    return bench_pairs.record(args, spec, runs, {}, {})["claim"]
+
+
+PARENT = [2.0, 2.1, 1.9, 2.2, 2.0, 2.1, 1.9, 2.0, 2.1, 2.0]
+
+
+def test_claim_is_met_only_when_every_check_holds():
+    assert claim_of(PARENT, [1.0] * 10)["met"]
+    # ratio 0.5 but the change loses 2 of 10 pairs: fewer than nine better
+    lost_pairs = claim_of(PARENT, [1.0] * 8 + [3.0, 3.0])
+    assert lost_pairs["ratio"] <= 0.7 and lost_pairs["change_better_pairs"] == 8
+    assert not lost_pairs["met"] and lost_pairs["checks"] == {
+        "ratio": True, "better_pairs": False, "beyond_parent_iqr": True, "failed": True}
+    # better in every pair and far below the target, but failing more operations
+    failing = claim_of(PARENT, [1.0] * 10, failed=(0, 1))
+    assert not failing["met"] and failing["checks"]["failed"] is False
+    # the medians differ by less than the parent's interquartile range
+    spread = [1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0]
+    narrow = claim_of(spread, [x * 0.6 for x in spread])
+    assert narrow["ratio"] <= 0.7 and narrow["change_better_pairs"] == 10
+    assert not narrow["met"] and narrow["checks"]["beyond_parent_iqr"] is False

@@ -1,28 +1,32 @@
 """Alternating parent/change benchmark pairs, written as a BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pr N --title TEXT
-        --seed S [--pairs 10] [--seconds 30] [--workloads W ...]
-        [--claim WORKLOAD:METRIC:TARGET_RATIO] [--trace-seed S] [--out PATH]
+        --seed S [--pairs 10] [--claim WORKLOAD:METRIC:TARGET_RATIO] [--trace-seed S]
 
 Each of DIR is the root of a checkout; every run is
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` started in that
 checkout, so each side is measured by its own harness on its own source.
-Pair i runs every workload once on each side, the parent first when i is
-even.  The end-to-end metrics and their directions are read from the change's
-BENCHMARK.json.  For each workload and metric the record holds both sides'
-values, their medians and quartiles, the ratio of the medians (change over
-parent) and the number of pairs in which the change was better or worse.
-With --claim, a ``claim`` block says whether the change's median is at most
-TARGET_RATIO times the parent's.  With --trace-seed, each side also runs one
-``--trace 1`` pass per workload and the record keeps every ``.calls`` metric
-and the scalar busy times.  The file is rewritten after every pair, so a cut
-run leaves the pairs measured so far.
+The workloads, the run length T and the end-to-end metrics with their
+directions are read from the change's BENCHMARK.json.  Pair i runs every
+workload once on each side, the parent first when i is even.  For each
+workload and metric the record holds both sides' values, their medians and
+quartiles, the ratio of the medians (change over parent) and the number of
+pairs in which the change was better or worse.  With --claim, a ``claim``
+block says whether the change met the target on that metric: the ratio is
+at most TARGET_RATIO, the change is better in at least nine pairs in ten,
+the medians differ by more than the parent's interquartile range and the
+change failed no more operations than the parent.  With --trace-seed, each
+side also runs one ``--trace 1`` pass per workload and the record keeps every
+``.calls`` metric and the scalar busy times.  The record is written to
+BENCH_<N>.json in the change's checkout and rewritten after every pair, so a
+cut run leaves the pairs measured so far.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -32,6 +36,8 @@ from pathlib import Path
 
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
 TRACED_KEEP = ("scalars.self_s", "scalars.gcd.busy_s")
+# interpreter settings that change what a run does, recorded when set
+RECORDED_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED", "PYTHONOPTIMIZE")
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
@@ -102,8 +108,9 @@ def record(args, spec: dict, runs: dict, traced: dict, shas: dict) -> dict:
         "change_sha": shas.get("change"),
         "host": f"{os.cpu_count()} cores, Python {platform.python_version()}; times rescaled "
                 "to the reference core speed of perfbench/probe.py, raw times in perfbench/out",
+        "environment": {k: os.environ[k] for k in RECORDED_ENV if k in os.environ},
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds}, each side from its own checkout "
+                   f"--seconds {spec['run_seconds']}, each side from its own checkout "
                    "(tools/bench_pairs.py)",
         "quartiles": QUARTILES,
     }
@@ -111,31 +118,58 @@ def record(args, spec: dict, runs: dict, traced: dict, shas: dict) -> dict:
         w, metric, target = args.claim.split(":")
         m = workloads.get(w, {}).get("metrics", {}).get(metric)
         if m:
-            q1, q3 = m["parent_quartiles"]
-            out["claim"] = {
-                "workload": w,
-                "metric": metric,
-                "pairs": workloads[w]["pairs"],
-                "change_better_pairs": m["change_better_pairs"],
-                "parent_median": m["parent_median"],
-                "parent_iqr": round(q3 - q1, 4),
-                "change_median": m["change_median"],
-                "ratio": m["ratio"],
-                "target_ratio": float(target),
-                "met": m["ratio"] is not None and m["ratio"] <= float(target),
-            }
+            out["claim"] = claim(w, metric, float(target), workloads[w], lower[metric])
     out["workloads"] = workloads
     if traced:
         out["traced"] = traced
     return out
 
 
-def trace_both(args, parent: Path, change: Path) -> dict:
+def claim(w: str, metric: str, target: float, workload: dict, is_lower: bool) -> dict:
+    """Whether the change met a target ratio on one metric of one workload.
+
+    Met means: the ratio of the medians is at most the target (at least it,
+    for a metric where higher is better), the change is better in at least
+    nine pairs in ten, the medians differ in the change's favour by more
+    than the parent's interquartile range, and the change failed no more
+    operations than the parent.
+    """
+    m = workload["metrics"][metric]
+    q1, q3 = m["parent_quartiles"]
+    iqr = round(q3 - q1, 4)
+    gain = m["parent_median"] - m["change_median"]
+    if not is_lower:
+        gain = -gain
+    ratio = m["ratio"]
+    pairs = workload["pairs"]
+    checks = {
+        "ratio": ratio is not None and (ratio <= target if is_lower else ratio >= target),
+        "better_pairs": m["change_better_pairs"] >= math.ceil(0.9 * pairs),
+        "beyond_parent_iqr": gain > iqr,
+        "failed": workload["failed"]["change"] <= workload["failed"]["parent"],
+    }
+    return {
+        "workload": w,
+        "metric": metric,
+        "pairs": pairs,
+        "change_better_pairs": m["change_better_pairs"],
+        "parent_median": m["parent_median"],
+        "parent_iqr": iqr,
+        "change_median": m["change_median"],
+        "ratio": ratio,
+        "target_ratio": target,
+        "checks": checks,
+        "met": all(checks.values()),
+    }
+
+
+def trace_both(args, spec: dict, parent: Path, change: Path) -> dict:
     """Per-layer call counts and scalar busy times of one traced pass per side."""
+    seconds = spec["run_seconds"]
     traced = {"command": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
-                         f"--seconds {args.seconds} --trace 1"}
-    for w in args.workloads:
-        sides = {s: run_bench(root, w, args.trace_seed, args.seconds, trace=1)["result"]
+                         f"--seconds {seconds} --trace 1"}
+    for w in (w["name"] for w in spec["workloads"]):
+        sides = {s: run_bench(root, w, args.trace_seed, seconds, trace=1)["result"]
                  for s, root in (("parent", parent), ("change", change))}
         names = [k for k in sides["change"]["metrics"]
                  if k.endswith(".calls") or k in TRACED_KEEP]
@@ -161,30 +195,26 @@ def main(argv=None) -> int:
     ap.add_argument("--title", required=True)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--claim", default=None)
     ap.add_argument("--trace-seed", type=int, default=None)
-    ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
 
+    if args.pairs < 1:
+        print("error: --pairs must be positive", file=sys.stderr)
+        return 2
     parent, change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((change / "BENCHMARK.json").read_text())
-    if args.workloads is None:
-        args.workloads = [w["name"] for w in spec["workloads"]]
-    if args.pairs < 1 or args.seconds < 1:
-        print("error: --pairs and --seconds must be positive", file=sys.stderr)
-        return 2
-    out_path = args.out or change / f"BENCH_{args.pr}.json"
+    workloads = [w["name"] for w in spec["workloads"]]
+    out_path = change / f"BENCH_{args.pr}.json"
 
-    traced = trace_both(args, parent, change) if args.trace_seed is not None else {}
-    runs = {w: {"parent": [], "change": []} for w in args.workloads}
+    traced = trace_both(args, spec, parent, change) if args.trace_seed is not None else {}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     shas: dict = {}
     for i in range(args.pairs):
         order = (("parent", parent), ("change", change))
-        for w in args.workloads:
+        for w in workloads:
             for side, root in order if i % 2 == 0 else order[::-1]:
-                got = run_bench(root, w, args.seed, args.seconds)
+                got = run_bench(root, w, args.seed, spec["run_seconds"])
                 shas[side] = got["provenance"]["git_sha"]
                 runs[w][side].append(got)
                 print(f"pair {i} {w} {side}: verdict_s "
