@@ -13,13 +13,14 @@ workload and metric the record holds both sides' values, their medians and
 quartiles, the ratio of the medians (change over parent) and the number of
 pairs in which the change was better or worse.  With --claim, a ``claim``
 block says whether the change met the target on that metric: the ratio is
-at most TARGET_RATIO, the change is better in at least nine pairs in ten,
-the medians differ by more than the parent's interquartile range and the
-change failed no more operations than the parent.  With --trace-seed, each
-side also runs one ``--trace 1`` pass per workload and the record keeps every
-``.calls`` metric and the scalar busy times.  The record is written to
-BENCH_<N>.json in the change's checkout and rewritten after every pair, so a
-cut run leaves the pairs measured so far.
+at most TARGET_RATIO (at least it where higher is better), the change is
+better in at least nine pairs in ten, the medians differ by more than the
+parent's interquartile range and the change failed no more operations than
+the parent.  With --trace-seed, each side also runs one ``--trace 1`` pass
+per workload and the record keeps every ``.calls`` metric and the scalar
+busy times.  The record is written to BENCH_<N>.json in the change's
+checkout and rewritten after every pair, so a cut run leaves the pairs
+measured so far.
 """
 
 from __future__ import annotations
