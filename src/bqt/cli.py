@@ -112,7 +112,7 @@ def cmd_check(args) -> int:
         def suite(ring):
             return _run_checker(args.suite, make_realization(desc, ring), params)
 
-        reports = run_probabilistic(suite, seed=seed, points=2)
+        reports = run_probabilistic(suite, seed=seed)
         report_objs = [r.to_obj() for r in reports]
     else:
         ids = relation_ids(args.suite, args.n)

@@ -11,9 +11,11 @@ polynomial of the base has exactly one factorization
 
 and its integer content is |c| (each Phi_m is primitive).  Two factorizations
 multiply, divide and take gcds by exponent sums, differences and minima.
-The gcd and the exact quotient of any polynomial by one of the base follow
-from univariate trial division of its q-slices by each Phi_m: Phi_m(q)
-divides p(q, t) exactly when it divides the coefficient of every t^j.
+The gcd of any polynomial with one of the base, and the quotient by that
+gcd, follow from one univariate trial division of its q-slices by each
+Phi_m (cancel_by_fac): Phi_m(q) divides p(q, t) exactly when it divides
+the coefficient of every t^j.  The quotient is exact when the gcd is the
+divisor itself.
 
 Polynomials are plain terms dicts here, {(e_q, e_t): coefficient}; the
 scalar module owns IntPoly2 and keeps one interned polynomial per
@@ -208,25 +210,3 @@ def cancel_by_fac(terms: dict, g: tuple) -> tuple:
     return gcd, {
         (lo - a + i, et - b): x // c for et, row in rows for i, x in enumerate(row) if x
     }
-
-
-def divexact_by_fac(terms: dict, g: tuple) -> dict[tuple[int, int], int]:
-    """Terms of p / g for a nonzero polynomial p; ExactDivisionError unless exact."""
-    c, a, b, exps = g
-    lo, rows = _q_rows(terms)
-    if lo < a or min(et for et, _ in rows) < b:
-        raise ExactDivisionError("inexact monomial division")
-    for m, e in exps:
-        phi = cyclotomic(m)
-        for _ in range(e):
-            rows = _rows_quo(rows, phi)
-            if rows is None:
-                raise ExactDivisionError("inexact division by a cyclotomic factor")
-    out = {}
-    for et, row in rows:
-        for i, x in enumerate(row):
-            if x:
-                if x % c:
-                    raise ExactDivisionError("inexact content division")
-                out[(lo - a + i, et - b)] = x // c
-    return out

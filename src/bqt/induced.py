@@ -24,7 +24,7 @@ from .keyed import KeyedRealization, SparseVec, accumulate, coeffs_from_entries,
 from .polyrep import (
     Exponents,
     PolyVector,
-    divided_difference,
+    demazure_terms,
     is_exponent_vector,
     monomial_str,
     monomials_of_degree,
@@ -139,9 +139,10 @@ class InducedRealization(KeyedRealization):
         for s, m in self.seed._ti_table(i, tau):
             accumulate(out, (se, s), m)
         if se != e:
-            coeff = self.ring.one - self.ring.q
-            for de, dc in divided_difference({e: self.ring.one}, i).items():
-                accumulate(out, (de, tau), coeff * dc)
+            dl = self.ring.one - self.ring.q
+            coeffs = {1: dl, -1: -dl}
+            for de, sign in demazure_terms(e, i):
+                accumulate(out, (de, tau), coeffs[sign])
         return tuple(out.items())
 
     def _pi_image(self, key: IndKey) -> tuple:

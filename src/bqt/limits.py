@@ -253,10 +253,8 @@ def widen_for_words(seq: CompatSeqSpec, tower: Tower, words) -> Tower:
     return tower
 
 
-def apply_tower_word(
-    seq: CompatSeqSpec, tower: Tower, word, check: bool = True
-) -> Tower:
-    """A flavored operator word applied componentwise to a tower.
+def apply_tower_word(seq: CompatSeqSpec, tower: Tower, word) -> Tower:
+    """A flavored operator word applied componentwise to a tower, checked compatible.
 
     The window is advanced (exact lifts) before application so that every
     step is defined at every rank in the window.
@@ -269,8 +267,7 @@ def apply_tower_word(
     # the flavor is tracked by the components
     d_out = tower.degree + sum(letter(FLAVORED_ALPHABET, sym).degree_shift for sym in word)
     out = Tower(out_comps[tower.lo].k, d_out, out_comps)
-    if check:
-        out.check_compatible(seq)
+    out.check_compatible(seq)
     return out
 
 

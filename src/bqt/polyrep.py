@@ -8,9 +8,10 @@ primitive generator actions
     pi(f)   = f(x_2, ..., x_n, t x_1)
     X_i(f)  = x_i f
 
-where the divided difference is an exact polynomial division (a nonzero
-remainder raises, it is never truncated).  T_i^{-1} comes from the quadratic
-relation as q^{-1}(T_i + (q-1)).
+T_i is tabled per monomial, where the divided difference is a closed sum
+of monomials with coefficients +-1 (demazure_terms); no polynomial division
+is carried out.  T_i^{-1} comes from the quadratic relation as
+q^{-1}(T_i + (q-1)).
 
 Everything above the primitives is generic over any realization exposing
 the same surface: Y_i (read from the realization's derived-operator table,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .errors import ExactDivisionError, IndexOutOfRange, UnsupportedOperation
+from .errors import IndexOutOfRange, UnsupportedOperation
 from .keyed import KeyedRealization, SparseVec, accumulate, coeffs_from_entries, strict_int
 from .scalars import QT, parse_scalar
 
@@ -127,7 +128,7 @@ class ModuleRealization(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# Demazure-Lusztig kernels on raw coefficient maps
+# Demazure-Lusztig kernels on exponent vectors
 # ---------------------------------------------------------------------------
 
 
@@ -147,65 +148,17 @@ def swap_exponents(exps: Exponents, i: int) -> Exponents:
     return tuple(lst)
 
 
-def divexact_by_var_difference(coeffs: dict[Exponents, object], i: int) -> dict:
-    """Exact quotient of a polynomial by (x_i - x_{i+1}), remainder asserted zero.
+def demazure_terms(exps: Exponents, i: int) -> list[tuple[Exponents, int]]:
+    """x_i (x^e - s_i x^e)/(x_i - x_{i+1}) for one monomial, as (exponents, +-1) pairs.
 
-    Synthetic (Horner) division in x_i treating all other variables as
-    inert: group terms on the remaining exponents, divide each bivariate
-    block, and recombine.
+    With a = e_i > b = e_{i+1} it is the sum of x_i^k x_{i+1}^(a+b-k) over
+    b < k <= a; with a < b it is minus the sum over a < k <= b; with a = b it
+    is zero.  Terms come in increasing powers of x_i.
     """
-    groups: dict[tuple, dict[tuple[int, int], object]] = {}
-    for e, c in coeffs.items():
-        ctx = e[: i - 1] + e[i + 1 :]
-        groups.setdefault(ctx, {})[(e[i - 1], e[i])] = c
-    out: dict[Exponents, object] = {}
-    for ctx, block in groups.items():
-        da = max(a for a, _ in block)
-        # columns[a] = coefficient of x_i^a as a map x_{i+1}-exponent -> scalar
-        columns: list[dict[int, object]] = [{} for _ in range(da + 1)]
-        for (a, b), c in block.items():
-            columns[a][b] = c
-        quot: list[dict[int, object]] = [{} for _ in range(da)]
-        carry: dict[int, object] = {}
-        for a in range(da, 0, -1):
-            cur = dict(columns[a])
-            for b, c in carry.items():
-                s = cur.get(b)
-                cur[b] = c if s is None else s + c
-            cur = {b: c for b, c in cur.items() if not c.is_zero()}
-            quot[a - 1] = cur
-            carry = {b + 1: c for b, c in cur.items()}
-        remainder = dict(columns[0])
-        for b, c in carry.items():
-            s = remainder.get(b)
-            remainder[b] = c if s is None else s + c
-        if any(not c.is_zero() for c in remainder.values()):
-            raise ExactDivisionError(
-                "divided difference left a nonzero remainder (convention bug)"
-            )
-        for a, col in enumerate(quot):
-            for b, c in col.items():
-                e = ctx[: i - 1] + (a, b) + ctx[i - 1 :]
-                out[e] = c
-    return out
-
-
-def divided_difference(coeffs: dict[Exponents, object], i: int) -> dict:
-    """x_i (f - s_i f)/(x_i - x_{i+1}) on a raw coefficient map."""
-    diff: dict[Exponents, object] = {}
-    for e, c in coeffs.items():
-        se = swap_exponents(e, i)
-        if se == e:
-            continue
-        s = diff.get(e)
-        diff[e] = c if s is None else s + c
-        s = diff.get(se)
-        diff[se] = -c if s is None else s - c
-    diff = {e: c for e, c in diff.items() if not c.is_zero()}
-    if not diff:
-        return {}
-    quot = divexact_by_var_difference(diff, i)
-    return {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in quot.items()}
+    a, b = exps[i - 1], exps[i]
+    sign = 1 if a > b else -1
+    head, tail = exps[: i - 1], exps[i + 1 :]
+    return [(head + (k, a + b - k) + tail, sign) for k in range(min(a, b) + 1, max(a, b) + 1)]
 
 
 class PolyRealization(KeyedRealization):
@@ -226,11 +179,13 @@ class PolyRealization(KeyedRealization):
         super().__init__(n, ring, (n,))
         self.demazure_coefficient = demazure_coefficient
         if demazure_coefficient == "1-q":
-            self._dl_coeff = ring.one - ring.q
+            dl = ring.one - ring.q
         elif demazure_coefficient == "q-1":
-            self._dl_coeff = ring.q - ring.one
+            dl = ring.q - ring.one
         else:
             raise ValueError("demazure_coefficient must be '1-q' or 'q-1'")
+        # the scalar on each term of demazure_terms, by its sign
+        self._dl_coeffs = {1: dl, -1: -dl}
 
     def descriptor(self) -> dict:
         d = {"module": "poly", "n": self.n}
@@ -258,8 +213,8 @@ class PolyRealization(KeyedRealization):
         if exps[i - 1] == exps[i]:
             return ((exps, one),)
         out: dict[Exponents, object] = {swap_exponents(exps, i): one}
-        for e, c in divided_difference({exps: one}, i).items():
-            accumulate(out, e, c * self._dl_coeff)
+        for e, sign in demazure_terms(exps, i):
+            accumulate(out, e, self._dl_coeffs[sign])
         return tuple(out.items())
 
     def apply_Ti(self, v: PolyVector, i: int) -> PolyVector:

@@ -64,7 +64,6 @@ from .errors import (
 from .factored import (
     cancel_by_fac,
     cyclotomic,
-    divexact_by_fac,
     fac_div,
     fac_gcd,
     fac_lcm,
@@ -559,14 +558,21 @@ def poly_divexact(a: IntPoly2, b: IntPoly2) -> IntPoly2:
     """Exact quotient a/b in Z[q,t]; ExactDivisionError on any remainder.
 
     A b in the factored base is divided out factor by factor: exponent
-    differences when a is factored too, else trial division of a's q-slices.
+    differences when a is factored too, else the trial division of a's
+    q-slices that cancel_by_fac makes, which must find b as the gcd.
     """
     fb = _fac(b)
     if fb and a.terms:
         fa = a.fac
         if fa:
             return _from_fac(fac_div(fa, fb))
-        return IntPoly2(divexact_by_fac(a.terms, fb))
+        # b divides a exactly when gcd(a, b) is b up to its sign
+        c = fb[0]
+        g, quo = cancel_by_fac(a.terms, fb)
+        if g != (abs(c),) + fb[1:]:
+            raise ExactDivisionError("inexact division in the factored base")
+        quo = a if quo is None else IntPoly2(quo)
+        return -quo if c < 0 else quo
     return _poly_divexact_generic(a, b)
 
 

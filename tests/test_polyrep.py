@@ -1,13 +1,14 @@
 """Primitive and derived operator actions on the polynomial module.
 
-The divided-difference action is cross-checked against an independent sympy
-implementation; derived examples are frozen literals.
+The T_i action, divided difference included, is cross-checked against an
+independent sympy implementation up to rank 4 and degree 4; derived
+examples are frozen literals.
 """
 
 import pytest
 import sympy
 
-from bqt.errors import ExactDivisionError, IndexOutOfRange
+from bqt.errors import IndexOutOfRange
 from bqt.polyrep import (
     PolyRealization,
     PolyVector,
@@ -15,7 +16,6 @@ from bqt.polyrep import (
     apply_epsilon,
     apply_pi_tilde,
     apply_word,
-    divexact_by_var_difference,
     monomials_of_degree,
     word_from_json,
     word_to_json,
@@ -66,9 +66,10 @@ def test_Ti_fixed_point_and_examples():
 
 
 def test_Ti_against_sympy_oracle():
-    for n in (2, 3):
+    # rank 4 up to degree 4 holds exponent gaps of 4 in both directions
+    for n, dmax in ((2, 3), (3, 3), (4, 4)):
         M = PolyRealization(n)
-        for d in range(4):
+        for d in range(dmax + 1):
             for e in monomials_of_degree(n, d):
                 v = PolyVector(n, {e: ONE})
                 for i in range(1, n):
@@ -136,11 +137,6 @@ def test_Xi_and_index_errors():
         M.apply_Xi(M.one(), 3)
     with pytest.raises(IndexOutOfRange):
         M.apply_Ti(M.one(), 2)
-
-
-def test_exact_division_guard_fires():
-    with pytest.raises(ExactDivisionError):
-        divexact_by_var_difference({(0, 0): ONE}, 1)
 
 
 # -- derived operators --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Relation suites: positive runs, negative controls, and report shape."""
 
+import bqt.relations
+from bqt.errors import NotAnEigenvector
 from bqt.limits import CompatSeqSpec
 from bqt.relations import (
     all_passed,
@@ -91,6 +93,20 @@ def test_theta_report():
     assert rep.vectors_checked == 3 * 4
 
 
+def test_theta_error_is_a_fail_report(monkeypatch):
+    def planted(tau, entry, n, ring, realization):
+        raise NotAnEigenvector(f"planted at entry {entry}")
+
+    monkeypatch.setattr(bqt.relations, "theta_scalar", planted)
+    rep = check_theta_eigenvalues((1,), 4).to_obj()
+    assert rep["status"] == "fail"
+    assert rep["vectors_checked"] == 3 * 4
+    cex = rep["counterexample"]
+    assert cex["error"] == "NotAnEigenvector"
+    assert cex["message"] == "planted at entry 1"
+    assert cex["entry"] == 1 and "tableau" in cex and "scalar" not in cex
+
+
 def test_compatibility_polynomial():
     seq = CompatSeqSpec("polynomial")
     reports = check_compatibility(seq, 2, 3)
@@ -131,7 +147,7 @@ def test_probabilistic_prefilter_agrees():
         M = make_realization({"module": "poly", "n": 2}, ring)
         return check_daha_relations(M, 2)
 
-    reports = run_probabilistic(suite, seed=11, points=2)
+    reports = run_probabilistic(suite, seed=11)
     assert all_passed(reports)
     assert all(r.mode == "probabilistic" for r in reports)
 
@@ -143,7 +159,7 @@ def test_probabilistic_detects_sign_flip():
         )
         return check_daha_relations(M, 1, only="daha_quadratic")
 
-    reports = run_probabilistic(suite, seed=5, points=2)
+    reports = run_probabilistic(suite, seed=5)
     assert reports[0].status == "fail"
 
 
