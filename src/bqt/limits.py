@@ -181,11 +181,9 @@ def limit_component(
             if n not in bijective:
                 upper = get_basis(n + 1)
                 images = RowBasis()
-                rank = 0
                 for lv in upper.vectors:
-                    if images.insert(seq.connect(lv.payload).coeffs):
-                        rank += 1
-                bijective[n] = rank == dims[n] and dims[n + 1] == dims[n]
+                    images.insert(seq.connect(lv.payload).coeffs)
+                bijective[n] = images.rank == dims[n] and dims[n + 1] == dims[n]
             if not bijective[n]:
                 ok = False
                 break
@@ -308,9 +306,7 @@ def d_plus_power_rank(seq: CompatSeqSpec, k: int, d: int, window: int = DEFAULT_
     cell = limit_component(seq, 0, d, window=window, n_cap=n_cap)
     word = (DPLUS,) * k
     images = RowBasis()
-    rank = 0
     for tw in cell.towers:
         out = apply_tower_word(seq, tw, word)
-        if images.insert(out.component(out.hi).payload.coeffs):
-            rank += 1
-    return cell.dim, rank
+        images.insert(out.component(out.hi).payload.coeffs)
+    return cell.dim, images.rank

@@ -37,13 +37,14 @@ denominators (exponent maxima, factored.fac_lcm), added as polynomials and
 reduced once by QtScalar.fraction, instead of being reduced after every
 term; any other denominator makes it add the products one by one.
 
-The generic kernel (_poly_gcd_generic, _poly_divexact_generic) still runs
-when the divisor lies outside the base: mixed q,t denominators such as
-parsed input (q^2 - t)/(1 - q*t), row-reduction pivots with bivariate
-numerators, and univariate ones that are not products of cyclotomics such
-as 2q + 1.  It works on a dense recursive representation (polynomials in q
-whose coefficients are integer polynomials in t) using the primitive
-pseudo-remainder sequence; sparse dicts are converted on entry.
+The generic kernel (_poly_gcd_generic, _poly_divexact_generic) runs when
+the divisor lies outside the base, as for parsed input such as
+(q^2 - t)/(1 - q*t) or 1/(2q + 1), and is the reference the fast paths are
+tested against; no benchmark workload reaches it.  Past monomial factors
+and univariate operands (a gcd of slices), it works in Z[t][q] with one set
+of dense routines written once for every nesting level: trim, negation,
+sum, product, exact quotient, pseudo-remainder, content and the primitive
+pseudo-remainder gcd, each recursing on its coefficient ring down to Z.
 
 There is a second scalar ring, ModPField, whose elements are evaluations of
 q,t at fixed points of a prime field.  It carries the same arithmetic
@@ -72,234 +73,150 @@ from .factored import (
 )
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers: a "tpoly" is a little-endian list of ints with no
-# trailing zeros; [] is zero.
+# dense recursive polynomials: level 0 is a little-endian list of ints, level
+# u a little-endian list of level-(u-1) polynomials, and an int is level -1.
+# No trailing zero entries; [] is zero at every level.  Every routine takes
+# the level and recurses on the coefficient ring (Brown 1971; Knuth, TAOCP
+# vol. 2, 4.6.1).  None mutates its arguments.
 # ---------------------------------------------------------------------------
 
 
-def _t_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _t_neg(a: list[int]) -> list[int]:
-    return [-c for c in a]
-
-
-def _t_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _t_trim(out)
-
-
-def _t_icontent(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = igcd(g, c)
-    return g
-
-
-def _t_idiv(a: list[int], c: int) -> list[int]:
-    return [x // c for x in a]
-
-
-def _t_prem(a: list[int], b: list[int]) -> list[int]:
-    # pseudo-remainder of a by b over Z; b nonzero
-    a = a[:]
-    lb = b[-1]
-    db = len(b) - 1
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        off = len(a) - 1 - db
-        a = [lb * c for c in a]
-        for i, bc in enumerate(b):
-            a[off + i] -= la * bc
-        _t_trim(a)
-    return a
-
-
-def _t_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd in Z[t], content included, positive leading coefficient."""
-    if not a:
-        a, b = b, a
-    if not b:
-        if not a:
-            return []
-        return _t_neg(a) if a[-1] < 0 else a[:]
-    ca, cb = _t_icontent(a), _t_icontent(b)
-    c = igcd(ca, cb)
-    a, b = _t_idiv(a, ca), _t_idiv(b, cb)
-    while b:
-        r = _t_prem(a, b)
-        if r:
-            r = _t_idiv(r, _t_icontent(r))
-        a, b = b, r
-    if a[-1] < 0:
-        a = _t_neg(a)
-    return [c * x for x in a]
-
-
-def _t_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a/b in Z[t]; raises unless the division is exact."""
-    if not b:
-        raise ExactDivisionError("division by zero polynomial")
-    if not a:
-        return []
-    if len(b) == 1:
-        c = b[0]
-        if any(x % c for x in a):
-            raise ExactDivisionError("inexact constant division in Z[t]")
-        return [x // c for x in a]
-    a = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    quot = [0] * (len(a) - db)
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        if la % lb:
-            raise ExactDivisionError("inexact division in Z[t]")
-        qc = la // lb
-        off = len(a) - 1 - db
-        quot[off] = qc
-        for i, bc in enumerate(b):
-            a[off + i] -= qc * bc
-        _t_trim(a)
-    if a:
-        raise ExactDivisionError("nonzero remainder in Z[t] division")
-    return _t_trim(quot)
-
-
-# ---------------------------------------------------------------------------
-# dense bivariate helpers: a "qpoly" is a little-endian list of tpolys with
-# no trailing zero entries; [] is zero.
-# ---------------------------------------------------------------------------
-
-
-def _q_trim(f: list[list[int]]) -> list[list[int]]:
+def _trim(f: list) -> list:
     while f and not f[-1]:
         f.pop()
     return f
 
 
-def _q_content(f: list[list[int]]) -> list[int]:
-    g: list[int] = []
-    for c in f:
-        if c:
-            g = _t_gcd(g, c)
-            if len(g) == 1 and g[0] == 1:
-                break
-    return g
+def _const(c: int, u: int):
+    """The constant c at level u."""
+    return c if u < 0 else [_const(c, u - 1)] if c else []
 
 
-def _q_divexact_t(f: list[list[int]], c: list[int]) -> list[list[int]]:
-    return [_t_divexact(x, c) if x else [] for x in f]
-
-
-def _q_mul_t(f: list[list[int]], c: list[int]) -> list[list[int]]:
-    return [_t_mul(x, c) if x else [] for x in f]
-
-
-def _q_prem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    f = [x[:] for x in f]
-    lg = g[-1]
-    dg = len(g) - 1
-    while f and len(f) - 1 >= dg:
-        lf = f[-1]
-        off = len(f) - 1 - dg
-        f = [_t_mul(x, lg) for x in f]
-        for i, gc in enumerate(g):
-            if gc:
-                prod = _t_mul(lf, gc)
-                cur = f[off + i]
-                m = max(len(cur), len(prod))
-                cur = cur + [0] * (m - len(cur))
-                for j, pj in enumerate(prod):
-                    cur[j] -= pj
-                f[off + i] = _t_trim(cur)
-        _q_trim(f)
+def _lead(f, u: int) -> int:
+    """The leading coefficient of the leading coefficient ... of a nonzero
+    level-u polynomial, down to an integer."""
+    for _ in range(u + 1):
+        f = f[-1]
     return f
 
 
-def _q_gcd(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """gcd in Z[q,t] of dense operands, content included."""
-    if not f:
-        f, g = g, f
-    if not g:
-        if not f:
-            return []
-        if f[-1][-1] < 0:
-            f = [_t_neg(x) for x in f]
-        return f
-    cf, cg = _q_content(f), _q_content(g)
-    c = _t_gcd(cf, cg)
-    f = _q_divexact_t(f, cf)
-    g = _q_divexact_t(g, cg)
+def _neg(f, u: int):
+    return -f if u < 0 else [_neg(c, u - 1) for c in f]
+
+
+def _add(f, g, u: int):
+    if u < 0:
+        return f + g
     if len(f) < len(g):
         f, g = g, f
-    while g:
-        r = _q_prem(f, g)
-        if r:
-            r = _q_divexact_t(r, _q_content(r))
-        f, g = g, r
-    if f[-1][-1] < 0:
-        f = [_t_neg(x) for x in f]
-    return _q_mul_t(f, c)
+    out = f[:]
+    for i, c in enumerate(g):
+        out[i] = _add(out[i], c, u - 1)
+    return _trim(out)
 
 
-def _q_divexact(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+def _mul(f, g, u: int):
+    if u < 0:
+        return f * g
+    if not f or not g:
+        return []
+    out = [_const(0, u - 1)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = _add(out[i + j], _mul(a, b, u - 1), u - 1)
+    return out
+
+
+def _divexact(f, g, u: int):
+    """Quotient f/g at level u; raises ExactDivisionError unless g divides f."""
+    if u < 0:
+        quo, rem = divmod(f, g)
+        if rem:
+            raise ExactDivisionError("inexact integer division")
+        return quo
     if not g:
         raise ExactDivisionError("division by zero polynomial")
-    if not f:
-        return []
-    f = [x[:] for x in f]
-    lg = g[-1]
     dg = len(g) - 1
-    quot: list[list[int]] = [[] for _ in range(len(f) - dg)]
-    while f and len(f) - 1 >= dg:
-        qc = _t_divexact(f[-1], lg)
+    quot = [_const(0, u - 1)] * max(len(f) - dg, 0)
+    f = f[:]
+    while len(f) > dg:
         off = len(f) - 1 - dg
-        quot[off] = qc
-        for i, gc in enumerate(g):
-            if gc:
-                prod = _t_mul(qc, gc)
-                cur = f[off + i]
-                m = max(len(cur), len(prod))
-                cur = cur + [0] * (m - len(cur))
-                for j, pj in enumerate(prod):
-                    cur[j] -= pj
-                f[off + i] = _t_trim(cur)
-        _q_trim(f)
+        qc = quot[off] = _divexact(f[-1], g[-1], u - 1)
+        nq = _neg(qc, u - 1)
+        for i, c in enumerate(g):
+            f[off + i] = _add(f[off + i], _mul(nq, c, u - 1), u - 1)
+        _trim(f)
     if f:
-        raise ExactDivisionError("nonzero remainder in Z[q,t] division")
-    return _q_trim(quot)
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return _trim(quot)
 
 
-def _to_dense(terms: dict[tuple[int, int], int]) -> list[list[int]]:
-    if not terms:
-        return []
-    dq = max(eq for eq, _ in terms)
-    cols: list[list[int]] = [[] for _ in range(dq + 1)]
-    for (eq, et), c in terms.items():
-        col = cols[eq]
-        if len(col) <= et:
-            col.extend([0] * (et + 1 - len(col)))
-        col[et] = c
-    return _q_trim([_t_trim(col) for col in cols])
+def _prem(f, g, u: int):
+    """Pseudo-remainder of f by a nonzero g at level u."""
+    dg = len(g) - 1
+    while len(f) > dg:
+        off = len(f) - 1 - dg
+        nf = _neg(f[-1], u - 1)
+        f = [_mul(c, g[-1], u - 1) for c in f]
+        for i, c in enumerate(g):
+            f[off + i] = _add(f[off + i], _mul(nf, c, u - 1), u - 1)
+        _trim(f)
+    return f
 
 
-def _to_sparse(f: list[list[int]]) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for eq, col in enumerate(f):
-        for et, c in enumerate(col):
-            if c:
-                out[(eq, et)] = c
-    return out
+def _content(f, u: int):
+    """gcd of the coefficients of a level-u polynomial, at level u-1."""
+    g, one = _const(0, u - 1), _const(1, u - 1)
+    for c in f:
+        g = _gcd(g, c, u - 1)
+        if g == one:
+            break
+    return g
+
+
+def _primitive(f, u: int):
+    """(content, primitive part) of a level-u polynomial."""
+    c = _content(f, u)
+    return c, [_divexact(x, c, u - 1) for x in f] if f else f
+
+
+def _gcd(f, g, u: int):
+    """gcd at level u by the primitive pseudo-remainder sequence, content
+    included, with a positive leading integer; gcd(0, 0) = 0."""
+    if u < 0:
+        return igcd(f, g)
+    if f and g:
+        (cf, f), (cg, g) = _primitive(f, u), _primitive(g, u)
+        c = _gcd(cf, cg, u - 1)
+        if len(f) < len(g):
+            f, g = g, f
+        while g:
+            f, g = g, _primitive(_prem(f, g, u), u)[1]
+        f = [_mul(c, x, u - 1) for x in f]
+    else:
+        f = f or g
+    return _neg(f, u) if f and _lead(f, u) < 0 else f
+
+
+def _dense(terms: dict[tuple[int, int], int], axis: int) -> list[list[int]]:
+    """terms as a level-1 polynomial in q (axis 0) or t (axis 1) over Z[the other]."""
+    f: list[list[int]] = []
+    for e, c in terms.items():
+        i, j = e[axis], e[1 - axis]
+        if len(f) <= i:
+            f.extend([] for _ in range(i + 1 - len(f)))
+        row = f[i]
+        if len(row) <= j:
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    return f
+
+
+def _sparse(f: list[list[int]], axis: int) -> dict[tuple[int, int], int]:
+    """The terms of a level-1 polynomial in q (axis 0) or t (axis 1)."""
+    return {((i, j) if axis == 0 else (j, i)): c
+            for i, row in enumerate(f) for j, c in enumerate(row) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -460,31 +377,9 @@ def _from_fac(fac: tuple) -> IntPoly2:
         dense = [c]
         for m, e in exps:
             for _ in range(e):
-                dense = _t_mul(dense, cyclotomic(m))
+                dense = _mul(dense, cyclotomic(m), 0)
         p = _FACTORED[fac] = IntPoly2({(a + i, b): x for i, x in enumerate(dense) if x}, fac)
     return p
-
-
-def _slicewise_gcd(da: dict, db: dict, axis: int) -> list[int]:
-    """gcd when at least one operand is univariate along the given axis.
-
-    Slices both polynomials by the other exponent and folds dense integer
-    gcds; valid because any common divisor must itself be univariate.
-    """
-    g: list[int] = []
-    for terms in (da, db):
-        slices: dict[int, dict[int, int]] = {}
-        for (eq, et), c in terms.items():
-            main, other = (eq, et) if axis == 0 else (et, eq)
-            slices.setdefault(other, {})[main] = c
-        for sl in slices.values():
-            dense = [0] * (max(sl) + 1)
-            for e, c in sl.items():
-                dense[e] = c
-            g = _t_gcd(g, dense)
-            if len(g) == 1 and g[0] == 1:
-                return g
-    return g
 
 
 def poly_gcd(a: IntPoly2, b: IntPoly2) -> IntPoly2:
@@ -531,26 +426,16 @@ def _poly_gcd_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
         for c in (*da.values(), *db.values()):
             g = igcd(g, c)
         return IntPoly2({(vq, vt): g})
-    if da == db:
-        g = IntPoly2({(eq + vq, et + vt): c for (eq, et), c in da.items()})
-        return g if g.leading_coeff() > 0 else -g
     # univariate fast paths: when either operand involves a single variable
-    # the gcd does too, so slicewise dense gcds over Z suffice
-    a_q_only = all(et == 0 for _, et in da)
-    b_q_only = all(et == 0 for _, et in db)
-    if a_q_only or b_q_only:
-        g = _slicewise_gcd(da, db, axis=0)
-        return IntPoly2({(e + vq, vt): c for e, c in enumerate(g) if c})
-    a_t_only = all(eq == 0 for eq, _ in da)
-    b_t_only = all(eq == 0 for eq, _ in db)
-    if a_t_only or b_t_only:
-        g = _slicewise_gcd(da, db, axis=1)
-        return IntPoly2({(vq, e + vt): c for e, c in enumerate(g) if c})
-    res = _q_gcd(_to_dense(da), _to_dense(db))
-    out = _to_sparse(res)
-    if vq or vt:
-        out = {(eq + vq, et + vt): c for (eq, et), c in out.items()}
-    g = IntPoly2(out)
+    # the gcd does too, so it is the gcd of the slices along the other one
+    for axis in (0, 1):
+        if all(e[1 - axis] == 0 for e in da) or all(e[1 - axis] == 0 for e in db):
+            other = 1 - axis
+            g = _sparse([_content(_dense(da, other) + _dense(db, other), 1)], other)
+            break
+    else:
+        g = da if da == db else _sparse(_gcd(_dense(da, 0), _dense(db, 0), 1), 0)
+    g = IntPoly2({(eq + vq, et + vt): c for (eq, et), c in g.items()})
     return g if g.leading_coeff() > 0 else -g
 
 
@@ -578,30 +463,8 @@ def poly_divexact(a: IntPoly2, b: IntPoly2) -> IntPoly2:
 
 def _poly_divexact_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
     """Exact quotient by dense division; the reference for poly_divexact."""
-    if b.is_zero():
-        raise ExactDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return _P_ZERO
-    # univariate divisor: divide each slice of the dividend independently
-    for axis in (0, 1):
-        if all(e[1 - axis] == 0 for e in b.terms):
-            dense_b = [0] * (max(e[axis] for e in b.terms) + 1)
-            for e, c in b.terms.items():
-                dense_b[e[axis]] = c
-            slices: dict[int, dict[int, int]] = {}
-            for e, c in a.terms.items():
-                slices.setdefault(e[1 - axis], {})[e[axis]] = c
-            out = {}
-            for other, sl in slices.items():
-                dense_a = [0] * (max(sl) + 1)
-                for e, c in sl.items():
-                    dense_a[e] = c
-                quot = _t_divexact(dense_a, dense_b)
-                for e, c in enumerate(quot):
-                    if c:
-                        out[(e, other) if axis == 0 else (other, e)] = c
-            return IntPoly2(out)
-    return IntPoly2(_to_sparse(_q_divexact(_to_dense(a.terms), _to_dense(b.terms))))
+    quo = _divexact(_dense(a.terms, 0), _dense(b.terms, 0), 1)
+    return IntPoly2(_sparse(quo, 0)) if quo else _P_ZERO
 
 
 def _cancel(a: IntPoly2, b: IntPoly2) -> tuple[IntPoly2, IntPoly2]:

@@ -56,7 +56,7 @@ def pad_shape(lam: Shape, n: int) -> Shape:
 class StandardTableau:
     """Standard filling of a Young diagram by 1..size, stored by rows."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_hash")
 
     def __init__(self, rows):
         rows = tuple(tuple(strict_int(v, "tableau entry") for v in row) for row in rows)
@@ -74,6 +74,9 @@ class StandardTableau:
                 if rows[r][c] >= rows[r + 1][c]:
                     raise ValueError("columns must strictly increase")
         self.rows = rows
+        # every induced-module key hashes its tableau on each table, group
+        # and coefficient lookup
+        self._hash = hash(rows)
 
     @property
     def shape(self) -> Shape:
@@ -119,7 +122,7 @@ class StandardTableau:
         return self.row_word() < other.row_word()
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"StandardTableau({[list(r) for r in self.rows]})"

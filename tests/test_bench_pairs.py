@@ -38,7 +38,7 @@ def test_record_has_every_end_to_end_metric_and_the_claim():
     args = SimpleNamespace(pr=1, title="t", seed=5, claim="w:verdict_s:0.7")
     runs = {"w": {"parent": [fake_run(2.0, 20.0), fake_run(2.2, 20.1)],
                   "change": [fake_run(1.2, 19.0), fake_run(1.3, 19.1), fake_run(9.0, 99.0)]}}
-    doc = bench_pairs.record(args, spec, runs, {}, {"parent": "a", "change": "b"})
+    doc = bench_pairs.record(args, spec, runs, {}, {"parent": "a", "change": "b"}, {})
     w = doc["workloads"]["w"]
     assert w["pairs"] == 2 and w["all_runs_correct"]
     assert set(w["metrics"]) == {m["name"] for m in spec["end_to_end"]}
@@ -54,7 +54,7 @@ def claim_of(parent: list, change: list, failed=(0, 0)) -> dict:
     args = SimpleNamespace(pr=1, title="t", seed=5, claim="w:verdict_s:0.7")
     runs = {"w": {"parent": [fake_run(x, 20.0, failed[0]) for x in parent],
                   "change": [fake_run(x, 20.0, failed[1]) for x in change]}}
-    return bench_pairs.record(args, spec, runs, {}, {})["claim"]
+    return bench_pairs.record(args, spec, runs, {}, {}, {})["claim"]
 
 
 PARENT = [2.0, 2.1, 1.9, 2.2, 2.0, 2.1, 1.9, 2.0, 2.1, 2.0]
@@ -75,3 +75,19 @@ def test_claim_is_met_only_when_every_check_holds():
     narrow = claim_of(spread, [x * 0.6 for x in spread])
     assert narrow["ratio"] <= 0.7 and narrow["change_better_pairs"] == 10
     assert not narrow["met"] and narrow["checks"]["beyond_parent_iqr"] is False
+
+
+def test_import_peak_rss_is_measured_per_checkout_and_summarized():
+    rss = bench_pairs.import_rss_mb(ROOT)
+    assert 1.0 < rss < 1024.0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = SimpleNamespace(pr=1, title="t", seed=5, claim=None)
+    runs = {"w": {"parent": [fake_run(2.0, 20.0)], "change": [fake_run(2.0, 19.0)]}}
+    doc = bench_pairs.record(args, spec, runs, {}, {},
+                             {"parent": [18.2, 18.4, 18.3], "change": [17.5, 17.7]})
+    imp = doc["import_peak_rss_mb"]
+    assert (imp["parent"], imp["change"]) == ([18.2, 18.4], [17.5, 17.7])
+    assert (imp["unit"], imp["change_better_pairs"], imp["ratio"]) == ("MB", 2, 0.9617)
+    assert "import bqt" in imp["command"] and "claim" not in doc
+    # a record without import measurements has no such block
+    assert "import_peak_rss_mb" not in bench_pairs.record(args, spec, runs, {}, {}, {})

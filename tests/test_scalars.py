@@ -149,6 +149,47 @@ def test_gcd_divides_both_and_captures_common_factor(a, b, c):
         poly_divexact(g, c)
 
 
+# (weight of q, weight of t) of each operand kind
+KINDS = {"q": (1, 0), "t": (0, 1), "qt": (1, 1)}
+
+
+@st.composite
+def kernel_polys(draw, kinds=tuple(KINDS)):
+    """A nonzero polynomial in q only, t only or both, times an integer of
+    either sign (content > 1 included) and a monomial in its variables."""
+    wq, wt = KINDS[draw(st.sampled_from(kinds))]
+    exps = st.tuples(st.integers(0, 3 * wq), st.integers(0, 3 * wt))
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=1, max_size=4))
+    c = draw(st.sampled_from([1, 2, 3, 6])) * draw(st.sampled_from([1, -1]))
+    mono = IntPoly2.monomial(draw(st.integers(0, 2 * wq)), draw(st.integers(0, 2 * wt)), c)
+    return fresh(IntPoly2(terms) * mono)
+
+
+@given(kernel_polys(), kernel_polys(), kernel_polys(kinds=("q", "t")))
+@settings(max_examples=60, deadline=None)
+def test_generic_kernel_against_sympy_at_both_levels(a, b, d):
+    # the dense gcd at level 1 (bivariate), at level 0 (a univariate
+    # operand) and on the constants and monomials stripped before either
+    for x, y in ((a, b), (a * d, b * d), (a * b, b * d)):
+        got = _poly_gcd_generic(x, y)
+        assert got.leading_coeff() > 0
+        expected = sympy.gcd(sp(x), sp(y))
+        assert sympy.expand(sp(got) - expected) == 0 or sympy.expand(sp(got) + expected) == 0
+    # exact division by any divisor, q-only and t-only ones included
+    assert _poly_divexact_generic(a * d, d) == a
+    assert _poly_divexact_generic(a * b, b) == a
+    # a remainder the leading terms never see, unless d is a unit
+    if abs(d.leading_coeff()) != 1 or d.total_degree():
+        with pytest.raises(ExactDivisionError):
+            _poly_divexact_generic(a * d + IntPoly2.const(1), d)
+    # any other pair: a quotient only when it is exact
+    try:
+        quo = _poly_divexact_generic(a, b)
+    except ExactDivisionError:
+        return
+    assert quo * b == a
+
+
 # -- the factored base c q^a t^b prod Phi_m(q)^e ------------------------------
 
 def test_generic_gcd_with_a_t_power_times_a_q_only_operand():

@@ -18,7 +18,12 @@ better in at least nine pairs in ten, the medians differ by more than the
 parent's interquartile range and the change failed no more operations than
 the parent.  With --trace-seed, each side also runs one ``--trace 1`` pass
 per workload and the record keeps every ``.calls`` metric and the scalar
-busy times.  The record is written to BENCH_<N>.json in the change's
+busy times.  Each pair also measures, once per side, the peak RSS of an
+interpreter that only imports bqt from that checkout's src, with the
+environment perfbench gives its passes; ``import_peak_rss_mb`` summarizes
+it, so a move in a workload's peak_rss_mb can be told apart into compiling
+the modules and the data a pass holds.  It is informational: no claim or
+bound reads it.  The record is written to BENCH_<N>.json in the change's
 checkout and rewritten after every pair, so a cut run leaves the pairs
 measured so far.
 """
@@ -39,6 +44,8 @@ QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
 TRACED_KEEP = ("scalars.self_s", "scalars.gcd.busy_s")
 # interpreter settings that change what a run does, recorded when set
 RECORDED_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED", "PYTHONOPTIMIZE")
+IMPORT_RSS = ("import resource, sys; sys.path.insert(0, 'src'); import bqt; "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
@@ -51,6 +58,17 @@ def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int = 0
                            f"{proc.stderr.strip()[-2000:]}")
     *_, prov, result = proc.stdout.strip().splitlines()
     return {"provenance": json.loads(prov)["provenance"], "result": json.loads(result)}
+
+
+def import_rss_mb(root: Path) -> float:
+    """Peak RSS in MB of ``import bqt`` from root/src, in a process started as
+    perfbench/run.py starts its passes: this interpreter, PYTHONHASHSEED=0."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_RSS], cwd=root, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONHASHSEED="0"))
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: import bqt exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return int(proc.stdout) / 1024.0
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -78,7 +96,7 @@ def summarize(parent: list[float], change: list[float], unit: str, lower_is_bett
     }
 
 
-def record(args, spec: dict, runs: dict, traced: dict, shas: dict) -> dict:
+def record(args, spec: dict, runs: dict, traced: dict, shas: dict, import_rss: dict) -> dict:
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     workloads = {}
     for w, sides in runs.items():
@@ -115,6 +133,12 @@ def record(args, spec: dict, runs: dict, traced: dict, shas: dict) -> dict:
                    "(tools/bench_pairs.py)",
         "quartiles": QUARTILES,
     }
+    if import_rss.get("parent") and import_rss.get("change"):
+        n = min(len(import_rss["parent"]), len(import_rss["change"]))
+        out["import_peak_rss_mb"] = {
+            "command": f"python3 -c \"{IMPORT_RSS}\", once per side per pair",
+            **summarize(import_rss["parent"][:n], import_rss["change"][:n], "MB", True),
+        }
     if args.claim:
         w, metric, target = args.claim.split(":")
         m = workloads.get(w, {}).get("metrics", {}).get(metric)
@@ -211,8 +235,11 @@ def main(argv=None) -> int:
     traced = trace_both(args, spec, parent, change) if args.trace_seed is not None else {}
     runs = {w: {"parent": [], "change": []} for w in workloads}
     shas: dict = {}
+    import_rss: dict = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = (("parent", parent), ("change", change))
+        for side, root in order if i % 2 == 0 else order[::-1]:
+            import_rss[side].append(import_rss_mb(root))
         for w in workloads:
             for side, root in order if i % 2 == 0 else order[::-1]:
                 got = run_bench(root, w, args.seed, spec["run_seconds"])
@@ -220,7 +247,7 @@ def main(argv=None) -> int:
                 runs[w][side].append(got)
                 print(f"pair {i} {w} {side}: verdict_s "
                       f"{got['result']['metrics']['verdict_s']['value']:.4f}", file=sys.stderr)
-        doc = record(args, spec, runs, traced, shas)
+        doc = record(args, spec, runs, traced, shas, import_rss)
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
