@@ -21,8 +21,8 @@ per workload and the record keeps every ``.calls`` metric and the scalar
 busy times.  Each pair also measures, once per side, the peak RSS of an
 interpreter that only imports bqt from that checkout's src, with the
 environment perfbench gives its passes; ``import_peak_rss_mb`` summarizes
-it, so a move in a workload's peak_rss_mb can be told apart into compiling
-the modules and the data a pass holds.  It is informational: no claim or
+it, so a move in a workload's peak_rss_mb can be split into the cost of
+compiling the modules and the data a pass holds.  It is informational: no claim or
 bound reads it.  The record is written to BENCH_<N>.json in the change's
 checkout and rewritten after every pair, so a cut run leaves the pairs
 measured so far.
@@ -134,10 +134,9 @@ def record(args, spec: dict, runs: dict, traced: dict, shas: dict, import_rss: d
         "quartiles": QUARTILES,
     }
     if import_rss.get("parent") and import_rss.get("change"):
-        n = min(len(import_rss["parent"]), len(import_rss["change"]))
         out["import_peak_rss_mb"] = {
             "command": f"python3 -c \"{IMPORT_RSS}\", once per side per pair",
-            **summarize(import_rss["parent"][:n], import_rss["change"][:n], "MB", True),
+            **summarize(import_rss["parent"], import_rss["change"], "MB", True),
         }
     if args.claim:
         w, metric, target = args.claim.split(":")
@@ -237,11 +236,11 @@ def main(argv=None) -> int:
     shas: dict = {}
     import_rss: dict = {"parent": [], "change": []}
     for i in range(args.pairs):
-        order = (("parent", parent), ("change", change))
-        for side, root in order if i % 2 == 0 else order[::-1]:
+        order = (("parent", parent), ("change", change))[::1 if i % 2 == 0 else -1]
+        for side, root in order:
             import_rss[side].append(import_rss_mb(root))
         for w in workloads:
-            for side, root in order if i % 2 == 0 else order[::-1]:
+            for side, root in order:
                 got = run_bench(root, w, args.seed, spec["run_seconds"])
                 shas[side] = got["provenance"]["git_sha"]
                 runs[w][side].append(got)
