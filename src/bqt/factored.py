@@ -19,12 +19,27 @@ divisor itself.
 
 Polynomials are plain terms dicts here, {(e_q, e_t): coefficient}; the
 scalar module owns IntPoly2 and keeps one interned polynomial per
-factorization.  The two tables below are memos of pure functions, bounded
-by the distinct cyclotomics and univariate denominators a process meets.
+factorization.  The tables below are memos of pure functions, bounded by
+the distinct cyclotomics, univariate denominators and row widths a process
+meets.
+
+Sums of products a * b * c, the numerators of a lifted lincomb group, run
+on packed rows (packed, packed_sum): the q-coefficients of each power of t
+sit in SLOT = 64-bit slots of one Python int, so a row product and a row sum
+are single big-int operations, the trick of FLINT's coefficient packing
+(Hart, ICMS 2010).  Exactness is certified, not probable: every coefficient
+of the sum is at most the sum over the triples of the products of their
+1-norms, and only when that bound is below 2^63 is each row decoded, with
+C-level steps: ((row + bias) ^ bias).to_bytes(...) read as int64 through a
+memoryview.  Otherwise packed_sum returns None and the caller expands the
+products term by term.  An IntPoly2 caches its packed rows, 1-norm and top
+q-degree in its own ``rows`` slot, so the cache goes when the polynomial
+does; interned and pooled polynomials, which recur in many groups, keep it.
 """
 
 from __future__ import annotations
 
+import sys
 from math import gcd as igcd, lcm
 
 from .errors import ExactDivisionError
@@ -32,6 +47,13 @@ from .errors import ExactDivisionError
 _CYCLOTOMIC: dict[int, list[int]] = {}
 # factorization of each univariate-in-q polynomial factored so far, by value
 _FAC_OF: dict[frozenset, tuple | bool] = {}
+
+# bits per packed coefficient, the width of a C long long ("q" memoryview format)
+SLOT = 64
+# the slots decode through a native-order memoryview of little-endian bytes
+_LITTLE = sys.byteorder == "little"
+# number of slots -> 2^(SLOT-1) in every one of them
+_BIAS: dict[int, int] = {}
 
 
 def cyclotomic(m: int) -> list[int]:
@@ -176,11 +198,74 @@ def fac_lcm(facs) -> tuple:
     return (c, a, b, tuple(sorted(exps.items())))
 
 
-def cancel_by_fac(terms: dict, g: tuple) -> tuple:
+def packed(p) -> tuple:
+    """(1-norm, top q-degree, ((e_t, row), ...)) of the polynomial p.
+
+    Each row packs the q-coefficients of one power of t into SLOT-bit slots
+    of one int, the coefficient of q^i scaled by 2^(SLOT*i).  The tuple is
+    cached in p's ``rows`` slot, so it lives exactly as long as p does.
+    """
+    r = p.rows
+    if r is None:
+        terms = p.terms
+        rows: dict[int, int] = {}
+        for (eq, et), c in terms.items():
+            rows[et] = rows.get(et, 0) + (c << SLOT * eq)
+        r = p.rows = (sum(map(abs, terms.values())), max((eq for eq, _ in terms), default=0),
+                      tuple(rows.items()))
+    return r
+
+
+def packed_sum(triples) -> tuple | None:
+    """(terms, rows) of the sum of a * b * c over (a, b, c) polynomial triples,
+    or None unless the bound certifies its slots; rows are the sum's nonzero
+    q-slices from q^0 on, [(e_t, [coefficient, ...]), ...].
+
+    A coefficient of the sum is at most the bound, the sum over the triples
+    of the products of their 1-norms, in absolute value; while the bound is
+    below 2^(SLOT-1) every slot of a row sum holds its coefficient exactly,
+    so adding 2^(SLOT-1) to each slot borrows nothing from the next one, and
+    flipping that bit back leaves each slot in two's complement.
+    """
+    bound = top = 0
+    total: dict[int, int] = {}
+    for a, b, c in triples:
+        na, ta, ra = a.rows or packed(a)
+        nb, tb, rb = b.rows or packed(b)
+        nc, tc, rc = c.rows or packed(c)
+        bound += na * nb * nc
+        if ta + tb + tc > top:
+            top = ta + tb + tc
+        for ea, x in ra:
+            for eb, y in rb:
+                xy = x * y
+                for ec, z in rc:
+                    e = ea + eb + ec
+                    total[e] = total.get(e, 0) + xy * z
+    if bound >> SLOT - 1 or not _LITTLE:
+        return None
+    width = top + 1
+    bias = _BIAS.get(width)
+    if bias is None:
+        bias = _BIAS[width] = sum(1 << SLOT * i + SLOT - 1 for i in range(width))
+    out, rows = {}, []
+    for et, row in total.items():
+        if row:
+            row = memoryview(((row + bias) ^ bias).to_bytes(width * SLOT // 8, "little"))
+            row = row.cast("q").tolist()
+            rows.append((et, row))
+            for eq, x in enumerate(row):
+                if x:
+                    out[eq, et] = x
+    return out, rows
+
+
+def cancel_by_fac(terms: dict, g: tuple, rows=None) -> tuple:
     """gcd(p, g) as a factorization and the terms of p / gcd, for nonzero p with these terms.
 
     One trial division of p's q-slices finds both; the quotient is None when
-    the gcd is 1.
+    the gcd is 1.  rows, when given, are p's nonzero q-slices from q^0 on, as
+    packed_sum decodes them.
     """
     c, a, b, exps = g
     c = abs(c)
@@ -195,7 +280,7 @@ def cancel_by_fac(terms: dict, g: tuple) -> tuple:
         b = min(b, min(et for _, et in terms))
     common = []
     if exps:
-        lo, rows = _q_rows(terms)
+        lo, rows = _q_rows(terms) if rows is None else (0, rows)
         for m, e in exps:
             phi, k = cyclotomic(m), 0
             while k < e and (quo := _rows_quo(rows, phi)) is not None:

@@ -33,9 +33,11 @@ quotient together (factored.cancel_by_fac).
 Both rings have lincomb(pairs), the sum of c * m over (c, m) pairs, which is
 how a generator table is applied (bqt.keyed).  Over Q(q,t), when every
 denominator lies in the base, the products are lifted to the lcm of their
-denominators (exponent maxima, factored.fac_lcm), added as polynomials and
-reduced once by QtScalar.fraction, instead of being reduced after every
-term; any other denominator makes it add the products one by one.
+denominators (exponent maxima, factored.fac_lcm), summed over packed q-rows
+(factored.packed_sum) and reduced once by QtScalar.fraction, which hands the
+decoded rows on to cancel_by_fac; a group whose 1-norm bound does not
+certify the packed slots is expanded as dicts of terms instead.  Any other
+denominator makes it add the products one by one.
 
 The generic kernel (_poly_gcd_generic, _poly_divexact_generic) runs when
 the divisor lies outside the base, as for parsed input such as
@@ -70,6 +72,7 @@ from .factored import (
     fac_lcm,
     fac_mul,
     factor,
+    packed_sum,
 )
 
 # ---------------------------------------------------------------------------
@@ -235,13 +238,15 @@ class IntPoly2:
     after construction and may be shared.
     """
 
-    __slots__ = ("terms", "fac")
+    __slots__ = ("terms", "fac", "rows")
 
     def __init__(self, terms: dict[tuple[int, int], int], fac=None):
         self.terms = terms
         # factorization (c, a, b, ((m, e), ...)) over the factored base,
         # False outside it, None while not yet known
         self.fac = fac
+        # the packed rows of factored.packed, None until first asked for
+        self.rows = None
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int], int]) -> "IntPoly2":
@@ -467,7 +472,7 @@ def _poly_divexact_generic(a: IntPoly2, b: IntPoly2) -> IntPoly2:
     return IntPoly2(_sparse(quo, 0)) if quo else _P_ZERO
 
 
-def _cancel(a: IntPoly2, b: IntPoly2) -> tuple[IntPoly2, IntPoly2]:
+def _cancel(a: IntPoly2, b: IntPoly2, rows=None) -> tuple[IntPoly2, IntPoly2]:
     """a / g and b / g for g = gcd(a, b) and a nonzero; a and b themselves when g = 1."""
     fb = _fac(b)
     if not fb:
@@ -479,7 +484,7 @@ def _cancel(a: IntPoly2, b: IntPoly2) -> tuple[IntPoly2, IntPoly2]:
         if g == _P_ONE.fac:
             return a, b
         return _from_fac(fac_div(fa, g)), _from_fac(fac_div(fb, g))
-    g, quo = cancel_by_fac(a.terms, fb)
+    g, quo = cancel_by_fac(a.terms, fb, rows)
     return (a, b) if quo is None else (IntPoly2(quo), _from_fac(fac_div(fb, g)))
 
 
@@ -499,12 +504,13 @@ class QtScalar:
         self.den = den
 
     @classmethod
-    def fraction(cls, num: IntPoly2, den: IntPoly2) -> "QtScalar":
+    def fraction(cls, num: IntPoly2, den: IntPoly2, rows=None) -> "QtScalar":
+        """num/den in canonical form; rows as for factored.cancel_by_fac."""
         if den.is_zero():
             raise ZeroDenominator("denominator is the zero polynomial")
         if num.is_zero():
             return ZERO
-        num, den = _cancel(num, den)
+        num, den = _cancel(num, den, rows)
         if den.leading_coeff() < 0:
             num, den = -num, -den
         return cls(num, den)
@@ -549,7 +555,6 @@ class QtScalar:
         g2 = poly_gcd(num, g)
         if not g2.is_one():
             num = poly_divexact(num, g2)
-            g = poly_divexact(g, g2)
         den = self.den * db if g2.is_one() else poly_divexact(self.den, g2) * db
         return QtScalar(num, den) if den.leading_coeff() > 0 else QtScalar(-num, -den)
 
@@ -849,17 +854,24 @@ class QtField:
         """Sum of c * m over the (c, m) pairs.
 
         When every denominator lies in the factored base the products are
-        lifted to the lcm of their denominators, added as polynomials and
-        reduced once; otherwise the products are added one by one.
+        lifted to the lcm of their denominators, added as packed q-rows, or
+        as dicts of terms when the rows' 1-norm bound fails, and reduced
+        once; otherwise the products are added one by one.
         """
         if len(pairs) > 1:
             dens = [(_fac(c.den), _fac(m.den)) for c, m in pairs]
             if all(f and g for f, g in dens):
                 facs = [fac_mul(f, g) for f, g in dens]
                 lcm = fac_lcm(facs)
+                triples = [(c.num, m.num, _from_fac(fac_div(lcm, f)))
+                           for (c, m), f in zip(pairs, facs)]
+                summed = packed_sum(triples)
+                if summed:
+                    terms, rows = summed
+                    return QtScalar.fraction(IntPoly2(terms), _from_fac(lcm), rows)
                 total: dict = {}
-                for (c, m), f in zip(pairs, facs):
-                    for e, x in (c.num * m.num * _from_fac(fac_div(lcm, f))).terms.items():
+                for a, b, cof in triples:
+                    for e, x in (a * b * cof).terms.items():
                         total[e] = total.get(e, 0) + x
                 return QtScalar.fraction(IntPoly2.from_terms(total), _from_fac(lcm))
         c, m = pairs[0]

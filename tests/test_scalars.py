@@ -6,6 +6,7 @@ drives the random-algebra properties.
 
 import functools
 import random
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqt.errors import DivisionByZero, ExactDivisionError, PoleAtPoint, ZeroDenominator
-from bqt.factored import cancel_by_fac, fac_lcm
+from bqt.factored import cancel_by_fac, fac_lcm, packed_sum
 from bqt.relations import all_passed, check_daha_relations, make_realization
 from bqt.scalars import (
     _FACTORED,
@@ -35,6 +36,7 @@ from bqt.scalars import (
     poly_gcd,
     q_factorial,
     q_integer,
+    q_power,
     scalar_normalize,
 )
 
@@ -311,9 +313,9 @@ def factored_scalars(draw):
 
 
 @st.composite
-def lincomb_groups(draw):
-    """1-4 (c, m) pairs; sometimes with each product's negation, so the sum is 0."""
-    pairs = draw(st.lists(st.tuples(factored_scalars(), factored_scalars()), min_size=1, max_size=4))
+def lincomb_groups(draw, min_size=1, scalars=factored_scalars()):
+    """min_size-4 (c, m) pairs; sometimes with each product's negation, so the sum is 0."""
+    pairs = draw(st.lists(st.tuples(scalars, scalars), min_size=min_size, max_size=4))
     if draw(st.booleans()):
         pairs = draw(st.permutations(pairs + [(-c, m) for c, m in pairs]))
     return pairs
@@ -346,6 +348,44 @@ def test_lincomb_outside_the_base_takes_the_fold(monkeypatch):
         assert str(QT.lincomb(pairs)) == str(fold(pairs))
     assert QT.lincomb([(mixed, a), (-mixed, a)]) == ZERO
     assert len(lifts) == 1
+
+
+@st.composite
+def wide_lincomb_groups(draw):
+    """lincomb_groups with every c scaled by one integer, so that the group's
+    1-norm bound lies below 2^32, between 2^32 and 2^63, or past 2^63."""
+    scale = QtScalar.from_int(draw(st.sampled_from([1, -(2**35), 2**62, 3 * 2**61])))
+    nonzero = factored_scalars().filter(lambda s: not s.is_zero())
+    return [(c * scale, m) for c, m in draw(lincomb_groups(2, nonzero))]
+
+
+def dict_path(pairs):
+    with patch("bqt.scalars.packed_sum", lambda triples: None):
+        return QT.lincomb(pairs)
+
+
+@given(wide_lincomb_groups())
+@settings(max_examples=80, deadline=None)
+def test_packed_lincomb_equals_the_dict_path(pairs):
+    got, expected = QT.lincomb(pairs), dict_path(pairs)
+    assert got == expected
+    assert str(got) == str(expected)
+
+
+def test_lincomb_past_the_slot_bound_takes_the_dict_path(monkeypatch):
+    sums = []
+    monkeypatch.setattr("bqt.scalars.packed_sum",
+                        lambda triples: sums.append(packed_sum(triples)) or sums[-1])
+    # k/q + k/(q + 1) = (2k*q + k)/(q^2 + q), lifted by the cofactors q + 1 and
+    # q, so the bound is 3k; the last k gives the sum a coefficient of 2^63
+    for k, packs in (((2**63 - 1) // 3, True), (2**63 // 3 + 1, False), (2**62, False)):
+        pairs = [(QtScalar.from_int(k), q_power(-1)), (QtScalar.from_int(k), parse_scalar("1/(q + 1)"))]
+        got = QT.lincomb(pairs)
+        assert (sums[-1] is not None) is packs
+        assert got == QtScalar(IntPoly2({(1, 0): 2 * k, (0, 0): k}), poly_of("q^2 + q"))
+        assert got == fold(pairs)
+        assert str(got) == str(fold(pairs))
+    assert len(sums) == 3
 
 
 @given(lincomb_groups())
