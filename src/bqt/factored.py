@@ -19,9 +19,8 @@ divisor itself.
 
 Polynomials are plain terms dicts here, {(e_q, e_t): coefficient}; the
 scalar module owns IntPoly2 and keeps one interned polynomial per
-factorization.  The tables below are memos of pure functions, bounded by
-the distinct cyclotomics, univariate denominators and row widths a process
-meets.
+factorization.  The two tables below are memos of pure functions, bounded
+by the distinct cyclotomics and univariate denominators a process meets.
 
 Sums of products a * b * c, the numerators of a lifted lincomb group, run
 on packed rows (packed, packed_sum): the q-coefficients of each power of t
@@ -52,8 +51,6 @@ _FAC_OF: dict[frozenset, tuple | bool] = {}
 SLOT = 64
 # the slots decode through a native-order memoryview of little-endian bytes
 _LITTLE = sys.byteorder == "little"
-# number of slots -> 2^(SLOT-1) in every one of them
-_BIAS: dict[int, int] = {}
 
 
 def cyclotomic(m: int) -> list[int]:
@@ -245,9 +242,8 @@ def packed_sum(triples) -> tuple | None:
     if bound >> SLOT - 1 or not _LITTLE:
         return None
     width = top + 1
-    bias = _BIAS.get(width)
-    if bias is None:
-        bias = _BIAS[width] = sum(1 << SLOT * i + SLOT - 1 for i in range(width))
+    # 2^(SLOT-1) in each of the width slots: a base-2^SLOT repunit, shifted
+    bias = ((1 << SLOT * width) - 1) // ((1 << SLOT) - 1) << SLOT - 1
     out, rows = {}, []
     for et, row in total.items():
         if row:
