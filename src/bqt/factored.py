@@ -17,7 +17,8 @@ Phi_m (cancel_by_fac): Phi_m(q) divides p(q, t) exactly when it divides
 the coefficient of every t^j.  The quotient is exact when the gcd is the
 divisor itself.
 
-Polynomials are plain terms dicts here, {(e_q, e_t): coefficient}; the
+Polynomials are plain terms dicts here, {(e_q, e_t): coefficient}, except
+in packed and packed_sum, which take IntPoly2 objects for their cache; the
 scalar module owns IntPoly2 and keeps one interned polynomial per
 factorization.  The two tables below are memos of pure functions, bounded
 by the distinct cyclotomics and univariate denominators a process meets.
