@@ -116,6 +116,8 @@ def cmd_check(args) -> int:
         report_objs = [r.to_obj() for r in reports]
     else:
         ids = relation_ids(args.suite, args.n)
+        # built here even for the pool, so bad input fails before any worker starts
+        M = make_realization(desc)
         if args.jobs > 1:
             tasks = [(args.suite, params, rid) for rid in ids]
             with ProcessPoolExecutor(
@@ -123,7 +125,7 @@ def cmd_check(args) -> int:
             ) as pool:
                 report_objs = [obj for chunk in pool.map(_check_task, tasks) for obj in chunk]
         else:
-            report_objs = _check_ids(args.suite, make_realization(desc), params, ids)
+            report_objs = _check_ids(args.suite, M, params, ids)
 
     if args.suite == "aux" and args.module == "murnaghan" and not args.probabilistic:
         report_objs.append(check_theta_eigenvalues(parse_shape(args.shape), args.n).to_obj())
@@ -272,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_sizes(args) -> None:
-    """ValueError when --dmax, --kmax or --jobs is negative."""
-    for name in ("dmax", "kmax", "jobs"):
+    """ValueError when --dmax, --kmax, --jobs or --ncap is negative."""
+    for name in ("dmax", "kmax", "jobs", "ncap"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ValueError(f"--{name} must be nonnegative, got {value}")

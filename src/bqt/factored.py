@@ -20,8 +20,14 @@ divisor itself.
 Polynomials are plain terms dicts here, {(e_q, e_t): coefficient}, except
 in packed and packed_sum, which take IntPoly2 objects for their cache; the
 scalar module owns IntPoly2 and keeps one interned polynomial per
-factorization.  The two tables below are memos of pure functions, bounded
-by the distinct cyclotomics and univariate denominators a process meets.
+factorization.  _CYCLOTOMIC and _FAC_OF are memos of pure functions,
+bounded by the distinct cyclotomics and univariate denominators a process
+meets.  Four Table memos hold the operations on factorizations: PRODUCT,
+pairwise LCM, QUOTIENT and CANCEL, the quotients of two factorizations by
+their gcd.  Each is keyed by the pair of argument tuples, never by a
+polynomial or an id(), so with F the distinct factorizations a process
+meets each holds at most F^2 entries; _SHARED keeps one tuple per
+factorization for all of them.  A quotient that raises stores nothing.
 
 Sums of products a * b * c, the numerators of a lifted lincomb group, run
 on packed rows (packed, packed_sum): the q-coefficients of each power of t
@@ -160,6 +166,14 @@ def fac_gcd(f: tuple, g: tuple) -> tuple:
     return (igcd(f[0], g[0]), min(f[1], g[1]), min(f[2], g[2]), exps)
 
 
+def fac_cancel(f: tuple, g: tuple) -> tuple | None:
+    """(f / d, g / d) for d = gcd(f, g); None when d is 1."""
+    d = fac_gcd(f, g)
+    if d == (1, 0, 0, ()):
+        return None
+    return fac_div(f, d), fac_div(g, d)
+
+
 def _q_rows(terms: dict) -> tuple[int, list[tuple[int, list[int]]]]:
     """Lowest e_q of p, and for each e_t the dense q-coefficients from there on."""
     lo = min(eq for eq, _ in terms)
@@ -194,6 +208,50 @@ def fac_lcm(facs) -> tuple:
             if e > exps.get(m, 0):
                 exps[m] = e
     return (c, a, b, tuple(sorted(exps.items())))
+
+
+class Table(dict):
+    """A memo of fn, a pure function of factorizations: table[f, g] is fn(f, g),
+    computed on the first lookup and keyed by the argument tuple itself.  A
+    call that raises stores nothing, so it raises again on every lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: tuple):
+        out = self[_shared(key)] = _shared(self.fn(*key))
+        return out
+
+
+def _shared(x):
+    """x with each factorization in it replaced by the equal one in _SHARED,
+    so the tables hold one tuple per factorization; x is a factorization, a
+    tuple of them or None."""
+    if x is None:
+        return x
+    if type(x[0]) is tuple:
+        return tuple(map(_shared, x))
+    return _SHARED.setdefault(x, x)
+
+
+_SHARED: dict[tuple, tuple] = {}
+PRODUCT = Table(fac_mul)
+LCM = Table(lambda f, g: fac_lcm((f, g)))
+QUOTIENT = Table(fac_div)
+CANCEL = Table(fac_cancel)
+
+
+def lcm_fold(facs: list) -> tuple:
+    """fac_lcm(facs) for a nonempty list of positive-content factorizations,
+    folded pairwise through LCM, skipping each factor equal to the lcm so far."""
+    out = facs[0]
+    for f in facs[1:]:
+        if f != out:
+            out = LCM[out, f]
+    return out
 
 
 def packed(p) -> tuple:

@@ -33,11 +33,15 @@ quotient together (factored.cancel_by_fac).
 Both rings have lincomb(pairs), the sum of c * m over (c, m) pairs, which is
 how a generator table is applied (bqt.keyed).  Over Q(q,t), when every
 denominator lies in the base, the products are lifted to the lcm of their
-denominators (exponent maxima, factored.fac_lcm), summed over packed q-rows
-(factored.packed_sum) and reduced once by QtScalar.fraction, which hands the
-decoded rows on to cancel_by_fac; a group whose 1-norm bound does not
-certify the packed slots is expanded as dicts of terms instead.  Any other
-denominator makes it add the products one by one.
+denominators, summed over packed q-rows (factored.packed_sum) and reduced
+once by QtScalar.fraction, which hands the decoded rows on to
+cancel_by_fac; a group whose 1-norm bound does not certify the packed slots
+is expanded as dicts of terms instead.  Any other denominator makes it add
+the products one by one.  The denominator bookkeeping is read from the
+memo tables of bqt.factored: each pair's product from PRODUCT, the lcm
+folded pairwise through LCM and each cofactor from QUOTIENT.  A product of
+factored polynomials reads PRODUCT and a cancellation of two factored
+ones, as in QtScalar.__mul__, reads CANCEL.
 
 The generic kernel (_poly_gcd_generic, _poly_divexact_generic) runs when
 the divisor lies outside the base, as for parsed input such as
@@ -65,13 +69,14 @@ from .errors import (
     ZeroDenominator,
 )
 from .factored import (
+    CANCEL,
+    PRODUCT,
+    QUOTIENT,
     cancel_by_fac,
     cyclotomic,
-    fac_div,
     fac_gcd,
-    fac_lcm,
-    fac_mul,
     factor,
+    lcm_fold,
     packed_sum,
 )
 
@@ -324,7 +329,7 @@ class IntPoly2:
         if self.is_one():
             return other
         if self.fac and other.fac:
-            return _from_fac(fac_mul(self.fac, other.fac))
+            return _from_fac(PRODUCT[self.fac, other.fac])
         out: dict[tuple[int, int], int] = {}
         for (aq, at), ac in self.terms.items():
             for (bq, bt), bc in other.terms.items():
@@ -455,7 +460,7 @@ def poly_divexact(a: IntPoly2, b: IntPoly2) -> IntPoly2:
     if fb and a.terms:
         fa = a.fac
         if fa:
-            return _from_fac(fac_div(fa, fb))
+            return _from_fac(QUOTIENT[fa, fb])
         # b divides a exactly when gcd(a, b) is b up to its sign
         c = fb[0]
         g, quo = cancel_by_fac(a.terms, fb)
@@ -480,12 +485,10 @@ def _cancel(a: IntPoly2, b: IntPoly2, rows=None) -> tuple[IntPoly2, IntPoly2]:
         return (a, b) if g.is_one() else (poly_divexact(a, g), poly_divexact(b, g))
     fa = a.fac
     if fa:
-        g = fac_gcd(fa, fb)
-        if g == _P_ONE.fac:
-            return a, b
-        return _from_fac(fac_div(fa, g)), _from_fac(fac_div(fb, g))
+        pair = CANCEL[fa, fb]
+        return (a, b) if pair is None else (_from_fac(pair[0]), _from_fac(pair[1]))
     g, quo = cancel_by_fac(a.terms, fb, rows)
-    return (a, b) if quo is None else (IntPoly2(quo), _from_fac(fac_div(fb, g)))
+    return (a, b) if quo is None else (IntPoly2(quo), _from_fac(QUOTIENT[fb, g]))
 
 
 # ---------------------------------------------------------------------------
@@ -856,14 +859,16 @@ class QtField:
         When every denominator lies in the factored base the products are
         lifted to the lcm of their denominators, added as packed q-rows, or
         as dicts of terms when the rows' 1-norm bound fails, and reduced
-        once; otherwise the products are added one by one.
+        once; otherwise the products are added one by one.  The product
+        denominators, their lcm and the cofactors come from the tables of
+        bqt.factored, so a group whose denominators recur costs lookups.
         """
         if len(pairs) > 1:
             dens = [(_fac(c.den), _fac(m.den)) for c, m in pairs]
             if all(f and g for f, g in dens):
-                facs = [fac_mul(f, g) for f, g in dens]
-                lcm = fac_lcm(facs)
-                triples = [(c.num, m.num, _from_fac(fac_div(lcm, f)))
+                facs = [PRODUCT[d] for d in dens]
+                lcm = lcm_fold(facs)
+                triples = [(c.num, m.num, _from_fac(QUOTIENT[lcm, f]))
                            for (c, m), f in zip(pairs, facs)]
                 summed = packed_sum(triples)
                 if summed:

@@ -269,12 +269,16 @@ CHECK_POLY2 = ["--module", "poly", "--n", "2"]
         (None, None, None, ["limit", "--dmax", "-1"]),
         (None, None, None, ["dims", "--kmax", "-1"]),
         (None, None, None, ["dims", "--dmax", "-1"]),
+        (None, None, None, ["limit", "--ncap", "-1"]),
+        (None, None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "0"]),
+        (None, None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "-1"]),
     ],
     ids=["T_without_index", "bare_int", "string_index", "z_without_index",
          "vector_without_entries", "flavor_not_int", "BQT_JOBS_not_int",
          "check_dmax_negative", "check_jobs_negative", "check_kmax_negative",
          "check_bqt_dmax_negative", "limit_kmax_negative", "limit_dmax_negative",
-         "dims_kmax_negative", "dims_dmax_negative"],
+         "dims_kmax_negative", "dims_dmax_negative", "limit_ncap_negative",
+         "check_rank_zero_with_pool", "check_rank_negative_with_pool"],
 )
 def test_malformed_input_exits_2_with_message(
     capsys, tmp_path, monkeypatch, word, payload, env, argv
@@ -291,7 +295,12 @@ def test_malformed_input_exits_2_with_message(
     assert err.startswith("error: ")
     if word is None and env is None:
         assert out == ""
-        assert f"error: {argv[-2]} must be nonnegative, got {argv[-1]}" in err
+        flag, value = argv[-2:]
+        if flag == "--n":
+            # a bad rank fails in the parent process, before the pool starts
+            assert "error: rank must be positive" in err
+        else:
+            assert f"error: {flag} must be nonnegative, got {value}" in err
 
 
 CONST2 = {"rank": 2, "entries": [{"exponents": [0, 0], "coeff": "1"}]}
