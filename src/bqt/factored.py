@@ -218,7 +218,6 @@ class Table(dict):
     __slots__ = ("fn",)
 
     def __init__(self, fn):
-        super().__init__()
         self.fn = fn
 
     def __missing__(self, key: tuple):
