@@ -56,6 +56,7 @@ pooled ones.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from itertools import chain
 
 from .errors import IndexOutOfRange
@@ -289,16 +290,30 @@ class KeyedRealization:
         """
         coeffs = v.coeffs
         memo = _repeats(coeffs)
-        canon: dict = {}
-        groups: dict = {}
+        groups = self.gather({}, coeffs, partial(table, *args), {} if memo else None)
+        return self._vec({k2: s for k2, s in self.group_sums(groups, memo) if not s.is_zero()})
+
+    @staticmethod
+    def gather(groups: dict, coeffs: dict, image, canon=None) -> dict:
+        """Append (c, m) to groups[k2] for each key's coefficient c and each (k2, m) of image(key).
+
+        With canon, a dict, equal coefficients are first replaced by the one
+        canon holds for their value.
+        """
         for key, c in coeffs.items():
-            if memo:
+            if canon is not None:
                 c = canon.setdefault(c.value_key(), c)
-            for k2, m in table(*args, key):
+            for k2, m in image(key):
                 groups.setdefault(k2, []).append((c, m))
+        return groups
+
+    def group_sums(self, groups: dict, memo: bool = False):
+        """(k2, ring.lincomb(groups[k2])) per output key, lazily.
+
+        With memo, groups of the same (c, m) objects share one sum.
+        """
         lincomb = self.ring.lincomb
         sums: dict = {}
-        out = {}
         for k2, pairs in groups.items():
             if memo:
                 sig = _signature(pairs)
@@ -307,6 +322,4 @@ class KeyedRealization:
                     s = sums[sig] = lincomb(pairs)
             else:
                 s = lincomb(pairs)
-            if not s.is_zero():
-                out[k2] = s
-        return self._vec(out)
+            yield k2, s

@@ -26,6 +26,7 @@ field evaluation); all scalar constants are built through ring methods.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .errors import IndexOutOfRange, UnsupportedOperation
@@ -254,11 +255,15 @@ def y_chain(M: ModuleRealization, v, i: int):
     return w.scale(M.ring.q_power(M.n - i + 1))
 
 
-def apply_Y(M: ModuleRealization, v, i: int):
-    """Y_i, through the per-key table of y_chain."""
+def _y_index(M: ModuleRealization, i: int) -> int:
     if not 1 <= i <= M.n:
         raise IndexOutOfRange(f"Y index {i} outside 1..{M.n}")
-    return M.apply_derived(v, y_chain, i)
+    return i
+
+
+def apply_Y(M: ModuleRealization, v, i: int):
+    """Y_i, through the per-key table of y_chain."""
+    return M.apply_derived(v, y_chain, _y_index(M, i))
 
 
 def apply_epsilon(M: ModuleRealization, v, k: int):
@@ -304,7 +309,11 @@ def apply_pi_tilde(M: ModuleRealization, v):
 
 # formal generator words: tuples of symbols applied right to left.  An
 # alphabet maps each tag to its Letter: argument count, action act(M, w, *args)
-# (looking its operator up when called), and flavor and degree shifts.
+# (looking its operator up when called), flavor and degree shifts, and for a
+# letter that reads a per-key table of a keyed realization, table(M, *args):
+# the image function key -> ((key', scalar), ...) of that table, after the
+# same index check as act.  Where table is None or returns None the letter
+# has no per-key table and only act applies it.
 
 
 class Letter(NamedTuple):
@@ -312,15 +321,24 @@ class Letter(NamedTuple):
     act: Callable
     flavor_shift: int = 0
     degree_shift: int = 0
+    table: Callable | None = None
+
+
+def _pi_table(M):
+    """pi's per-key table where the realization memoizes pi (it implements _pi_image)."""
+    return M._pi_table if hasattr(M, "_pi_image") else None
 
 
 WORD_ALPHABET = {
-    "T": Letter(1, lambda M, w, i: M.apply_Ti(w, i)),
-    "Tinv": Letter(1, lambda M, w, i: M.apply_Ti_inv(w, i)),
+    "T": Letter(1, lambda M, w, i: M.apply_Ti(w, i),
+                table=lambda M, i: partial(M._ti_table, M._t_index(i))),
+    "Tinv": Letter(1, lambda M, w, i: M.apply_Ti_inv(w, i),
+                   table=lambda M, i: partial(M._tinv_table, M._t_index(i))),
     "X": Letter(1, lambda M, w, i: M.apply_Xi(w, i)),
-    "Y": Letter(1, lambda M, w, i: apply_Y(M, w, i)),
+    "Y": Letter(1, lambda M, w, i: apply_Y(M, w, i),
+                table=lambda M, i: partial(M._derived_table, y_chain, _y_index(M, i))),
     "Eps": Letter(1, lambda M, w, k: apply_epsilon(M, w, k)),
-    "Pi": Letter(0, lambda M, w: M.apply_pi(w)),
+    "Pi": Letter(0, lambda M, w: M.apply_pi(w), table=_pi_table),
     "PiTilde": Letter(0, lambda M, w: apply_pi_tilde(M, w)),
     "Scalar": Letter(1, lambda M, w, c: w.scale(c)),
 }

@@ -9,10 +9,18 @@ applies them to random vectors of all three realizations.  A word that
 raises must raise the same error class over both rings.  The check never
 reaches the gcd kernel on the prime-field side, so it also guards the
 operator tables and the exact scalar kernel against each other.
+
+The relation suites decide a word identity by one fused residual, lhs - rhs
+summed per output key.  Its verdict is compared with lhs == rhs of the
+two-sided evaluation on every catalog identity and on random word pairs,
+over both rings, and an identity whose word raises gets the same fail
+report either way.
 """
 
 from functools import lru_cache
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +28,15 @@ from bqt.errors import BqtError
 from bqt.induced import InducedRealization
 from bqt.lspaces import FLAVORED_ALPHABET, LVector, lk_spanning_set
 from bqt.polyrep import WORD_ALPHABET, PolyRealization, apply_word
+from bqt.relations import (
+    Identity,
+    _eval_expr,
+    _module_identity_reports,
+    _residual_vanishes,
+    _sides,
+    aux_identities,
+    daha_identities,
+)
 from bqt.scalars import QT, ModPField, parse_scalar
 from bqt.tableaux import SeedRealization
 
@@ -79,11 +96,8 @@ def draw_scalar(draw):
     return ("Scalar", parse_scalar(draw(st.sampled_from(SCALARS))))
 
 
-@st.composite
-def module_words(draw):
-    kind, lam, n, dmax = draw(st.sampled_from(MODULES))
-    M, Mp = realizations(kind, lam, n)
-    v = draw_vector(draw, M, dmax)
+def draw_word(draw, n: int) -> tuple:
+    """One to three letters of the module alphabet with indices for rank n."""
     word = []
     for _ in range(draw(st.integers(1, 3))):
         tag = draw(st.sampled_from(sorted(WORD_ALPHABET)))
@@ -94,7 +108,14 @@ def module_words(draw):
         else:
             lo, hi = {"T": (1, n - 1), "Tinv": (1, n - 1), "Eps": (0, n)}.get(tag, (1, n))
             word.append((tag, draw(st.integers(lo, max(lo, hi)))))
-    return M, Mp, v, tuple(word)
+    return tuple(word)
+
+
+@st.composite
+def module_words(draw):
+    kind, lam, n, dmax = draw(st.sampled_from(MODULES))
+    M, Mp = realizations(kind, lam, n)
+    return M, Mp, draw_vector(draw, M, dmax), draw_word(draw, n)
 
 
 @st.composite
@@ -167,3 +188,127 @@ def test_flavored_words_commute_with_evaluation(case):
         assert modp is exact
     else:
         assert modp == LVector(exact.k, evaluated(Mp, exact.payload))
+
+
+# -- the fused residual against the two-sided evaluation --------------------
+
+
+def fused_verdict(M, ident, v):
+    """Whether lhs - rhs vanishes on v by the fused residual; "raises" on a BqtError."""
+    try:
+        return _residual_vanishes(M, ident, v)
+    except BqtError:
+        return "raises"
+
+
+def two_sided_verdict(M, ident, v):
+    """Whether both sides, each evaluated and normalized, are equal; "raises" on a BqtError."""
+    try:
+        return _eval_expr(apply_word, M, v, ident.lhs) == _eval_expr(apply_word, M, v, ident.rhs)
+    except BqtError:
+        return "raises"
+
+
+def catalog_items(n: int, ring) -> list:
+    return [
+        ident
+        for catalog in (daha_identities(n, ring), aux_identities(n, ring))
+        for _, _, items in catalog
+        for ident in items
+    ]
+
+
+# (kind, shape, rank, largest degree); "broken" is the q-1 negative control
+CATALOG_MODULES = [
+    ("poly", (), 3, 2),
+    ("broken", (), 3, 1),
+    ("seed", (1,), 3, 0),
+    ("seed", (1, 1), 4, 0),
+    ("induced", (1,), 3, 1),
+    ("induced", (1, 1), 3, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, lam, n, dmax",
+    CATALOG_MODULES,
+    ids=[f"{kind}{''.join(map(str, lam))}_n{n}" for kind, lam, n, _ in CATALOG_MODULES],
+)
+def test_fused_verdict_equals_two_sided_on_catalog_identities(kind, lam, n, dmax):
+    if kind == "broken":
+        modules = [PolyRealization(n, ring, "q-1") for ring in (QT, F)]
+    else:
+        modules = realizations(kind, lam, n)
+    for M in modules:
+        items = catalog_items(n, M.ring)
+        for d in range(dmax + 1):
+            for v in M.basis(d):
+                for ident in items:
+                    assert fused_verdict(M, ident, v) == two_sided_verdict(M, ident, v), ident
+
+
+@st.composite
+def word_pairs(draw):
+    kind, lam, n, dmax = draw(st.sampled_from(MODULES))
+    M, Mp = realizations(kind, lam, n)
+    v = draw_vector(draw, M, dmax)
+    a, b = draw_scalar(draw)[1], draw_scalar(draw)[1]
+    return M, Mp, v, a, b, draw_word(draw, n), draw_word(draw, n)
+
+
+def pair_identities(one, a, b, w1, w2) -> list:
+    """w1 = w2 (rarely true), one that holds unless a word raises, and a swap."""
+    return [
+        Identity("", ((one, w1),), ((one, w2),)),
+        Identity("", ((a + b, w1), (b, w2)), ((a, w1), (b, w1), (b, w2))),
+        Identity("", ((a, w1), (b, w2)), ((a, w2), (b, w1))),
+    ]
+
+
+@given(word_pairs())
+@settings(max_examples=60, deadline=None)
+def test_fused_verdict_equals_two_sided_on_random_word_pairs(case):
+    M, Mp, v, a, b, w1, w2 = case
+    exact = pair_identities(QT.one, a, b, w1, w2)
+    modp = pair_identities(
+        F.one, F.convert(a), F.convert(b), evaluated_word(w1), evaluated_word(w2)
+    )
+    vp = evaluated(Mp, v)
+    for ident, ident_p in zip(exact, modp):
+        assert fused_verdict(M, ident, v) == two_sided_verdict(M, ident, v)
+        assert fused_verdict(Mp, ident_p, vp) == two_sided_verdict(Mp, ident_p, vp)
+
+
+def test_raising_identity_gives_the_two_sided_fail_report():
+    one = QT.one
+    catalog = [
+        (
+            "raises",
+            "out-of-range indices",
+            [
+                # the left word's leftmost letter, read through its table, raises
+                Identity("head", ((one, (("T", 9), ("X", 1))),), ((one, (("X", 1),)),)),
+                # a right-side letter below the leftmost one raises
+                Identity("rest", ((one, (("X", 1),)),), ((one, (("Y", 1), ("Tinv", 0))),)),
+            ],
+        )
+    ]
+    M = PolyRealization(3, QT)
+
+    def report():
+        (rep,) = _module_identity_reports(M, catalog, 1, None, False)
+        return {k: v for k, v in rep.to_obj().items() if k != "millis"}
+
+    fused = report()
+    with patch(
+        "bqt.relations._word_sides", lambda M, ident, v: _sides(apply_word, M, ident, v)
+    ):
+        two_sided = report()
+    assert fused == two_sided
+    assert fused["status"] == "fail" and fused["vectors_checked"] == 8
+    assert fused["counterexample"] == {
+        "error": "IndexOutOfRange",
+        "message": "T index 9 outside 1..2",
+        "instance": "head",
+        "vector": "(1)",
+    }

@@ -26,7 +26,12 @@ from bqt.factored import (
     fac_mul,
     lcm_fold,
 )
-from bqt.relations import all_passed, check_daha_relations, make_realization
+from bqt.relations import (
+    all_passed,
+    check_bqt_relations,
+    check_daha_relations,
+    make_realization,
+)
 
 
 @st.composite
@@ -115,11 +120,24 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("mutant", ["lcm_fold_drops_the_last_factor"])
 def test_daha_suite_on_murnaghan_1_rank_3_kills_the_table_mutant(mutant):
-    # the check that kills both: the DAHA suite, Murnaghan (1) at rank 3, d <= 2
     desc = {"module": "murnaghan", "shape": [1], "n": 3}
     assert all_passed(check_daha_relations(make_realization(desc), 2))
     target, fault = MUTANTS[mutant]
     with patch(target, fault):
         assert not all_passed(check_daha_relations(make_realization(desc), 2))
+
+
+def test_cancel_table_mutant_killed_by_the_bqt_suite():
+    # An uncancelled pair is the right value in a non-canonical form.  The
+    # DAHA suite decides each case by whether lhs - rhs sums to zero, and a
+    # zero sum is the same whatever form its terms have, so under this
+    # mutant its verdicts stay correct: the mutant is equivalent there.  A
+    # suite that compares the two sides' canonical forms still kills it.
+    poly = {"module": "poly", "n": 2}
+    murnaghan = {"module": "murnaghan", "shape": [1], "n": 3}
+    assert all_passed(check_bqt_relations(make_realization(poly), 2, 2))
+    with patch(*MUTANTS["cancel_table_returns_the_pair"]):
+        assert not all_passed(check_bqt_relations(make_realization(poly), 2, 2))
+        assert all_passed(check_daha_relations(make_realization(murnaghan), 2))

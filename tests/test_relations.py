@@ -1,5 +1,9 @@
 """Relation suites: positive runs, negative controls, and report shape."""
 
+from unittest.mock import patch
+
+import pytest
+
 import bqt.relations
 from bqt.errors import NotAnEigenvector
 from bqt.limits import CompatSeqSpec
@@ -14,6 +18,8 @@ from bqt.relations import (
     make_realization,
     run_probabilistic,
 )
+from bqt.relations import _sides, _term_coeffs
+from bqt.scalars import QT
 
 
 def test_daha_suite_poly_n2():
@@ -171,3 +177,49 @@ def test_report_serialization():
     assert obj["status"] == "pass"
     assert obj["vectors_checked"] > 0
     assert "anchor" in obj and "ranges" in obj
+
+
+# -- faults in the fused residual ---------------------------------------------
+
+FUSED_MUTANTS = {
+    # every term summed as if its coefficient were 1
+    "fused_sum_drops_the_term_coefficient": (
+        "bqt.relations._term_coeffs",
+        lambda w, coeff, negate: _term_coeffs(w, QT.one, negate),
+    ),
+    # the right side added instead of subtracted
+    "fused_sum_leaves_the_rhs_unnegated": (
+        "bqt.relations._term_coeffs",
+        lambda w, coeff, negate: _term_coeffs(w, coeff, False),
+    ),
+}
+
+
+def daha_verdict_and_fallbacks(desc: dict) -> tuple[bool, int]:
+    """Whether the DAHA suite at d <= 2 passes, and how many cases it evaluated two-sided."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sides(*args)
+
+    with patch("bqt.relations._sides", counted):
+        passed = all_passed(check_daha_relations(make_realization(desc), 2))
+    return passed, len(calls)
+
+
+MURNAGHAN_1_RANK_3 = {"module": "murnaghan", "shape": [1], "n": 3}
+
+
+def test_fused_residual_decides_every_holding_case():
+    assert daha_verdict_and_fallbacks(MURNAGHAN_1_RANK_3) == (True, 0)
+
+
+@pytest.mark.parametrize("mutant", sorted(FUSED_MUTANTS))
+def test_daha_suite_on_murnaghan_1_rank_3_kills_the_fused_mutant(mutant):
+    # A residual that fails to vanish sends its case to the two-sided
+    # evaluation, which still gives the exact verdict.  So these faults
+    # cost time and change no verdict; the suite sees them as fallbacks.
+    with patch(*FUSED_MUTANTS[mutant]):
+        passed, fallbacks = daha_verdict_and_fallbacks(MURNAGHAN_1_RANK_3)
+    assert passed and fallbacks > 0
