@@ -11,9 +11,11 @@ KeyedRealization is the generator engine over such a basis.  A realization
 supplies the T_i image of one key (and its pi image where pi is
 memoized); the engine checks indices, derives
 T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation, memoizes the
-per-key images, and applies an image table to a vector: the products c * m
-that land on one output key are gathered and summed by the ring's lincomb,
-so each output coefficient is reduced once.
+per-key images, and applies an image table to a vector in two halves.
+gather puts the pairs (c, m) that land on one output key into one group,
+and group_sums sums each group by the ring's lincomb, so each output
+coefficient is reduced once.  The relation suites call the same halves to
+gather the images of several vectors into shared groups (bqt.relations).
 
 Every operator derived from the generators goes through one more table.
 apply_derived(v, op, arg) takes op(M, w, arg), the operator's definition on

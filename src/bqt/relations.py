@@ -2,10 +2,19 @@
 
 Each suite enumerates identities as pairs of operator expressions (linear
 combinations of generator words), applies both sides to every basis or
-spanning vector in the requested range, and records an exact zero-residual
-verdict.  The anchor carried by every item is the identity itself written
-out in operator notation, so a report is a self-contained audit of what
-was checked where.
+spanning vector in the requested range, and records an exact verdict.  The
+anchor carried by every item is the identity itself written out in
+operator notation, so a report is a self-contained audit of what was
+checked where.
+
+The suites over the module alphabet (daha, aux and the Jucys-Murphy check)
+decide each case by one fused zero residual: the leftmost letter of every
+word is read from its per-key table, and the pairs of both sides, the right
+side negated, are summed once per output key.  The case holds exactly when
+every sum is zero, and a zero sum is found before any gcd.  Only a case
+that fails, or raises, is evaluated again side by side, so its
+counterexample and error report are those of the two sides.  The flavored
+and tower suites compare the two sides' normalized vectors.
 
 Quantification policy: "for all vectors" means all spanning vectors of the
 stated graded pieces, which suffices by linearity; reports list the ranges.
@@ -187,16 +196,13 @@ def _residual_vanishes(M, ident, v) -> bool:
     groups: dict = {}
     for expr, negate in ((ident.lhs, False), (ident.rhs, True)):
         for coeff, word in expr:
-            image = None
+            w, image = v, None
             if word:
-                head, rest = word[0], word[1:]
-                entry = letter(WORD_ALPHABET, head)
-                image = entry.table and entry.table(M, *head[1:])
-                w = apply_word(M, v, rest)
+                head, args = letter(WORD_ALPHABET, word[0]), word[0][1:]
+                image = head.table and head.table(M, *args)
+                w = apply_word(M, v, word[1:])
                 if image is None:
-                    w = entry.act(M, w, *head[1:])
-            else:
-                w = v
+                    w = head.act(M, w, *args)
             M.gather(groups, _term_coeffs(w, coeff, negate), image or (lambda key: ((key, one),)))
     return all(s.is_zero() for _, s in M.group_sums(groups))
 
