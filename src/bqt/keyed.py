@@ -58,7 +58,6 @@ pooled ones.
 from __future__ import annotations
 
 from array import array
-from functools import partial
 from itertools import chain
 
 from .errors import IndexOutOfRange
@@ -292,30 +291,31 @@ class KeyedRealization:
         """
         coeffs = v.coeffs
         memo = _repeats(coeffs)
-        groups = self.gather({}, coeffs, partial(table, *args), {} if memo else None)
-        return self._vec({k2: s for k2, s in self.group_sums(groups, memo) if not s.is_zero()})
+        return self._vec(self.group_sums(self.gather({}, coeffs, table, args, memo), memo))
 
     @staticmethod
-    def gather(groups: dict, coeffs: dict, image, canon=None) -> dict:
-        """Append (c, m) to groups[k2] for each key's coefficient c and each (k2, m) of image(key).
+    def gather(groups: dict, coeffs: dict, table, args: tuple = (), memo: bool = False) -> dict:
+        """Add the pairs of coeffs under a per-key table to groups: (c, m) to
+        groups[k2] for each key's coefficient c and each (k2, m) of table(*args, key).
 
-        With canon, a dict, equal coefficients are first replaced by the one
-        canon holds for their value.
+        With memo, equal coefficients are first replaced by one of them.
         """
+        canon: dict = {}
         for key, c in coeffs.items():
-            if canon is not None:
+            if memo:
                 c = canon.setdefault(c.value_key(), c)
-            for k2, m in image(key):
+            for k2, m in table(*args, key):
                 groups.setdefault(k2, []).append((c, m))
         return groups
 
-    def group_sums(self, groups: dict, memo: bool = False):
-        """(k2, ring.lincomb(groups[k2])) per output key, lazily.
+    def group_sums(self, groups: dict, memo: bool = False) -> dict:
+        """k2 -> ring.lincomb(groups[k2]) for each group whose sum is not zero.
 
         With memo, groups of the same (c, m) objects share one sum.
         """
         lincomb = self.ring.lincomb
         sums: dict = {}
+        out = {}
         for k2, pairs in groups.items():
             if memo:
                 sig = _signature(pairs)
@@ -324,4 +324,6 @@ class KeyedRealization:
                     s = sums[sig] = lincomb(pairs)
             else:
                 s = lincomb(pairs)
-            yield k2, s
+            if not s.is_zero():
+                out[k2] = s
+        return out

@@ -204,7 +204,7 @@ def _residual_vanishes(M, ident, v) -> bool:
                 if image is None:
                     w = head.act(M, w, *args)
             M.gather(groups, _term_coeffs(w, coeff, negate), image or (lambda key: ((key, one),)))
-    return all(s.is_zero() for _, s in M.group_sums(groups))
+    return not M.group_sums(groups)
 
 
 def _term_coeffs(w, coeff, negate: bool) -> dict:
