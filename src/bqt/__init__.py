@@ -24,7 +24,7 @@ from .relations import (
     check_theta_eigenvalues,
     make_realization,
 )
-from .scalars import QT, IntPoly2, QtScalar, parse_scalar, q_factorial, scalar_normalize
+from .scalars import QT, IntPoly2, QtScalar, parse_scalar
 from .tableaux import (
     SeedRealization,
     SeedVector,

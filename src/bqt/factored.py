@@ -37,8 +37,8 @@ are single big-int operations, the trick of FLINT's coefficient packing
 of the sum is at most the sum over the triples of the products of their
 1-norms, and only when that bound is below 2^63 is each row decoded, with
 C-level steps: ((row + bias) ^ bias).to_bytes(...) read as int64 through a
-memoryview.  Otherwise packed_sum returns None and the caller expands the
-products term by term.  An IntPoly2 caches its packed rows, 1-norm and top
+memoryview.  Otherwise packed_sum returns None and the caller adds the
+products one by one.  An IntPoly2 caches its packed rows, 1-norm and top
 q-degree in its own ``rows`` slot, so the cache goes when the polynomial
 does; interned and pooled polynomials, which recur in many groups, keep it.
 """

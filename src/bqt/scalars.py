@@ -35,13 +35,19 @@ how a generator table is applied (bqt.keyed).  Over Q(q,t), when every
 denominator lies in the base, the products are lifted to the lcm of their
 denominators, summed over packed q-rows (factored.packed_sum) and reduced
 once by QtScalar.fraction, which hands the decoded rows on to
-cancel_by_fac; a group whose 1-norm bound does not certify the packed slots
-is expanded as dicts of terms instead.  Any other denominator makes it add
-the products one by one.  The denominator bookkeeping is read from the
+cancel_by_fac.  The one exact fallback adds the products one by one: it
+takes any other denominator, and a group whose 1-norm bound does not
+certify the packed slots.  The denominator bookkeeping is read from the
 memo tables of bqt.factored: each pair's product from PRODUCT, the lcm
 folded pairwise through LCM and each cofactor from QUOTIENT.  A product of
 factored polynomials reads PRODUCT and a cancellation of two factored
-ones, as in QtScalar.__mul__, reads CANCEL.
+ones, as in QtScalar.__mul__, reads CANCEL.  QtScalar.__add__ lifts both
+fractions to b * (d/g) for g = gcd(b, d) and hands the sum to
+QtScalar.fraction unless g is 1.
+
+Scalars are made by the rings: QT.from_int, QT.q_power, QT.t_power and
+QT.q_integer, the constants ZERO, ONE, Q and T, parse_scalar, and
+QtScalar.fraction for any num/den.
 
 The generic kernel (_poly_gcd_generic, _poly_divexact_generic) runs when
 the divisor lies outside the base, as for parsed input such as
@@ -309,18 +315,6 @@ class IntPoly2:
                 del out[e]
         return IntPoly2(out)
 
-    def __sub__(self, other: "IntPoly2") -> "IntPoly2":
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return IntPoly2(out)
-
     def __mul__(self, other: "IntPoly2") -> "IntPoly2":
         if not self.terms or not other.terms:
             return _P_ZERO
@@ -518,12 +512,6 @@ class QtScalar:
             num, den = -num, -den
         return cls(num, den)
 
-    @classmethod
-    def from_int(cls, c: int) -> "QtScalar":
-        if c == 0:
-            return ZERO
-        return cls(IntPoly2.const(c), _P_ONE)
-
     def den_is_one(self) -> bool:
         t = self.den.terms
         return len(t) == 1 and t.get((0, 0)) == 1
@@ -544,22 +532,14 @@ class QtScalar:
             return QtScalar(s, _P_ONE) if s.terms else ZERO
         if self.den == other.den:
             return QtScalar.fraction(self.num + other.num, self.den)
+        # a/b + c/d = (a (d/g) + c (b/g)) / (b (d/g)) for g = gcd(b, d); when g
+        # is 1 that is already reduced, with a positive leading denominator
         g = poly_gcd(self.den, other.den)
-        if g.is_one():
-            num = self.num * other.den + other.num * self.den
-            if not num.terms:
-                return ZERO
-            return QtScalar(num, self.den * other.den)
         db = poly_divexact(other.den, g)
-        da = poly_divexact(self.den, g)
-        num = self.num * db + other.num * da
-        if not num.terms:
-            return ZERO
-        g2 = poly_gcd(num, g)
-        if not g2.is_one():
-            num = poly_divexact(num, g2)
-        den = self.den * db if g2.is_one() else poly_divexact(self.den, g2) * db
-        return QtScalar(num, den) if den.leading_coeff() > 0 else QtScalar(-num, -den)
+        num = self.num * db + other.num * poly_divexact(self.den, g)
+        if g.is_one() and num.terms:
+            return QtScalar(num, self.den * db)
+        return QtScalar.fraction(num, self.den * db)
 
     def __neg__(self) -> "QtScalar":
         if not self.num.terms:
@@ -652,40 +632,6 @@ ZERO = QtScalar(_P_ZERO, _P_ONE)
 ONE = QtScalar(_P_ONE, _P_ONE)
 Q = QtScalar(_P_Q, _P_ONE)
 T = QtScalar(_P_T, _P_ONE)
-MINUS_ONE = QtScalar(IntPoly2.const(-1), _P_ONE)
-
-
-def scalar_normalize(num: IntPoly2, den: IntPoly2) -> QtScalar:
-    """Canonical reduced representative of num/den (idempotent)."""
-    return QtScalar.fraction(num, den)
-
-
-def q_power(e: int) -> QtScalar:
-    if e >= 0:
-        return QtScalar(IntPoly2.monomial(e, 0), _P_ONE)
-    return QtScalar(_P_ONE, IntPoly2.monomial(-e, 0))
-
-
-def t_power(e: int) -> QtScalar:
-    if e >= 0:
-        return QtScalar(IntPoly2.monomial(0, e), _P_ONE)
-    return QtScalar(_P_ONE, IntPoly2.monomial(0, -e))
-
-
-def q_integer(m: int) -> QtScalar:
-    """[m]_q = 1 + q + ... + q^(m-1)."""
-    if m < 0:
-        raise ValueError("q-integer of a negative integer")
-    return QtScalar(IntPoly2({(i, 0): 1 for i in range(m)}), _P_ONE) if m else ZERO
-
-def q_factorial(m: int) -> QtScalar:
-    """[m]_q! as a polynomial scalar (denominator 1)."""
-    if m < 0:
-        raise ValueError("q-factorial of a negative integer")
-    acc = _P_ONE
-    for i in range(2, m + 1):
-        acc = acc * IntPoly2({(j, 0): 1 for j in range(i)})
-    return QtScalar(acc, _P_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +759,7 @@ def _parse_base(toks: _Tokens) -> QtScalar:
             raise ValueError("unbalanced parenthesis")
         return val
     if tok.isdigit():
-        return QtScalar.from_int(int(tok))
+        return QT.from_int(int(tok))
     raise ValueError(f"unexpected token {tok!r}")
 
 
@@ -834,15 +780,19 @@ class QtField:
 
     @staticmethod
     def from_int(c: int) -> QtScalar:
-        return QtScalar.from_int(c)
+        return QtScalar(IntPoly2.const(c), _P_ONE) if c else ZERO
 
     @staticmethod
     def q_power(e: int) -> QtScalar:
-        return q_power(e)
+        if e >= 0:
+            return QtScalar(IntPoly2.monomial(e, 0), _P_ONE)
+        return QtScalar(_P_ONE, IntPoly2.monomial(-e, 0))
 
     @staticmethod
     def t_power(e: int) -> QtScalar:
-        return t_power(e)
+        if e >= 0:
+            return QtScalar(IntPoly2.monomial(0, e), _P_ONE)
+        return QtScalar(_P_ONE, IntPoly2.monomial(0, -e))
 
     @staticmethod
     def convert(s: QtScalar) -> QtScalar:
@@ -850,35 +800,33 @@ class QtField:
 
     @staticmethod
     def q_integer(m: int) -> QtScalar:
-        return q_integer(m)
+        """[m]_q = 1 + q + ... + q^(m-1)."""
+        if m < 0:
+            raise ValueError("q-integer of a negative integer")
+        return QtScalar(IntPoly2({(i, 0): 1 for i in range(m)}), _P_ONE) if m else ZERO
 
     @staticmethod
     def lincomb(pairs: list) -> QtScalar:
         """Sum of c * m over the (c, m) pairs.
 
         When every denominator lies in the factored base the products are
-        lifted to the lcm of their denominators, added as packed q-rows, or
-        as dicts of terms when the rows' 1-norm bound fails, and reduced
-        once; otherwise the products are added one by one.  The product
-        denominators, their lcm and the cofactors come from the tables of
-        bqt.factored, so a group whose denominators recur costs lookups.
+        lifted to the lcm of their denominators, added as packed q-rows and
+        reduced once.  Otherwise, and when the rows' 1-norm bound does not
+        certify the packed sum, the products are added one by one.  The
+        product denominators, their lcm and the cofactors come from the
+        tables of bqt.factored, so a group whose denominators recur costs
+        lookups.
         """
         if len(pairs) > 1:
             dens = [(_fac(c.den), _fac(m.den)) for c, m in pairs]
             if all(f and g for f, g in dens):
                 facs = [PRODUCT[d] for d in dens]
                 lcm = lcm_fold(facs)
-                triples = [(c.num, m.num, _from_fac(QUOTIENT[lcm, f]))
-                           for (c, m), f in zip(pairs, facs)]
-                summed = packed_sum(triples)
+                summed = packed_sum([(c.num, m.num, _from_fac(QUOTIENT[lcm, f]))
+                                     for (c, m), f in zip(pairs, facs)])
                 if summed:
                     terms, rows = summed
                     return QtScalar.fraction(IntPoly2(terms), _from_fac(lcm), rows)
-                total: dict = {}
-                for a, b, cof in triples:
-                    for e, x in (a * b * cof).terms.items():
-                        total[e] = total.get(e, 0) + x
-                return QtScalar.fraction(IntPoly2.from_terms(total), _from_fac(lcm))
         c, m = pairs[0]
         out = c * m
         for c, m in pairs[1:]:

@@ -6,8 +6,6 @@ drives the random-algebra properties.
 
 import functools
 import random
-from unittest.mock import patch
-
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -18,7 +16,6 @@ from bqt.factored import cancel_by_fac, packed_sum
 from bqt.relations import all_passed, check_daha_relations, make_realization
 from bqt.scalars import (
     _FACTORED,
-    MINUS_ONE,
     ONE,
     Q,
     QT,
@@ -34,10 +31,6 @@ from bqt.scalars import (
     parse_scalar,
     poly_divexact,
     poly_gcd,
-    q_factorial,
-    q_integer,
-    q_power,
-    scalar_normalize,
 )
 
 _sq, _st_ = sympy.symbols("q t")
@@ -77,21 +70,21 @@ def scalars(draw):
 
 
 def test_normalize_cancels_polynomial_factor():
-    assert scalar_normalize(poly_of("q^2 - 1"), poly_of("q - 1")) == parse_scalar("q + 1")
+    assert QtScalar.fraction(poly_of("q^2 - 1"), poly_of("q - 1")) == parse_scalar("q + 1")
 
 
 def test_normalize_zero_numerator():
-    s = scalar_normalize(IntPoly2.const(0), poly_of("q - t"))
+    s = QtScalar.fraction(IntPoly2.const(0), poly_of("q - t"))
     assert s == ZERO and str(s) == "0"
 
 
 def test_normalize_common_factor_with_t():
-    assert scalar_normalize(poly_of("q*t - q"), poly_of("t - 1")) == Q
+    assert QtScalar.fraction(poly_of("q*t - q"), poly_of("t - 1")) == Q
 
 
 def test_normalize_zero_denominator_rejected():
     with pytest.raises(ZeroDenominator):
-        scalar_normalize(IntPoly2.const(1), IntPoly2.const(0))
+        QtScalar.fraction(IntPoly2.const(1), IntPoly2.const(0))
 
 
 @given(polys(), polys(max_terms=3))
@@ -356,32 +349,27 @@ def test_lincomb_outside_the_base_takes_the_fold(monkeypatch):
 def wide_lincomb_groups(draw):
     """lincomb_groups with every c scaled by one integer, so that the group's
     1-norm bound lies below 2^32, between 2^32 and 2^63, or past 2^63."""
-    scale = QtScalar.from_int(draw(st.sampled_from([1, -(2**35), 2**62, 3 * 2**61])))
+    scale = QT.from_int(draw(st.sampled_from([1, -(2**35), 2**62, 3 * 2**61])))
     nonzero = factored_scalars().filter(lambda s: not s.is_zero())
     return [(c * scale, m) for c, m in draw(lincomb_groups(2, nonzero))]
 
 
-def dict_path(pairs):
-    with patch("bqt.scalars.packed_sum", lambda triples: None):
-        return QT.lincomb(pairs)
-
-
 @given(wide_lincomb_groups())
 @settings(max_examples=80, deadline=None)
-def test_packed_lincomb_equals_the_dict_path(pairs):
-    got, expected = QT.lincomb(pairs), dict_path(pairs)
+def test_packed_lincomb_equals_the_fold(pairs):
+    got, expected = QT.lincomb(pairs), fold(pairs)
     assert got == expected
     assert str(got) == str(expected)
 
 
-def test_lincomb_past_the_slot_bound_takes_the_dict_path(monkeypatch):
+def test_lincomb_past_the_slot_bound_takes_the_fold(monkeypatch):
     sums = []
     monkeypatch.setattr("bqt.scalars.packed_sum",
                         lambda triples: sums.append(packed_sum(triples)) or sums[-1])
     # k/q + k/(q + 1) = (2k*q + k)/(q^2 + q), lifted by the cofactors q + 1 and
     # q, so the bound is 3k; the last k gives the sum a coefficient of 2^63
     for k, packs in (((2**63 - 1) // 3, True), (2**63 // 3 + 1, False), (2**62, False)):
-        pairs = [(QtScalar.from_int(k), q_power(-1)), (QtScalar.from_int(k), parse_scalar("1/(q + 1)"))]
+        pairs = [(QT.from_int(k), QT.q_power(-1)), (QT.from_int(k), parse_scalar("1/(q + 1)"))]
         got = QT.lincomb(pairs)
         assert (sums[-1] is not None) is packs
         assert got == QtScalar(IntPoly2({(1, 0): 2 * k, (0, 0): k}), poly_of("q^2 + q"))
@@ -446,7 +434,7 @@ def test_commutativity_and_inverses(a, b):
 def test_neg_and_double_neg(a):
     assert -(-a) == a
     assert a + (-a) == ZERO
-    assert MINUS_ONE * a == -a
+    assert -ONE * a == -a
 
 
 # -- evaluation over a prime field ------------------------------------------
@@ -502,23 +490,13 @@ def test_modp_field_matches_eval():
     assert (f.convert(Q) * f.convert(T)).value == 12345 * 67890 % P
 
 
-# -- q-integers and q-factorials --------------------------------------------
-
-
-def test_q_factorial_small_values():
-    assert q_factorial(0) == ONE
-    assert q_factorial(1) == ONE
-    assert q_factorial(2) == parse_scalar("1 + q")
-    # oracle: expand the defining product with sympy
-    expected = sympy.expand(((1 + _sq) * (1 + _sq + _sq**2)))
-    assert sp(q_factorial(3).num) == expected
-    assert q_factorial(3).den_is_one()
+# -- q-integers -------------------------------------------------------------
 
 
 def test_q_integer_values():
-    assert q_integer(0) == ZERO
-    assert q_integer(1) == ONE
-    assert q_integer(3) == parse_scalar("1 + q + q^2")
+    assert QT.q_integer(0) == ZERO
+    assert QT.q_integer(1) == ONE
+    assert QT.q_integer(3) == parse_scalar("1 + q + q^2")
     assert QT.q_integer(4) == parse_scalar("1 + q + q^2 + q^3")
 
 
@@ -530,7 +508,7 @@ def test_parse_examples():
         poly_of("q^2 - t"), poly_of("1 - q*t")
     )
     assert parse_scalar("-q^2") == -(Q * Q)
-    assert parse_scalar("2*q*t - 3") == QtScalar.from_int(2) * Q * T - QtScalar.from_int(3)
+    assert parse_scalar("2*q*t - 3") == QT.from_int(2) * Q * T - QT.from_int(3)
 
 
 @given(scalars())
