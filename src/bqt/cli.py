@@ -58,16 +58,6 @@ def _sequence(polynomial: bool, args) -> CompatSeqSpec:
     return CompatSeqSpec("murnaghan", parse_shape(args.shape))
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("BQT_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"BQT_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _run_checker(suite: str, M, params: dict, only: str | None = None):
     if suite == "daha":
         return check_daha_relations(M, params["dmax"], only=only)
@@ -239,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--probabilistic", action="store_true")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--no-timing", action="store_true")
     p.add_argument("--demazure", choices=["1-q", "q-1"], default="1-q",
                    help="divided-difference coefficient; q-1 is the broken variant")
@@ -286,8 +276,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_sizes(args)
-        if getattr(args, "jobs", None) is None and args.command == "check":
-            args.jobs = _default_jobs()
         return args.func(args)
     except (ValueError, BqtError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

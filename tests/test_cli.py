@@ -251,49 +251,55 @@ def test_act_rejects_vector_of_another_module(capsys, tmp_path, module_args, pay
 CHECK_POLY2 = ["--module", "poly", "--n", "2"]
 
 
+# scalar text the parser rejects, and the message of each error branch
+BAD_SCALAR_TEXT = {
+    "(q 1)": "unbalanced parenthesis",
+    "q)": "trailing input",
+    "q^t": "exponent must be a nonnegative integer",
+    "*q": "unexpected token",
+}
+
+
 @pytest.mark.parametrize(
-    "word, payload, env, argv",
+    "word, payload, argv",
     [
-        ('[["T"]]', POLY2, None, None),
-        ("[1]", POLY2, None, None),
-        ('[["X","1"]]', POLY2, None, None),
-        ('[["z"]]', {"flavor": 0, "vector": POLY2}, None, None),
-        ('[["X",1]]', {"rank": 2}, None, None),
-        ('[["X",1]]', {"flavor": None, "vector": POLY2}, None, None),
-        (None, None, "x", None),
-        (None, None, None, ["check", "daha", *CHECK_POLY2, "--dmax", "-1"]),
-        (None, None, None, ["check", "daha", *CHECK_POLY2, "--jobs", "-3"]),
-        (None, None, None, ["check", "bqt", *CHECK_POLY2, "--kmax", "-1"]),
-        (None, None, None, ["check", "bqt", *CHECK_POLY2, "--dmax", "-2"]),
-        (None, None, None, ["limit", "--kmax", "-1"]),
-        (None, None, None, ["limit", "--dmax", "-1"]),
-        (None, None, None, ["dims", "--kmax", "-1"]),
-        (None, None, None, ["dims", "--dmax", "-1"]),
-        (None, None, None, ["limit", "--ncap", "-1"]),
-        (None, None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "0"]),
-        (None, None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "-1"]),
+        ('[["T"]]', POLY2, None),
+        ("[1]", POLY2, None),
+        ('[["X","1"]]', POLY2, None),
+        ('[["z"]]', {"flavor": 0, "vector": POLY2}, None),
+        ('[["X",1]]', {"rank": 2}, None),
+        ('[["X",1]]', {"flavor": None, "vector": POLY2}, None),
+        *((json.dumps([["Scalar", text]]), POLY2, None) for text in BAD_SCALAR_TEXT),
+        (None, None, ["check", "daha", *CHECK_POLY2, "--dmax", "-1"]),
+        (None, None, ["check", "daha", *CHECK_POLY2, "--jobs", "-3"]),
+        (None, None, ["check", "bqt", *CHECK_POLY2, "--kmax", "-1"]),
+        (None, None, ["check", "bqt", *CHECK_POLY2, "--dmax", "-2"]),
+        (None, None, ["limit", "--kmax", "-1"]),
+        (None, None, ["limit", "--dmax", "-1"]),
+        (None, None, ["dims", "--kmax", "-1"]),
+        (None, None, ["dims", "--dmax", "-1"]),
+        (None, None, ["limit", "--ncap", "-1"]),
+        (None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "0"]),
+        (None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "-1"]),
     ],
     ids=["T_without_index", "bare_int", "string_index", "z_without_index",
-         "vector_without_entries", "flavor_not_int", "BQT_JOBS_not_int",
+         "vector_without_entries", "flavor_not_int",
+         "scalar_unbalanced_parenthesis", "scalar_trailing_input",
+         "scalar_exponent_not_int", "scalar_unexpected_token",
          "check_dmax_negative", "check_jobs_negative", "check_kmax_negative",
          "check_bqt_dmax_negative", "limit_kmax_negative", "limit_dmax_negative",
          "dims_kmax_negative", "dims_dmax_negative", "limit_ncap_negative",
          "check_rank_zero_with_pool", "check_rank_negative_with_pool"],
 )
-def test_malformed_input_exits_2_with_message(
-    capsys, tmp_path, monkeypatch, word, payload, env, argv
-):
-    if env is not None:
-        monkeypatch.setenv("BQT_JOBS", env)
-        argv = ["check", "daha", *CHECK_POLY2, "--dmax", "1"]
-    elif argv is None:
+def test_malformed_input_exits_2_with_message(capsys, tmp_path, word, payload, argv):
+    if argv is None:
         vec = tmp_path / "vec.json"
         vec.write_text(json.dumps(payload))
         argv = ["act", *CHECK_POLY2, "--word", word, "--in", str(vec)]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
-    if word is None and env is None:
+    if word is None:
         assert out == ""
         flag, value = argv[-2:]
         if flag == "--n":
@@ -301,6 +307,9 @@ def test_malformed_input_exits_2_with_message(
             assert "error: rank must be positive" in err
         else:
             assert f"error: {flag} must be nonnegative, got {value}" in err
+    elif word.startswith('[["Scalar"'):
+        assert out == ""
+        assert BAD_SCALAR_TEXT[json.loads(word)[0][1]] in err
 
 
 CONST2 = {"rank": 2, "entries": [{"exponents": [0, 0], "coeff": "1"}]}
