@@ -95,17 +95,11 @@ class Tower:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components.values())
 
-    def _combine(self, other: "Tower", op) -> "Tower":
+    def add(self, other: "Tower") -> "Tower":
         if (self.k, self.degree, self.window()) != (other.k, other.degree, other.window()):
             raise InconsistentFlavors("towers disagree in flavor, degree, or window")
-        comps = {n: op(v, other.components[n]) for n, v in self.components.items()}
+        comps = {n: v.add(other.components[n]) for n, v in self.components.items()}
         return Tower(self.k, self.degree, comps)
-
-    def add(self, other: "Tower") -> "Tower":
-        return self._combine(other, LVector.add)
-
-    def sub(self, other: "Tower") -> "Tower":
-        return self._combine(other, LVector.sub)
 
     def scale(self, c) -> "Tower":
         return Tower(self.k, self.degree, {n: v.scale(c) for n, v in self.components.items()})

@@ -164,11 +164,11 @@ def is_tail_symmetric(M, payload, k: int) -> bool:
     return True
 
 
-def certify_flavor_membership(M, lv: LVector, tail_sorted: bool = False) -> bool:
+def certify_flavor_membership(M, lv: LVector) -> bool:
     """Both halves of the flavor invariant: tail symmetry and span membership.
 
     Membership is decided degree by degree, each homogeneous part in the
-    span of its own graded piece.
+    span of its own graded piece, cut out by the full spanning set.
     """
     if not 0 <= lv.k <= M.n:
         raise FlavorOutOfRange(f"flavor {lv.k} outside 0..{M.n}")
@@ -177,9 +177,7 @@ def certify_flavor_membership(M, lv: LVector, tail_sorted: bool = False) -> bool
     if not is_tail_symmetric(M, lv.payload, lv.k):
         return False
     return all(
-        extract_basis(lk_spanning_set(M, lv.k, d, tail_sorted=tail_sorted)).contains(
-            LVector(lv.k, part)
-        )
+        extract_basis(lk_spanning_set(M, lv.k, d)).contains(LVector(lv.k, part))
         for d, part in lv.payload.homogeneous_parts().items()
     )
 
