@@ -38,20 +38,8 @@ class RowBasis:
             if c is None or c.is_zero():
                 continue
             c = c / row[pivot]
-            for k, v in row.items():
-                cur = vec.get(k)
-                s = -(c * v) if cur is None else cur - c * v
-                if s.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-            for j, v in row_coords.items():
-                cur = coords.get(j)
-                s = -(c * v) if cur is None else cur - c * v
-                if s.is_zero():
-                    coords.pop(j, None)
-                else:
-                    coords[j] = s
+            _subtract(vec, c, row)
+            _subtract(coords, c, row_coords)
         return vec, coords
 
     def insert(self, vec: dict) -> bool:
@@ -88,6 +76,17 @@ class RowBasis:
         if any(not v.is_zero() for v in res.values()):
             return None
         return {j: -c for j, c in coords.items() if not c.is_zero()}
+
+
+def _subtract(target: dict, c, row: dict) -> None:
+    """target -= c * row in place, dropping entries that become zero."""
+    for k, v in row.items():
+        cur = target.get(k)
+        s = -(c * v) if cur is None else cur - c * v
+        if s.is_zero():
+            target.pop(k, None)
+        else:
+            target[k] = s
 
 
 def _one_like(vec: dict):
