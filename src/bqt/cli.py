@@ -24,7 +24,6 @@ from .relations import (
     check_bqt_relations,
     check_compatibility,
     check_daha_relations,
-    check_theta_eigenvalues,
     make_realization,
     relation_ids,
     run_probabilistic,
@@ -48,6 +47,11 @@ def _module_descriptor(args) -> dict:
     if args.module == "murnaghan":
         desc["shape"] = list(parse_shape(args.shape))
     if getattr(args, "demazure", "1-q") != "1-q":
+        if args.module != "poly" or args.suite == "compat":
+            raise ValueError(
+                f"--demazure {args.demazure} applies to the polynomial module's daha, "
+                "bqt and aux suites only"
+            )
         desc["demazure_coefficient"] = args.demazure
     return desc
 
@@ -95,6 +99,8 @@ def cmd_check(args) -> int:
     seed = args.seed
 
     if args.suite == "compat":
+        if args.probabilistic:
+            raise ValueError("the compat suite has no probabilistic mode; it runs exact only")
         reports = check_compatibility(_sequence(args.module == "poly", args), args.n, args.dmax)
         report_objs = [r.to_obj() for r in reports]
     elif args.probabilistic:
@@ -105,9 +111,9 @@ def cmd_check(args) -> int:
         reports = run_probabilistic(suite, seed=seed)
         report_objs = [r.to_obj() for r in reports]
     else:
-        ids = relation_ids(args.suite, args.n)
         # built here even for the pool, so bad input fails before any worker starts
         M = make_realization(desc)
+        ids = relation_ids(args.suite, M)
         if args.jobs > 1:
             tasks = [(args.suite, params, rid) for rid in ids]
             with ProcessPoolExecutor(
@@ -116,9 +122,6 @@ def cmd_check(args) -> int:
                 report_objs = [obj for chunk in pool.map(_check_task, tasks) for obj in chunk]
         else:
             report_objs = _check_ids(args.suite, M, params, ids)
-
-    if args.suite == "aux" and args.module == "murnaghan" and not args.probabilistic:
-        report_objs.append(check_theta_eigenvalues(parse_shape(args.shape), args.n).to_obj())
 
     if args.no_timing:
         for obj in report_objs:

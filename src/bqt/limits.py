@@ -22,7 +22,6 @@ from .induced import InducedRealization, pi_connect, xi_truncate
 from .linalg import RowBasis, solve_combination
 from .lspaces import DPLUS, FLAVORED_ALPHABET, LVector, extract_basis, lk_spanning_set
 from .polyrep import PolyRealization, apply_word, letter
-from .scalars import QT
 from .tableaux import check_shape, min_rank
 
 DEFAULT_WINDOW = 2
@@ -33,12 +32,11 @@ class CompatSeqSpec:
     """Selector of a compatible sequence: the polynomial tower or the
     induced tower of a partition."""
 
-    def __init__(self, kind: str, shape=(), ring=QT):
+    def __init__(self, kind: str, shape=()):
         if kind not in ("polynomial", "murnaghan"):
             raise ValueError(f"unknown sequence kind {kind!r}")
         self.kind = kind
         self.shape = check_shape(tuple(shape)) if kind == "murnaghan" else ()
-        self.ring = ring
         self._realizations: dict[int, object] = {}
 
     @property
@@ -56,9 +54,9 @@ class CompatSeqSpec:
         M = self._realizations.get(n)
         if M is None:
             if self.kind == "polynomial":
-                M = PolyRealization(n, self.ring)
+                M = PolyRealization(n)
             else:
-                M = InducedRealization(self.shape, n, self.ring)
+                M = InducedRealization(self.shape, n)
             self._realizations[n] = M
         return M
 
@@ -198,7 +196,12 @@ def limit_component(
 
 
 def extend_tower(seq: CompatSeqSpec, tower: Tower, lo: int, hi: int) -> Tower:
-    """Re-window a tower, lifting components upward by exact linear solves."""
+    """Re-window a tower, lifting components upward by exact linear solves.
+
+    The new window may start above the tower's but not below it.
+    """
+    if lo < tower.lo:
+        raise ValueError(f"window start {lo} below the tower's {tower.lo}")
     comps = dict(tower.components)
     top = tower.hi
     while top < hi:
@@ -217,10 +220,6 @@ def extend_tower(seq: CompatSeqSpec, tower: Tower, lo: int, hi: int) -> Tower:
                 lifted = lifted.add(lv.payload.scale(c))
         comps[top + 1] = LVector(tower.k, lifted)
         top += 1
-    low = min(comps)
-    while low > lo:
-        comps[low - 1] = seq.connect_flavored(comps[low])
-        low -= 1
     comps = {n: v for n, v in comps.items() if lo <= n <= hi}
     return Tower(tower.k, tower.degree, comps)
 

@@ -370,12 +370,12 @@ def word_to_json(word: Iterable[tuple]) -> list:
     return out
 
 
-def word_from_json(data, alphabet: dict = WORD_ALPHABET, ring=QT) -> tuple:
+def word_from_json(data, alphabet: dict = WORD_ALPHABET) -> tuple:
     """Parse a JSON word such as [["X", 1], ["Pi"], ["Scalar", "q - 1"]].
 
     Every symbol is a list of a tag of the alphabet and as many arguments as
-    the alphabet gives it: an int index, or the text of a Scalar.  Anything
-    else raises ValueError.
+    the alphabet gives it: an int index, or the text of a Scalar, parsed
+    over Q(q,t).  Anything else raises ValueError.
     """
     if not isinstance(data, list):
         raise ValueError(f"a word is a JSON list of symbols, got {data!r}")
@@ -389,7 +389,7 @@ def word_from_json(data, alphabet: dict = WORD_ALPHABET, ring=QT) -> tuple:
         if tag == "Scalar":
             if not isinstance(sym[1], str):
                 raise ValueError(f"Scalar argument {sym[1]!r} is not scalar text")
-            word.append(("Scalar", ring.convert(parse_scalar(sym[1]))))
+            word.append(("Scalar", parse_scalar(sym[1])))
         elif arity and type(sym[1]) is not int:
             raise ValueError(f"index in word symbol {sym!r} is not an integer")
         else:

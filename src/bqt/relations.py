@@ -16,13 +16,21 @@ that fails, or raises, is evaluated again side by side, so its
 counterexample and error report are those of the two sides.  The flavored
 and tower suites compare the two sides' normalized vectors.
 
+Every check applies operators through apply_word, the one word interpreter:
+the catalogs' words, the closed forms' chains, the theta word (through
+tableaux.theta_scalar) and the compatibility axioms, five of which are
+cases (x, index, upper word, lower word) of one evaluator comparing
+connector(upper word x) with lower word connector(x).  The aux suite on a
+Murnaghan module also checks the theta eigenvalues of its seed.
+
 Quantification policy: "for all vectors" means all spanning vectors of the
 stated graded pieces, which suffices by linearity; reports list the ranges.
 
-Verdicts are exact by default.  In probabilistic mode the same evaluations
-run over prime-field specializations of (q, t) at seeded random points;
-agreement there is reported with mode "probabilistic" and is a pre-filter,
-never the final word.
+Verdicts are exact by default.  In probabilistic mode the daha, bqt and aux
+evaluations run over prime-field specializations of (q, t) at seeded random
+points; agreement there is reported with mode "probabilistic" and is a
+pre-filter, never the final word.  The compatibility and tower suites are
+exact only.
 """
 
 from __future__ import annotations
@@ -33,9 +41,13 @@ from dataclasses import dataclass
 
 from .errors import BqtError, PoleAtPoint
 from .induced import InducedRealization, xi_truncate_broken
-from .limits import CompatSeqSpec, apply_tower_word, limit_component, widen_for_words
+from .limits import (
+    DEFAULT_N_CAP, DEFAULT_WINDOW, CompatSeqSpec, apply_tower_word, limit_component,
+    widen_for_words,
+)
 from .lspaces import FLAVORED_ALPHABET, LVector, d_minus, lk_spanning_set, phi_sides
-from .polyrep import WORD_ALPHABET, PolyRealization, apply_epsilon, apply_word, letter
+from .polyrep import WORD_ALPHABET, PolyRealization, apply_word, letter
+from .polyrep import apply_epsilon  # noqa: F401  (re-exported; perfbench's tracer wraps it)
 from .scalars import QT, ModPField
 from .tableaux import SeedRealization, check_shape, kappa_connect, theta_scalar
 
@@ -553,38 +565,62 @@ def aux_identities(n: int, ring) -> list[tuple[str, str, list[Identity]]]:
     ]
 
 
-# checks of check_aux_identities beyond the identity catalog, in report order
-AUX_CLOSED_FORMS = ("aux_jucys_murphy", "aux_phi_closed_form", "aux_dminus_closed_form")
+def _aux_checks(M) -> list:
+    """(relation id, check(M, d_max, rel_id)) of the aux suite beyond its
+    identity catalog, in report order; a Murnaghan module adds theta on its seed."""
+    checks = [
+        ("aux_jucys_murphy", _check_jucys_murphy),
+        ("aux_phi_closed_form", _check_phi_closed_form),
+        ("aux_dminus_closed_form", _check_dminus_closed_form),
+    ]
+    if M.kind == "murnaghan":
+        checks.append(
+            ("aux_theta_eigen", lambda M, *_: check_theta_eigenvalues(M.lam, M.n, M.ring))
+        )
+    return checks
 
 
 def check_aux_identities(M, d_max: int, only: str | None = None) -> list[RelationReport]:
     """Idempotent laws, intertwiner conjugations, the braid-to-sum expansion,
-    and the closed forms of the lowering and degree-raising operators."""
+    the closed forms of the lowering and degree-raising operators, and on a
+    Murnaghan module the theta eigenvalues of its seed."""
     reports = _module_identity_reports(
         M, aux_identities(M.n, M.ring), d_max, only, keep_empty=False
     )
-    checks = (_check_jucys_murphy, _check_phi_closed_form, _check_dminus_closed_form)
-    for rel_id, check in zip(AUX_CLOSED_FORMS, checks):
+    for rel_id, check in _aux_checks(M):
         if only is None or only == rel_id:
             reports.append(check(M, d_max, rel_id))
     return reports
 
 
-def relation_ids(suite: str, n: int) -> list[str]:
-    """Relation ids of the daha, bqt or aux suite at rank n, in report order."""
+def relation_ids(suite: str, M) -> list[str]:
+    """Relation ids of the daha, bqt or aux suite on M, in report order."""
     if suite == "daha":
-        return [rid for rid, _, _ in daha_identities(n, QT)]
+        return [rid for rid, _, _ in daha_identities(M.n, QT)]
     if suite == "bqt":
-        return [rid for rid, _, _ in bqt_identities(n, 0, QT)]
-    return [rid for rid, _, _ in aux_identities(n, QT)] + list(AUX_CLOSED_FORMS)
+        return [rid for rid, _, _ in bqt_identities(M.n, 0, QT)]
+    return [rid for rid, _, _ in aux_identities(M.n, QT)] + [rid for rid, _ in _aux_checks(M)]
 
 
 def _flavored_spans(M, flavors, d_max: int):
-    """(flavor, degree, spanning vector) over the flavors and degrees <= d_max."""
+    """(flavor, degree, payload, spanning vector) over the flavors and degrees <= d_max."""
     for k in flavors:
         for d in range(k, d_max + 1):
             for lv in lk_spanning_set(M, k, d):
-                yield k, d, lv
+                yield k, d, lv.payload, lv
+
+
+def _closed_form_report(M, d_max, rel_id, anchor, flavors, cases, evaluate) -> RelationReport:
+    """One report over cases (flavor, degree, vector, ...) of the given flavors."""
+    return run_suite(
+        cases,
+        evaluate,
+        lambda case, _: {"flavor": case[0], "degree": case[1], "vector": str(case[2])},
+        relation_id=rel_id,
+        anchor=anchor,
+        realization=M.descriptor(),
+        ranges={"flavors": list(flavors), "degrees": list(range(d_max + 1))},
+    )
 
 
 def _check_jucys_murphy(M, d_max: int, rel_id: str) -> RelationReport:
@@ -609,58 +645,48 @@ def _check_jucys_murphy(M, d_max: int, rel_id: str) -> RelationReport:
             qpow = qpow * q
         lhs = ((ring.q_power(n - k), ascending + descending),)
         idents[k] = Identity("", lhs, tuple(rhs_terms))
-    return run_suite(
-        _flavored_spans(M, range(1, n + 1), d_max),
-        lambda case: _word_sides(M, idents[case[0]], case[2].payload),
-        lambda case, _: {"flavor": case[0], "degree": case[1], "vector": str(case[2].payload)},
-        relation_id=rel_id,
-        anchor="q^(n-k) T_k^{-1}..T_{n-1}^{-1} T_{n-1}^{-1}..T_k^{-1} = "
+    flavors = range(1, n + 1)
+    return _closed_form_report(
+        M, d_max, rel_id,
+        "q^(n-k) T_k^{-1}..T_{n-1}^{-1} T_{n-1}^{-1}..T_k^{-1} = "
         "1 + (q-1) sum_j q^(j-k) T_j^{-1}..T_k^{-1} on flavor-k vectors",
-        realization=M.descriptor(),
-        ranges={"flavors": list(range(1, n + 1)), "degrees": list(range(d_max + 1))},
+        flavors,
+        _flavored_spans(M, flavors, d_max),
+        lambda case: _word_sides(M, idents[case[0]], case[2]),
     )
 
 
 def _check_phi_closed_form(M, d_max: int, rel_id: str) -> RelationReport:
-    return run_suite(
-        _flavored_spans(M, range(1, M.n), d_max),
-        lambda case: _mismatch(*phi_sides(M, case[2])),
-        lambda case, _: {"flavor": case[0], "degree": case[1], "vector": str(case[2].payload)},
-        relation_id=rel_id,
-        anchor="[d_+, d_-]/(q-1) = q^(k-1) X_1 T_1^{-1}..T_{k-1}^{-1} on flavor k",
-        realization=M.descriptor(),
-        ranges={"flavors": list(range(1, M.n)), "degrees": list(range(d_max + 1))},
+    flavors = range(1, M.n)
+    return _closed_form_report(
+        M, d_max, rel_id,
+        "[d_+, d_-]/(q-1) = q^(k-1) X_1 T_1^{-1}..T_{k-1}^{-1} on flavor k",
+        flavors,
+        _flavored_spans(M, flavors, d_max),
+        lambda case: _mismatch(*phi_sides(M, case[3])),
     )
 
 
 def _check_dminus_closed_form(M, d_max: int, rel_id: str) -> RelationReport:
     ring = M.ring
 
+    def x_eps(k):
+        """The word X_1..X_k eps_k."""
+        return tuple(("X", i) for i in range(1, k + 1)) + (("Eps", k),)
+
     def evaluate(case):
         k, _, w = case
-        lhs_payload = apply_epsilon(M, w, k)
-        for i in range(1, k + 1):
-            lhs_payload = M.apply_Xi(lhs_payload, i)
-        lhs = d_minus(M, LVector(k, lhs_payload))
-        scaled = M.apply_Xi(w, k).scale(ring.q_power(M.n - k + 1) - ring.one)
-        rhs = apply_epsilon(M, scaled, k - 1)
-        for i in range(1, k):
-            rhs = M.apply_Xi(rhs, i)
-        return _mismatch(lhs.payload, rhs)
+        lhs = d_minus(M, LVector(k, apply_word(M, w, x_eps(k))))
+        scale = ("Scalar", ring.q_power(M.n - k + 1) - ring.one)
+        return _mismatch(lhs.payload, apply_word(M, w, x_eps(k - 1) + (scale, ("X", k))))
 
-    return run_suite(
-        (
-            (k, d, w)
-            for k in range(1, M.n + 1)
-            for d in range(k, d_max + 1)
-            for w in M.basis(d - k)
-        ),
+    flavors = range(1, M.n + 1)
+    return _closed_form_report(
+        M, d_max, rel_id,
+        "d_-(X_1..X_k eps_k(w)) = X_1..X_{k-1} eps_{k-1}((q^(n-k+1)-1) X_k w)",
+        flavors,
+        ((k, d, w) for k in flavors for d in range(k, d_max + 1) for w in M.basis(d - k)),
         evaluate,
-        lambda case, _: {"flavor": case[0], "degree": case[1], "vector": str(case[2])},
-        relation_id=rel_id,
-        anchor="d_-(X_1..X_k eps_k(w)) = X_1..X_{k-1} eps_{k-1}((q^(n-k+1)-1) X_k w)",
-        realization=M.descriptor(),
-        ranges={"flavors": list(range(1, M.n + 1)), "degrees": list(range(d_max + 1))},
     )
 
 
@@ -671,7 +697,7 @@ def check_theta_eigenvalues(lam, n: int, ring=QT) -> RelationReport:
 
     def evaluate(case):
         tau, i = case
-        got = theta_scalar(tau, i, n, ring=ring, realization=M)
+        got = theta_scalar(tau, i, n, realization=M)
         return None if got == ring.q_power(tau.content(i)) else {"scalar": str(got)}
 
     return run_suite(
@@ -695,15 +721,18 @@ def check_compatibility(
 ) -> list[RelationReport]:
     """The five tower axioms at one rank step, on a full degree basis.
 
-    For induced sequences the two seed-level axioms (restriction is a braid
-    module map and intertwines the affine twist) are checked as well.  The
-    broken_connector flag swaps in a truncation that keeps top-variable
-    terms; it exists so the suite can demonstrate its own sensitivity.
+    Degree preservation and the top-variable kill are checked on connector
+    images.  The other three axioms, and for induced sequences the two seed
+    axioms (restriction is a braid module map and intertwines the affine
+    twist), are cases (x, index, upper word, lower word) of one statement:
+    connector(upper word x) = lower word connector(x), words applied by
+    apply_word.  The broken_connector flag swaps in a truncation that keeps
+    top-variable terms; it exists so the suite can demonstrate its own
+    sensitivity.
     """
     if n < seq.n_start:
         raise ValueError(f"rank {n} below the sequence start {seq.n_start}")
-    hi = seq.realization(n + 1)
-    lo = seq.realization(n)
+    hi, lo = seq.realization(n + 1), seq.realization(n)
 
     def connect(v):
         if broken_connector:
@@ -712,102 +741,71 @@ def check_compatibility(
             return xi_truncate_broken(v)
         return seq.connect(v)
 
-    desc = {**seq.descriptor(), "n": n, "broken_connector": broken_connector}
-    if not broken_connector:
-        del desc["broken_connector"]
+    desc = {**seq.descriptor(), "n": n}
+    if broken_connector:
+        desc["broken_connector"] = True
     reports = []
     graded = [(d, v) for d in range(d_max + 1) for v in hi.basis(d)]
+    vectors = [v for _, v in graded]
 
     def report(rel_id, anchor, cases, evaluate, describe):
-        reports.append(
-            run_suite(
-                cases,
-                evaluate,
-                describe,
-                relation_id=rel_id,
-                anchor=anchor,
-                realization=desc,
-                ranges={"degrees": list(range(d_max + 1))},
-            )
-        )
+        reports.append(run_suite(cases, evaluate, describe, relation_id=rel_id, anchor=anchor,
+                                 realization=desc, ranges={"degrees": list(range(d_max + 1))}))
+
+    def intertwines(rel_id, anchor, cases, conn, up, down, describe):
+        """The axiom conn(w_up x) = w_lo conn(x) on every case (x, index, w_up, w_lo)."""
+
+        def evaluate(case):
+            x, _, w_up, w_lo = case
+            return _mismatch(conn(apply_word(up, x, w_up)), apply_word(down, conn(x), w_lo))
+
+        report(rel_id, anchor, cases, evaluate, describe)
+
+    def equivariance(tag, indices, xs):
+        return ((x, i, ((tag, i),), ((tag, i),)) for x in xs for i in indices)
+
+    def twist(xs):
+        return ((x, None, (PI, ("T", n)), (PI,)) for x in xs)
 
     def off_degree(case):
-        d, v = case
-        img = connect(v)
-        return img if not img.is_zero() and img.degree() != d else None
+        img = connect(case[1])
+        return img if not img.is_zero() and img.degree() != case[0] else None
 
     def top_image(case):
-        img = connect(hi.apply_Xi(case[1], n + 1))
+        img = connect(apply_word(hi, case[1], (("X", n + 1),)))
         return None if img.is_zero() else img
 
     def with_image(case, img):
-        out = {"vector": str(case[1])}
-        if img is not None:
-            out["image"] = str(img)
-        return out
+        return {"vector": str(case[1]), **({} if img is None else {"image": str(img)})}
 
     def with_index(case, _):
         return {"vector": str(case[0]), "index": case[1]}
 
-    def pi_sides(case):
-        v = case[1]
-        return _mismatch(connect(hi.apply_pi(hi.apply_Ti(v, n))), lo.apply_pi(connect(v)))
-
     report("compat_degree_preserving", "deg(Pi(v)) = deg(v) or Pi(v) = 0", graded,
            off_degree, with_image)
-    report(
-        "compat_T_equivariance",
-        "Pi T_i = T_i Pi for 1 <= i <= n-1",
-        ((v, i) for _, v in graded for i in range(1, n)),
-        lambda c: _mismatch(connect(hi.apply_Ti(*c)), lo.apply_Ti(connect(c[0]), c[1])),
-        with_index,
-    )
-    report(
-        "compat_X_equivariance",
-        "Pi X_i = X_i Pi for 1 <= i <= n",
-        ((v, i) for _, v in graded for i in range(1, n + 1)),
-        lambda c: _mismatch(connect(hi.apply_Xi(*c)), lo.apply_Xi(connect(c[0]), c[1])),
-        with_index,
-    )
+    intertwines("compat_T_equivariance", "Pi T_i = T_i Pi for 1 <= i <= n-1",
+                equivariance("T", range(1, n), vectors), connect, hi, lo, with_index)
+    intertwines("compat_X_equivariance", "Pi X_i = X_i Pi for 1 <= i <= n",
+                equivariance("X", range(1, n + 1), vectors), connect, hi, lo, with_index)
     report("compat_kills_top_X", "Pi X_{n+1} = 0", graded, top_image, with_image)
-    report(
-        "compat_pi_intertwine",
-        "Pi pi^(n+1) T_n = pi^(n) Pi",
-        graded,
-        pi_sides,
-        lambda c, got: {"vector": str(c[1]), **_shown(got)},
-    )
+    intertwines("compat_pi_intertwine", "Pi pi^(n+1) T_n = pi^(n) Pi", twist(vectors),
+                connect, hi, lo, lambda c, got: {"vector": str(c[0]), **_shown(got)})
 
     if seq.kind == "murnaghan" and not broken_connector:
-        seed_hi, seed_lo = hi.seed, lo.seed
+        seed_hi = hi.seed
+        basis = [seed_hi.basis_vector(tau) for tau in seed_hi.tableaux]
 
         def kappa(v):
             return kappa_connect(v, seq.shape)
 
-        def kappa_T(case):
-            tau, i = case
-            e = seed_hi.basis_vector(tau)
-            return _mismatch(kappa(seed_hi.apply_Ti(e, i)), seed_lo.apply_Ti(kappa(e), i))
+        def at_tableau(case, _):
+            (tau,) = case[0].coeffs
+            return {"tableau": tau.to_obj(), **({} if case[1] is None else {"index": case[1]})}
 
-        def kappa_pi(tau):
-            e = seed_hi.basis_vector(tau)
-            lhs = kappa(seed_hi.apply_pi(seed_hi.apply_Ti(e, n)))
-            return _mismatch(lhs, seed_lo.apply_pi(kappa(e)))
-
-        report(
-            "precompat_kappa_T",
-            "kappa T_i = T_i kappa for 1 <= i <= n-1",
-            ((tau, i) for tau in seed_hi.tableaux for i in range(1, n)),
-            kappa_T,
-            lambda c, _: {"tableau": c[0].to_obj(), "index": c[1]},
-        )
-        report(
-            "precompat_kappa_pi",
-            "kappa pi^(n+1) T_n = pi^(n) kappa",
-            seed_hi.tableaux,
-            kappa_pi,
-            lambda tau, _: {"tableau": tau.to_obj()},
-        )
+        intertwines("precompat_kappa_T", "kappa T_i = T_i kappa for 1 <= i <= n-1",
+                    equivariance("T", range(1, n), basis), kappa, seed_hi, lo.seed, at_tableau)
+        intertwines("precompat_kappa_pi", "kappa pi^(n+1) T_n = pi^(n) kappa", twist(basis),
+                    kappa, seed_hi, lo.seed, at_tableau)
 
     return reports
 
@@ -818,11 +816,7 @@ def check_compatibility(
 
 
 def check_bqt_relations_on_towers(
-    seq: CompatSeqSpec,
-    k_max: int,
-    d_max: int,
-    window: int = 2,
-    n_cap: int = 8,
+    seq: CompatSeqSpec, k_max: int, d_max: int
 ) -> list[RelationReport]:
     """The fifteen-relation suite run on stable-limit towers.
 
@@ -837,7 +831,7 @@ def check_bqt_relations_on_towers(
         return [
             (d, tower)
             for d in range(k, d_max + 1)
-            for tower in limit_component(seq, k, d, window=window, n_cap=n_cap).towers
+            for tower in limit_component(seq, k, d).towers
         ]
 
     def evaluate(ident, tower):
@@ -845,7 +839,7 @@ def check_bqt_relations_on_towers(
         return None if _sides(apply_tower_word, seq, ident, base) is None else base
 
     return _catalog_reports(
-        lambda k: bqt_identities(n_ref, k, seq.ring),
+        lambda k: bqt_identities(n_ref, k, QT),
         range(0, k_max + 1),
         d_max,
         towers,
@@ -856,8 +850,8 @@ def check_bqt_relations_on_towers(
             "window": list((base or tower).window()),
         },
         {**seq.descriptor(), "level": "towers"},
-        window=window,
-        n_cap=n_cap,
+        window=DEFAULT_WINDOW,
+        n_cap=DEFAULT_N_CAP,
     )
 
 

@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .keyed import KeyedRealization, SparseVec, strict_int
+from .polyrep import apply_word
 from .scalars import QT
 
 Shape = tuple[int, ...]
@@ -273,29 +274,30 @@ def kappa_connect(v: SeedVector, lam: Shape) -> SeedVector:
     return SeedVector(n, lam, out)
 
 
-def theta_scalar(tau: StandardTableau, entry: int, n: int, ring=QT, realization=None):
+def theta_scalar(tau: StandardTableau, entry: int, n: int, realization=None):
     """Eigenvalue of the reversed Cherednik word on e_tau.
 
     Applies q^(i-1) T_{i-1}^{-1} .. T_1^{-1} pi T_{n-1} .. T_i and demands
-    the output be proportional to e_tau; the scalar is returned.  Any
-    partition shape is the padded shape of its own tail, so the seed module
-    is rebuilt from tau (or taken from the realization argument when many
-    entries of the same module are checked).
+    the output be proportional to e_tau; the scalar, in the realization's
+    ring, is returned.  Any partition shape is the padded shape of its own
+    tail, so the seed module is rebuilt from tau over Q(q,t) (or taken from
+    the realization argument when many entries of the same module are
+    checked).
     """
     if tau.size != n:
         raise ShapeMismatch(f"tableau size {tau.size} differs from rank {n}")
     if not 1 <= entry <= n:
         raise EntryOutOfRange(f"entry {entry} outside 1..{n}")
-    M = realization if realization is not None else SeedRealization(tau.shape[1:], n, ring)
+    M = realization if realization is not None else SeedRealization(tau.shape[1:], n)
     if M.shape != tau.shape:
         raise ShapeMismatch(f"realization shape {M.shape} differs from tableau {tau.shape}")
-    v = M.basis_vector(tau)
-    for j in range(entry, n):
-        v = M.apply_Ti(v, j)
-    v = M.apply_pi(v)
-    for j in range(1, entry):
-        v = M.apply_Ti_inv(v, j)
-    v = v.scale(ring.q_power(entry - 1))
+    word = (
+        (("Scalar", M.ring.q_power(entry - 1)),)
+        + tuple(("Tinv", j) for j in range(entry - 1, 0, -1))
+        + (("Pi",),)
+        + tuple(("T", j) for j in range(n - 1, entry - 1, -1))
+    )
+    v = apply_word(M, M.basis_vector(tau), word)
     if set(v.coeffs) != {tau}:
         raise NotAnEigenvector(f"theta_{entry} image of {tau!r} is not diagonal")
     return v.coeffs[tau]

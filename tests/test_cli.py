@@ -129,6 +129,20 @@ def test_probabilistic_mode(capsys):
     assert all(r["mode"] == "probabilistic" for r in doc["reports"])
 
 
+def test_probabilistic_aux_on_murnaghan_runs_the_exact_relation_ids(capsys):
+    base = ["check", "aux", "--module", "murnaghan", "--shape", "1", "--n", "3",
+            "--dmax", "1", "--jobs", "1"]
+    docs = []
+    for extra in ([], ["--probabilistic"]):
+        code, out, _ = run(capsys, *base, *extra)
+        assert code == 0
+        docs.append(json.loads(out))
+    exact, probabilistic = ([r["relation_id"] for r in d["reports"]] for d in docs)
+    assert len(exact) == 15 and exact[-1] == "aux_theta_eigen"
+    assert probabilistic == exact
+    assert all(r["mode"] == "probabilistic" for r in docs[1]["reports"])
+
+
 def test_act_daha_word(capsys, tmp_path):
     vec = tmp_path / "vec.json"
     vec.write_text(json.dumps({"rank": 2, "entries": [{"exponents": [0, 0], "coeff": "1"}]}))
@@ -281,6 +295,10 @@ BAD_SCALAR_TEXT = {
         (None, None, ["limit", "--ncap", "-1"]),
         (None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "0"]),
         (None, None, ["check", "daha", "--module", "poly", "--jobs", "2", "--n", "-1"]),
+        (None, None, ["check", "daha", "--module", "murnaghan", "--shape", "1", "--n", "2",
+                      "--dmax", "1", "--demazure", "q-1"]),
+        (None, None, ["check", "compat", *CHECK_POLY2, "--dmax", "1", "--demazure", "q-1"]),
+        (None, None, ["check", "compat", *CHECK_POLY2, "--dmax", "1", "--probabilistic"]),
     ],
     ids=["T_without_index", "bare_int", "string_index", "z_without_index",
          "vector_without_entries", "flavor_not_int",
@@ -289,7 +307,8 @@ BAD_SCALAR_TEXT = {
          "check_dmax_negative", "check_jobs_negative", "check_kmax_negative",
          "check_bqt_dmax_negative", "limit_kmax_negative", "limit_dmax_negative",
          "dims_kmax_negative", "dims_dmax_negative", "limit_ncap_negative",
-         "check_rank_zero_with_pool", "check_rank_negative_with_pool"],
+         "check_rank_zero_with_pool", "check_rank_negative_with_pool",
+         "demazure_on_murnaghan", "demazure_on_compat", "compat_probabilistic"],
 )
 def test_malformed_input_exits_2_with_message(capsys, tmp_path, word, payload, argv):
     if argv is None:
@@ -305,6 +324,10 @@ def test_malformed_input_exits_2_with_message(capsys, tmp_path, word, payload, a
         if flag == "--n":
             # a bad rank fails in the parent process, before the pool starts
             assert "error: rank must be positive" in err
+        elif flag == "--demazure":
+            assert f"error: --demazure {value} applies to the polynomial module's" in err
+        elif value == "--probabilistic":
+            assert "error: the compat suite has no probabilistic mode" in err
         else:
             assert f"error: {flag} must be nonnegative, got {value}" in err
     elif word.startswith('[["Scalar"'):

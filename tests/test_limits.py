@@ -140,6 +140,13 @@ def test_extend_tower_lifts_consistently():
         assert taller.component(tower.hi) == tower.component(tower.hi)
 
 
+def test_extend_tower_rejects_a_window_below_the_tower():
+    seq = CompatSeqSpec("polynomial")
+    (tower,) = limit_component(seq, 0, 0).towers
+    with pytest.raises(ValueError, match="below the tower"):
+        extend_tower(seq, tower, tower.lo - 1, tower.hi)
+
+
 def test_tower_word_requires_room_and_advances():
     seq = CompatSeqSpec("polynomial")
     cell = limit_component(seq, 0, 0, n_cap=4)

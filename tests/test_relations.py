@@ -100,7 +100,7 @@ def test_theta_report():
 
 
 def test_theta_error_is_a_fail_report(monkeypatch):
-    def planted(tau, entry, n, ring, realization):
+    def planted(tau, entry, n, realization):
         raise NotAnEigenvector(f"planted at entry {entry}")
 
     monkeypatch.setattr(bqt.relations, "theta_scalar", planted)
@@ -140,6 +140,33 @@ def test_compatibility_negative_control():
     by_id = {r.relation_id: r for r in reports}
     assert by_id["compat_kills_top_X"].status == "fail"
     assert by_id["compat_kills_top_X"].counterexample is not None
+
+
+# axiom -> (the rank-n object holding the fault, the generator the fault
+# scales by q, the reports that must fail)
+PLANTED_COMPAT_FAULTS = {
+    "compat_T_equivariance": (lambda lo: lo, "apply_Ti", {"compat_T_equivariance"}),
+    "compat_X_equivariance": (lambda lo: lo, "apply_Xi", {"compat_X_equivariance"}),
+    "compat_pi_intertwine": (lambda lo: lo, "apply_pi", {"compat_pi_intertwine"}),
+    "precompat_kappa_T": (lambda lo: lo.seed, "apply_Ti", {"precompat_kappa_T"}),
+    # the induced pi reads the seed's pi, so this fault breaks both pi axioms
+    "precompat_kappa_pi": (
+        lambda lo: lo.seed, "apply_pi", {"compat_pi_intertwine", "precompat_kappa_pi"}
+    ),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(PLANTED_COMPAT_FAULTS))
+def test_compatibility_detects_a_planted_fault_in_each_intertwining_axiom(monkeypatch, axiom):
+    holder, name, failing = PLANTED_COMPAT_FAULTS[axiom]
+    seq = CompatSeqSpec("murnaghan", (1,))
+    target = holder(seq.realization(3))
+    correct = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda v, *args: correct(v, *args).scale(QT.q))
+    reports = check_compatibility(seq, 3, 1)
+    assert {r.relation_id for r in reports if r.status == "fail"} == failing
+    (rep,) = [r for r in reports if r.relation_id == axiom]
+    assert rep.counterexample is not None and "error" not in rep.counterexample
 
 
 def test_tower_level_suite_small():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bqt.errors import EntryOutOfRange, RankTooSmall, UnsupportedOperation
 from bqt.polyrep import apply_epsilon, apply_word
-from bqt.scalars import ONE, Q, parse_scalar
+from bqt.scalars import ONE, Q, ModPField, parse_scalar
 from bqt.tableaux import (
     SeedRealization,
     StandardTableau,
@@ -229,6 +229,14 @@ def test_theta_matches_contents_everywhere():
                 expected_exp = tau.content(i)
                 got = theta_scalar(tau, i, n, realization=M)
                 assert got == parse_scalar(f"q^{expected_exp}" if expected_exp >= 0 else f"1/q^{-expected_exp}")
+
+
+def test_theta_scalar_is_in_the_realization_ring():
+    F = ModPField(2**31 - 1, 5, 7)
+    M = SeedRealization((1,), 4, F)
+    for tau in M.tableaux:
+        for i in range(1, 5):
+            assert theta_scalar(tau, i, 4, realization=M) == F.q_power(tau.content(i))
 
 
 def test_theta_rejects_non_eigenvector_setup():
