@@ -13,21 +13,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BqtError
 from .limits import CompatSeqSpec, dim_table
 from .lspaces import FLAVORED_ALPHABET, LVector, certify_flavor_membership
 from .polyrep import WORD_ALPHABET, apply_word, word_from_json
-from .relations import (
-    check_aux_identities,
-    check_bqt_relations,
-    check_compatibility,
-    check_daha_relations,
-    make_realization,
-    relation_ids,
-    run_probabilistic,
-)
+from .relations import check_compatibility, make_realization, run_probabilistic
+from .schedule import Unit, check_suite, check_units
 from .tableaux import check_shape
 
 
@@ -62,37 +54,6 @@ def _sequence(polynomial: bool, args) -> CompatSeqSpec:
     return CompatSeqSpec("murnaghan", parse_shape(args.shape))
 
 
-def _run_checker(suite: str, M, params: dict, only: str | None = None):
-    if suite == "daha":
-        return check_daha_relations(M, params["dmax"], only=only)
-    if suite == "bqt":
-        return check_bqt_relations(M, params["kmax"], params["dmax"], only=only)
-    if suite == "aux":
-        return check_aux_identities(M, params["dmax"], only=only)
-    raise ValueError(suite)
-
-
-def _check_ids(suite: str, M, params: dict, ids) -> list[dict]:
-    """Report objects of the given relation ids, in order, all run on M."""
-    return [r.to_obj() for rid in ids for r in _run_checker(suite, M, params, rid)]
-
-
-# the realization a pool worker runs every one of its relation ids on; set by
-# the pool initializer, so it lives in worker processes only
-_worker_realization = None
-
-
-def _init_worker(desc: dict) -> None:
-    global _worker_realization
-    _worker_realization = make_realization(desc)
-
-
-# module-level so it can cross a process boundary
-def _check_task(task: tuple) -> list[dict]:
-    suite, params, rid = task
-    return _check_ids(suite, _worker_realization, params, [rid])
-
-
 def cmd_check(args) -> int:
     desc = _module_descriptor(args)
     params = {"dmax": args.dmax, "kmax": args.kmax}
@@ -106,22 +67,12 @@ def cmd_check(args) -> int:
     elif args.probabilistic:
 
         def suite(ring):
-            return _run_checker(args.suite, make_realization(desc, ring), params)
+            return check_suite(args.suite, make_realization(desc, ring), params)
 
         reports = run_probabilistic(suite, seed=seed)
         report_objs = [r.to_obj() for r in reports]
     else:
-        # built here even for the pool, so bad input fails before any worker starts
-        M = make_realization(desc)
-        ids = relation_ids(args.suite, M)
-        if args.jobs > 1:
-            tasks = [(args.suite, params, rid) for rid in ids]
-            with ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_init_worker, initargs=(desc,)
-            ) as pool:
-                report_objs = [obj for chunk in pool.map(_check_task, tasks) for obj in chunk]
-        else:
-            report_objs = _check_ids(args.suite, M, params, ids)
+        report_objs = check_units([Unit(desc, args.suite, params)], args.jobs)[0]
 
     if args.no_timing:
         for obj in report_objs:

@@ -533,12 +533,14 @@ class QtScalar:
         if self.den == other.den:
             return QtScalar.fraction(self.num + other.num, self.den)
         # a/b + c/d = (a (d/g) + c (b/g)) / (b (d/g)) for g = gcd(b, d); when g
-        # is 1 that is already reduced, with a positive leading denominator
+        # is 1 that is (a d + c b) / (b d), already reduced, with a positive
+        # leading denominator
         g = poly_gcd(self.den, other.den)
+        if g.is_one():
+            num = self.num * other.den + other.num * self.den
+            return QtScalar(num, self.den * other.den) if num.terms else ZERO
         db = poly_divexact(other.den, g)
         num = self.num * db + other.num * poly_divexact(self.den, g)
-        if g.is_one() and num.terms:
-            return QtScalar(num, self.den * db)
         return QtScalar.fraction(num, self.den * db)
 
     def __neg__(self) -> "QtScalar":

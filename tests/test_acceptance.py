@@ -7,6 +7,7 @@ prints a summary line.
 """
 
 import json
+import os
 import time
 from itertools import product
 from pathlib import Path
@@ -32,6 +33,7 @@ from bqt.relations import (
     check_theta_eigenvalues,
     make_realization,
 )
+from bqt.schedule import Unit, check_units
 from bqt.tableaux import min_rank
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -67,18 +69,15 @@ def pair_count(k: int, d: int) -> int:
 
 def test_criterion_1_daha_relation_suite():
     t0 = time.time()
-    failures = []
-    checked = 0
-    for n in (2, 3, 4):
-        reports = check_daha_relations(make_realization({"module": "poly", "n": n}), 4)
-        checked += sum(r.vectors_checked for r in reports)
-        failures += [r for r in reports if r.status != "pass"]
-    for lam in SHAPES_SMALL:
-        for n in range(max(1, min_rank(lam)), 6):
-            M = make_realization({"module": "murnaghan", "shape": list(lam), "n": n})
-            reports = check_daha_relations(M, 2)
-            checked += sum(r.vectors_checked for r in reports)
-            failures += [r for r in reports if r.status != "pass"]
+    units = [Unit({"module": "poly", "n": n}, "daha", {"dmax": 4}) for n in (2, 3, 4)]
+    units += [
+        Unit({"module": "murnaghan", "shape": list(lam), "n": n}, "daha", {"dmax": 2})
+        for lam in SHAPES_SMALL
+        for n in range(max(1, min_rank(lam)), 6)
+    ]
+    reports = [obj for objs in check_units(units, os.cpu_count() or 1) for obj in objs]
+    checked = sum(r["vectors_checked"] for r in reports)
+    failures = [r for r in reports if r["status"] != "pass"]
     ok = not failures
     announce(1, ok, f"11 defining relations, {checked} vector checks, {time.time()-t0:.0f}s")
     assert ok, failures

@@ -1,12 +1,14 @@
 """CLI surface: exit codes, JSON round trips, determinism, parallel merge."""
 
 import json
+import multiprocessing
 
 import pytest
 
-from bqt import cli
+from bqt import cli, schedule
 from bqt.cli import main, parse_shape
 from bqt.errors import ExactDivisionError
+from bqt.keyed import KeyedRealization
 from bqt.polyrep import PolyRealization
 
 
@@ -114,7 +116,11 @@ def test_parallel_jobs_match_sequential(capsys, tmp_path):
         assert run(capsys, *base, "--no-timing", "--jobs", "1", "--out", str(f1))[0] == 0
         assert run(capsys, *base, "--no-timing", "--jobs", "2", "--out", str(f2))[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
-    assert cli._worker_realization is None
+    # every worker was joined, and no module keeps a realization for them
+    assert multiprocessing.active_children() == []
+    assert not any(
+        isinstance(value, KeyedRealization) for mod in (cli, schedule) for value in vars(mod).values()
+    )
 
 
 def test_probabilistic_mode(capsys):

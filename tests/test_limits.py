@@ -15,7 +15,8 @@ from bqt.limits import (
     extend_tower,
     limit_component,
 )
-from bqt.lspaces import FLAVORED_ALPHABET, LVector
+from bqt.linalg import RowBasis
+from bqt.lspaces import FLAVORED_ALPHABET, LVector, extract_basis, lk_spanning_set
 from bqt.polyrep import WORD_ALPHABET, PolyRealization, PolyVector, apply_word
 from bqt.scalars import ONE
 
@@ -210,3 +211,48 @@ def test_d_plus_power_injective_on_flavor0():
             for d in (0, 1, 2):
                 dim, rank = d_plus_power_rank(seq, k, d)
                 assert rank == dim
+
+
+class RankDroppingSeq(CompatSeqSpec):
+    """The polynomial sequence with one transition that loses rank.
+
+    The connector from rank n+1 to rank n is followed by a projection whose
+    kernel is the image of the first basis vector of the (k, d) piece at rank
+    n+1.  That transition then has rank one less than the dimension, while
+    every dimension, and every other transition, stays as it was.
+    """
+
+    def __init__(self, k: int, d: int, n: int):
+        super().__init__("polynomial")
+        self.k, self.d, self.n = k, d, n
+        self._killed = None
+
+    def upper_basis(self):
+        M = self.realization(self.n + 1)
+        return extract_basis(lk_spanning_set(M, self.k, self.d, tail_sorted=True))
+
+    def connect(self, v):
+        img = super().connect(v)
+        if v.n != self.n + 1:
+            return img
+        if self._killed is None:
+            self._killed = super().connect(self.upper_basis().vectors[0].payload)
+        key, c = next(iter(self._killed.coeffs.items()))
+        coef = img.coeffs.get(key)
+        return img if coef is None else img.sub(self._killed.scale(coef / c))
+
+
+def test_equal_dims_with_a_transition_that_loses_rank_do_not_stabilize():
+    k, d = 1, 3
+    lo = limit_component(CompatSeqSpec("polynomial"), k, d).n_stabilized
+    seq = RankDroppingSeq(k, d, lo)
+    upper = seq.upper_basis()
+    images = RowBasis()
+    for lv in upper.vectors:
+        images.insert(seq.connect(lv.payload).coeffs)
+    lower = extract_basis(lk_spanning_set(seq.realization(lo), k, d, tail_sorted=True))
+    assert upper.dim == lower.dim == pair_count(k, d)
+    assert images.rank == lower.dim - 1
+    # the window lo..lo+1 has equal dims but is not a bijection; the next one is
+    cell = limit_component(seq, k, d)
+    assert (cell.dim, cell.n_stabilized) == (pair_count(k, d), lo + 1)

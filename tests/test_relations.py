@@ -5,9 +5,11 @@ from unittest.mock import patch
 import pytest
 
 import bqt.relations
-from bqt.errors import NotAnEigenvector
+from bqt.errors import NotAnEigenvector, PoleAtPoint
 from bqt.limits import CompatSeqSpec
 from bqt.relations import (
+    PROBABILISTIC_POINTS,
+    RelationReport,
     all_passed,
     check_aux_identities,
     check_bqt_relations,
@@ -194,6 +196,54 @@ def test_probabilistic_detects_sign_flip():
 
     reports = run_probabilistic(suite, seed=5)
     assert reports[0].status == "fail"
+
+
+def _stub_report(status: str, vectors: int, counterexample=None) -> RelationReport:
+    return RelationReport("stub", "stub = stub", {"module": "stub"}, {}, status, vectors,
+                          counterexample, millis=1.0)
+
+
+def test_probabilistic_redraws_a_point_at_a_pole():
+    rings = []
+
+    def suite(ring):
+        rings.append(ring)
+        if len(rings) == 1:
+            raise PoleAtPoint("a denominator vanishes at the first point")
+        return [_stub_report("pass", 3)]
+
+    (rep,) = run_probabilistic(suite, seed=4)
+    # the pole point is dropped and two further points are drawn
+    assert len(rings) == 1 + PROBABILISTIC_POINTS
+    assert len({(r.q0, r.t0) for r in rings}) == len(rings)
+    assert (rep.status, rep.vectors_checked, rep.mode) == ("pass", 3 * PROBABILISTIC_POINTS,
+                                                          "probabilistic")
+
+
+def test_probabilistic_gives_up_when_every_point_is_a_pole():
+    def suite(ring):
+        raise PoleAtPoint("every point is a pole")
+
+    with pytest.raises(PoleAtPoint, match="too many evaluation points"):
+        run_probabilistic(suite, seed=4)
+
+
+def test_probabilistic_merges_a_failure_found_only_at_the_second_point():
+    calls = []
+    cex = {"vector": "x1", "lhs": "1", "rhs": "2"}
+
+    def suite(ring):
+        calls.append(ring)
+        if len(calls) == 1:
+            return [_stub_report("pass", 5), _stub_report("pass", 2)]
+        return [_stub_report("fail", 5, cex), _stub_report("pass", 2)]
+
+    failed, held = run_probabilistic(suite, seed=9)
+    assert len(calls) == PROBABILISTIC_POINTS == 2
+    assert (failed.status, failed.counterexample, failed.vectors_checked) == ("fail", cex, 10)
+    assert (held.status, held.counterexample, held.vectors_checked) == ("pass", None, 4)
+    assert failed.millis == held.millis == 2.0
+    assert {failed.mode, held.mode} == {"probabilistic"}
 
 
 def test_report_serialization():
