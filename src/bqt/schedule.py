@@ -1,24 +1,27 @@
 """One scheduler for the exact relation suites: warm the tables once, then fork.
 
-A Unit is a realization descriptor, a suite (daha, bqt or aux), the suite's
-params (dmax, and kmax for bqt) and the relation ids to check, every id of
-the suite when None.  check_units(units, jobs) returns, for each unit, the
-report objects of its relation ids in catalog order: the objects a run of
-the units one after another gives, byte for byte once millis are zeroed.
+A Unit is a realization descriptor, a suite (daha, bqt or aux) and the
+suite's params (dmax, and kmax for bqt); every relation id of the suite is
+checked.  check_units(units, jobs) returns, for each unit, the report
+objects of its relation ids in catalog order: the objects a run of the
+units one after another gives, byte for byte once millis are zeroed.
 
 jobs <= 1, or work that is a single task, runs the units in order in this
-process, with nothing warmed.  Otherwise the parent builds every
-realization and forks min(jobs, tasks) workers through an explicit fork
-context, so the workers inherit the realizations and every table already
-in them copy-on-write.  With at least as many units as workers a task is
-one whole unit, and each unit's tables are built in one process only.  With
-fewer units than workers a unit is split into one task per relation id,
-and the parent first warms the tables its cases read first, which the
-workers would otherwise each build again: for the daha suite, Y_i on every
-basis key of degree <= dmax; the bqt and aux suites warm nothing.  A table a
-case reaches beyond those, such as Y on the raised degrees of an X-word, is
-built by the worker that needs it; warming degree dmax + 1 as well measured
-slower.
+process, with nothing warmed, each unit's realization and tables released
+before the next is built.  Otherwise the parent builds every realization
+and forks min(jobs, tasks) workers through an explicit fork context, so
+the workers inherit the realizations and every table already in them
+copy-on-write.  Several units are run whole, one task per unit, so each
+unit's tables are built in one process only and dropped when its task
+ends.  A single unit (what `bqt check --jobs` hands over) is split into
+one task per relation id, and the parent first warms the tables its cases
+read first, which the workers would otherwise each build again: for the
+daha suite, Y_i on every basis key of degree <= dmax; the bqt and aux
+suites warm nothing.  The warm-up is best effort: an entry that raises a
+BqtError is left for the case that reads it, which reports the error as a
+sequential run does.  A table a case reaches beyond those, such as Y on
+the raised degrees of an X-word, is built by the worker that needs it;
+warming degree dmax + 1 as well measured slower.
 
 Workers claim tasks from one shared counter, longest first (LPT; Graham,
 SIAM J. Appl. Math. 1969).  A task's cost is read from the identity
@@ -38,6 +41,7 @@ import multiprocessing
 from multiprocessing.connection import wait
 from typing import NamedTuple
 
+from .errors import BqtError
 from .polyrep import WORD_ALPHABET, letter
 from .relations import (
     aux_identities,
@@ -59,7 +63,6 @@ class Unit(NamedTuple):
     desc: dict
     suite: str
     params: dict
-    ids: list | None = None
 
 
 def check_suite(suite: str, M, params: dict, only: str | None = None):
@@ -101,42 +104,55 @@ def _costs(unit: Unit, M) -> dict:
 
 
 def _warm_y(M, params: dict) -> None:
-    """Y_i on every basis key of degree <= dmax: what every daha case reads first."""
+    """Y_i on every basis key of degree <= dmax: what every daha case reads first.
+
+    Best effort: an entry that raises a BqtError stays unbuilt, so the case
+    that reads it raises it again and reports it, as in a sequential run.
+    """
     tables = [letter(WORD_ALPHABET, ("Y", i)).table(M, i) for i in range(1, M.n + 1)]
     for d in range(params["dmax"] + 1):
         for v in M.basis(d):
             for key in v.coeffs:
                 for table in tables:
-                    table(key)
+                    try:
+                        table(key)
+                    except BqtError:
+                        pass
+
+
+def _run_unit(unit: Unit) -> list[dict]:
+    """Report objects of every relation id of the unit, run here; its tables go on return."""
+    M = make_realization(unit.desc)
+    return _report_objs(unit, M, relation_ids(unit.suite, M))
 
 
 def check_units(units: list[Unit], jobs: int) -> list[list[dict]]:
     """Report objects of every unit, in unit order and catalog order (module docstring)."""
+    if jobs <= 1:
+        return [_run_unit(u) for u in units]
     realizations = [make_realization(u.desc) for u in units]
-    ids = [
-        relation_ids(u.suite, M) if u.ids is None else list(u.ids)
-        for u, M in zip(units, realizations)
-    ]
-    split = len(units) < jobs
+    ids = [relation_ids(u.suite, M) for u, M in zip(units, realizations)]
+    split = len(units) == 1
     if split:
-        tasks = [(j, [rid]) for j, rids in enumerate(ids) for rid in rids]
+        tasks = [(0, [rid]) for rid in ids[0]]
     else:
         tasks = list(enumerate(ids))
-    if jobs <= 1 or len(tasks) <= 1:
+    if len(tasks) <= 1:
         return [_report_objs(u, M, rids) for u, M, rids in zip(units, realizations, ids)]
 
     costs = [_costs(u, M) for u, M in zip(units, realizations)]
     order = sorted(
         range(len(tasks)), key=lambda t: -sum(costs[tasks[t][0]].get(r, 0) for r in tasks[t][1])
     )
-    if split:
-        for u, M in zip(units, realizations):
-            if u.suite == "daha":
-                _warm_y(M, u.params)
+    if split and units[0].suite == "daha":
+        _warm_y(realizations[0], units[0].params)
 
     def run(t: int) -> list[dict]:
         j, rids = tasks[t]
-        return _report_objs(units[j], realizations[j], rids)
+        M = realizations[j]
+        if not split:  # the unit's one task: its tables go when it ends
+            realizations[j] = None
+        return _report_objs(units[j], M, rids)
 
     results = _fork_and_collect(run, order, min(jobs, len(tasks)))
     out: list[list[dict]] = [[] for _ in units]

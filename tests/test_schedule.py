@@ -42,6 +42,19 @@ def test_an_error_inside_a_worker_is_the_same_fail_report(capsys, monkeypatch, t
     assert "ExactDivisionError" in par.decode()
 
 
+def test_an_error_in_the_warmed_y_chain_is_the_same_fail_report(capsys, monkeypatch, tmp_path):
+    def broken_Ti_inv(self, v, i):
+        raise ExactDivisionError("inexact division planted in T_i^{-1}")
+
+    monkeypatch.setattr(PolyRealization, "apply_Ti_inv", broken_Ti_inv)
+    args = ("check", "daha", "--module", "poly", "--n", "3", "--dmax", "1")
+    code1, seq = run_to_file(capsys, tmp_path / "seq.json", *args, "--jobs", "1")
+    code2, par = run_to_file(capsys, tmp_path / "par.json", *args, "--jobs", "2")
+    assert code1 == code2 == 1
+    assert seq == par
+    assert "inexact division planted in T_i^{-1}" in par.decode()
+
+
 def test_an_exception_escaping_a_worker_exits_2_as_it_does_sequentially(capsys, monkeypatch):
     check_suite = schedule.check_suite
 
@@ -73,7 +86,7 @@ def test_a_worker_that_dies_is_an_error_not_a_hang(monkeypatch):
 UNITS = [
     Unit({"module": "poly", "n": 3}, "daha", {"dmax": 2}),
     Unit({"module": "murnaghan", "shape": [1], "n": 3}, "daha", {"dmax": 1}),
-    Unit({"module": "poly", "n": 3}, "bqt", {"dmax": 3, "kmax": 2}, ["bqt_TzT", "bqt_dplus_z"]),
+    Unit({"module": "poly", "n": 3}, "bqt", {"dmax": 2, "kmax": 2}),
     Unit({"module": "poly", "n": 2}, "aux", {"dmax": 2}),
 ]
 
@@ -82,20 +95,27 @@ def zero_millis(reports):
     return [[{**obj, "millis": 0.0} for obj in objs] for objs in reports]
 
 
-@pytest.mark.parametrize("jobs", [2, 3, 5])
-def test_units_split_or_whole_give_the_sequential_reports(jobs):
+@pytest.mark.parametrize("jobs", [2, 5])
+def test_whole_units_give_the_sequential_reports(jobs):
     sequential = zero_millis(check_units(UNITS, 1))
-    assert [len(objs) for objs in sequential] == [11, 11, 3, 12]
+    assert [len(objs) for objs in sequential] == [11, 11, 14, 12]
     assert zero_millis(check_units(UNITS, jobs)) == sequential
     assert multiprocessing.active_children() == []
 
 
-def test_only_a_unit_split_across_workers_is_warmed(monkeypatch):
+@pytest.mark.parametrize("unit", UNITS, ids=lambda u: u.suite)
+def test_a_unit_split_into_relation_ids_gives_the_sequential_reports(unit):
+    assert zero_millis(check_units([unit], 3)) == zero_millis(check_units([unit], 1))
+    assert multiprocessing.active_children() == []
+
+
+def test_only_a_single_unit_across_workers_is_warmed(monkeypatch):
     warmed = []
     monkeypatch.setattr(schedule, "_warm_y", lambda M, params: warmed.append(M.descriptor()))
     unit = UNITS[0]
     check_units([unit], 1)
     check_units([unit, UNITS[1]], 2)
+    check_units([unit, UNITS[1]], 5)
     assert warmed == []
     check_units([unit], 2)
     assert warmed == [unit.desc]
