@@ -12,6 +12,9 @@ supplies the T_i image of one key (and its pi image where pi is
 memoized); the engine checks indices, derives
 T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation, memoizes the
 per-key images, and applies an image table to a vector in two halves.
+A T_i^{-1} entry multiplies nothing once its scalars are known: c q^{-1} is
+formed once per pooled T_i-image scalar c, and (q-1) q^{-1} once per
+realization.
 gather puts the pairs (c, m) that land on one output key into one group,
 and group_sums sums each group by the ring's lincomb, so each output
 coefficient is reduced once.  The relation suites call the same halves to
@@ -26,12 +29,21 @@ extension is exact.  The operators tabled this way are Cherednik's
 
     Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}
 
-(bqt.polyrep) and the flavored z_i, d_+ and d_- (bqt.lspaces).  eps_k is
-not tabled: its images are large and rarely reused.
+(bqt.polyrep) and the flavored z_i, d_+ and d_- (bqt.lspaces).
+
+eps_k has a table of its own, of stages rather than of whole images.  A
+realization also supplies the head of a key, _head(key, k): its first k
+exponents (none for the seed, whose keys carry no polynomial part), and
+_join_head(head, key), the key with those exponents replaced.  T_j with
+j > k moves only exponents j and j+1, so eps_k of a key is the stage table
+of its tail, the key with the head zeroed, shifted by the head; the stages
+of one tail are shared by every head and by the flavors below it
+(bqt.polyrep.eps_stage).  The same two methods give the one X_i action.
 
 Every table entry stores its scalar through a per-realization pool keyed by
 scalar.pool_key(), so equal coefficients are one object however many keys
-and tables they occur in.
+and tables they occur in.  A scalar that is already the pool's object is
+known by its id and needs no key.
 
 The vector operations that do scalar work can compute each distinct result
 once per call, keyed by scalar.value_key(): like pool_key() it is equal
@@ -208,9 +220,10 @@ class KeyedRealization:
     """Generator tables per basis key, shared by every module realization.
 
     Subclasses set vector_type and implement _ti_image(i, key), returning
-    the T_i image of one key as a tuple of (key, scalar) pairs, and
-    contains_key(key), telling whether a key is a basis key of the module;
-    those that memoize pi also implement _pi_image(key).
+    the T_i image of one key as a tuple of (key, scalar) pairs,
+    contains_key(key), telling whether a key is a basis key of the module,
+    and the head split _head(key, k) and _join_head(head, key); those that
+    memoize pi also implement _pi_image(key).
     """
 
     vector_type: type
@@ -223,7 +236,13 @@ class KeyedRealization:
         self._tinv_memo: dict[tuple, tuple] = {}
         self._pi_memo: dict = {}
         self._derived_memo: dict[tuple, tuple] = {}
+        self._eps_memo: dict[tuple, tuple] = {}
         self._pool: dict = {}
+        self._pool_ids: set[int] = set()
+        # c q^{-1} by id(c) for each pooled T_i-image scalar c, which the pool keeps alive
+        self._over_q: dict[int, object] = {}
+        self._qinv = ring.q_power(-1)
+        self._tinv_diag = (ring.q - ring.one) * self._qinv
         self.cache: dict = {}
 
     def _vec(self, coeffs: dict):
@@ -239,8 +258,15 @@ class KeyedRealization:
 
     def _interned(self, items) -> tuple:
         """(key, scalar) pairs as a table entry, each scalar taken from the pool."""
-        pool = self._pool
-        return tuple((k, pool.setdefault(c.pool_key(), c)) for k, c in items)
+        return tuple((k, self._pooled(c)) for k, c in items)
+
+    def _pooled(self, c):
+        """The pool's object equal to c; a pooled object is known by its id."""
+        if id(c) in self._pool_ids:
+            return c
+        c = self._pool.setdefault(c.pool_key(), c)
+        self._pool_ids.add(id(c))
+        return c
 
     def _ti_table(self, i: int, key) -> tuple:
         hit = self._ti_memo.get((i, key))
@@ -252,10 +278,14 @@ class KeyedRealization:
         """T_i^{-1} = q^{-1}(T_i + (q-1)), from the quadratic relation."""
         hit = self._tinv_memo.get((i, key))
         if hit is None:
-            ring = self.ring
-            qinv = ring.q_power(-1)
-            out = {k: c * qinv for k, c in self._ti_table(i, key)}
-            accumulate(out, key, (ring.q - ring.one) * qinv)
+            over_q = self._over_q
+            out = {}
+            for k, c in self._ti_table(i, key):
+                m = over_q.get(id(c))
+                if m is None:
+                    m = over_q[id(c)] = self._pooled(c * self._qinv)
+                out[k] = m
+            accumulate(out, key, self._tinv_diag)
             hit = self._tinv_memo[(i, key)] = self._interned(out.items())
         return hit
 
@@ -272,6 +302,16 @@ class KeyedRealization:
             img = op(self, self._vec({key: self.ring.one}), arg)
             hit = self._derived_memo[(op, arg, key)] = self._interned(img.coeffs.items())
         return hit
+
+    def apply_Xi(self, v, i: int):
+        """x_i v: exponent i of every key raised by one."""
+        if not 1 <= i <= self.n:
+            raise IndexOutOfRange(f"X index {i} outside 1..{self.n}")
+        out = {}
+        for key, c in v.coeffs.items():
+            head = self._head(key, i)
+            out[self._join_head(head[:-1] + (head[-1] + 1,), key)] = c
+        return self._vec(out)
 
     def apply_derived(self, v, op, arg):
         """op(self, v, arg) for a linear op, by linear extension of its per-key images.

@@ -24,6 +24,11 @@ is dplus_chain at k-1, so it reads the same table.  Every public operator
 checks its index or flavor before it reaches a table, so a bad argument
 stores nothing.
 
+eps_k reads the realization's stage table (bqt.polyrep.eps_stage): basis
+monomials that differ only in their first k exponents share one stage
+image, and flavor k builds on the stages of flavor k+1, so the spanning
+sets of all flavors of one realization share their T^{-1} chains.
+
 Spanning sets are cached per realization.  The tail_sorted variant keeps
 only basis monomials whose tail exponents weakly decrease; straightening
 by the tail braid action shows the span is unchanged, and

@@ -16,9 +16,16 @@ q^{-1}(T_i + (q-1)).
 Everything above the primitives is generic over any realization exposing
 the same surface: Y_i (read from the realization's derived-operator table,
 which bqt.keyed builds from y_chain on first use), the partial symmetrizers
-eps_k (computed by the telescoping right-to-left recursion, not the
-factorial-size coset sum), the affine intertwiner word X_1 T_1^{-1} ... and
-formal generator words applied right to left.
+eps_k, the affine intertwiner word X_1 T_1^{-1} ... and formal generator
+words applied right to left.
+
+eps_k is the telescoping right-to-left recursion, not the factorial-size
+coset sum, run once per stage and tail.  Stage j, eps_stage(M, j, key), is
+eps_j of a key whose first j exponents are zero; it is the stage j+1 image
+of the key with exponent j+1 zeroed, times x_{j+1} to that exponent, pushed
+through tinv_chain_sum and divided by [n-j]_q.  The realization keeps each
+stage image in a table, and eps_k of a key is the stage k image of its tail
+shifted by its head (bqt.keyed).
 
 The realization's coefficient ring is pluggable (exact Q(q,t) or a prime
 field evaluation); all scalar constants are built through ring methods.
@@ -126,6 +133,8 @@ class ModuleRealization(Protocol):
     def apply_Xi(self, v, i: int): ...
     def apply_derived(self, v, op, arg): ...
     def contains_key(self, key) -> bool: ...
+    def _head(self, key, k: int) -> tuple: ...
+    def _join_head(self, head: tuple, key): ...
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +218,12 @@ class PolyRealization(KeyedRealization):
             (e, PolyVector(self.n, {e: one})) for e in monomials_of_degree(self.n, degree)
         ]
 
+    def _head(self, exps: Exponents, k: int) -> Exponents:
+        return exps[:k]
+
+    def _join_head(self, head: Exponents, exps: Exponents) -> Exponents:
+        return head + exps[len(head):]
+
     def _ti_image(self, i: int, exps: Exponents) -> tuple:
         one = self.ring.one
         if exps[i - 1] == exps[i]:
@@ -232,11 +247,8 @@ class PolyRealization(KeyedRealization):
             out[(last,) + e[:-1]] = c * ring.t_power(last) if last else c
         return PolyVector(self.n, out)
 
-    def apply_Xi(self, v: PolyVector, i: int) -> PolyVector:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"X index {i} outside 1..{self.n}")
-        out = {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in v.coeffs.items()}
-        return PolyVector(self.n, out)
+    # bound on the class itself too, where perfbench's tracer wraps it
+    apply_Xi = KeyedRealization.apply_Xi
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +279,43 @@ def apply_Y(M: ModuleRealization, v, i: int):
 
 
 def apply_epsilon(M: ModuleRealization, v, k: int):
-    """Partial trivial idempotent eps_k via the telescoping recursion.
-
-    Stage j rewrites eps_j = (sum_r q^r T_{j+r}^{-1}..T_{j+1}^{-1}) eps_{j+1}
-    normalized by [n-j]_q; iterating j = n-1 .. k costs O((n-k)^2) braid
-    applications instead of the (n-k)! coset sum.
-    """
+    """Partial trivial idempotent eps_k, by linear extension of eps_image."""
     n = M.n
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"idempotent index {k} outside 0..{n}")
-    ring = M.ring
-    w = v
-    for j in range(n - 1, k - 1, -1):
+    return M._apply_table(v, eps_image, M, k)
+
+
+def eps_image(M: ModuleRealization, k: int, key) -> tuple:
+    """eps_k of one key: the stage k image of its tail, shifted by its head."""
+    head = M._head(key, k)
+    stage = eps_stage(M, k, M._join_head((0,) * len(head), key))
+    if not any(head):
+        return stage
+    return tuple((M._join_head(head, k2), m) for k2, m in stage)
+
+
+def eps_stage(M: ModuleRealization, j: int, key) -> tuple:
+    """eps_j of a key whose first j exponents are zero, as a table entry.
+
+    Stage j rewrites eps_j = (sum_r q^r T_{j+r}^{-1}..T_{j+1}^{-1}) eps_{j+1}
+    normalized by [n-j]_q.  eps_{j+1} is built from T_{j+2}..T_{n-1}, which
+    commute with x_1..x_{j+1}, so eps_{j+1} of the key is x_{j+1}^a times
+    the stage j+1 image of the key with its exponent j+1 (that is a)
+    zeroed.  Stage n is the key itself.
+    """
+    n = M.n
+    if j == n:
+        return ((key, M.ring.one),)
+    hit = M._eps_memo.get((j, key))
+    if hit is None:
+        head = M._head(key, j + 1)
+        inner = eps_stage(M, j + 1, M._join_head((0,) * len(head), key))
+        w = M._vec({M._join_head(head, k2): m for k2, m in inner})
+        ring = M.ring
         w = tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j))
-    return w
+        hit = M._eps_memo[(j, key)] = M._interned(w.coeffs.items())
+    return hit
 
 
 def tinv_chain_sum(M: ModuleRealization, v, a: int):

@@ -210,6 +210,12 @@ class SeedRealization(KeyedRealization):
             return []
         return [self.basis_vector(t) for t in self.tableaux]
 
+    def _head(self, tau: StandardTableau, k: int) -> tuple:
+        return ()  # the seed's keys carry no exponents
+
+    def _join_head(self, head: tuple, tau: StandardTableau) -> StandardTableau:
+        return tau
+
     def _ti_image(self, i: int, tau: StandardTableau) -> tuple:
         """The four-case seminormal formula."""
         ring = self.ring

@@ -1,0 +1,246 @@
+"""eps_k through the per-key stage table, against the telescoping recursion.
+
+apply_epsilon reads eps_k of a key from the realization's stage table: the
+stage image of the key's tail (its first k exponents zeroed), shifted by
+its head.  The oracle here is the recursion that table replaces, written
+out from T_i^{-1} alone: eps_n = 1 and eps_j = [n-j]_q^{-1} (1 + q T_{j+1}^{-1}
++ ... + q^(n-j-1) T_{n-1}^{-1}..T_{j+1}^{-1}) eps_{j+1}, applied to whole
+vectors.  The two are compared on every basis key of small polynomial,
+induced and seed modules, for every k, and on random multi-key vectors,
+over Q(q,t) and over a prime field.
+
+Two test-only mutants of the stage path are kept with the checks that kill
+them: a stage normalized by [n-j+1]_q instead of [n-j]_q, and a head shift
+that lands one exponent to the right.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bqt.polyrep
+from bqt.errors import InconsistentFlavors, IndexOutOfRange
+from bqt.induced import InducedRealization
+from bqt.limits import CompatSeqSpec, limit_component
+from bqt.polyrep import PolyRealization, apply_epsilon, eps_stage
+from bqt.relations import all_passed, check_aux_identities, check_bqt_relations
+from bqt.scalars import QT, ModPField, parse_scalar
+from bqt.tableaux import SeedRealization
+
+RINGS = {"qt": QT, "modp": ModPField(2**31 - 1, 5, 7)}
+
+
+def oracle_stage(M, w, j: int):
+    """[n-j]_q^{-1} sum_r q^r T_{j+r}^{-1}..T_{j+1}^{-1} w, one generator at a time."""
+    ring = M.ring
+    acc = u = w
+    qpow = ring.one
+    for i in range(j + 1, M.n):
+        u = M.apply_Ti_inv(u, i)
+        qpow = qpow * ring.q
+        acc = acc.add(u.scale(qpow))
+    return acc.scale(ring.one / ring.q_integer(M.n - j))
+
+
+def oracle_all_k(M, v) -> dict:
+    """k -> eps_k v for every k in 0..n, by one descent of the recursion."""
+    out = {M.n: v}
+    for j in range(M.n - 1, -1, -1):
+        out[j] = oracle_stage(M, out[j + 1], j)
+    return out
+
+
+def assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+
+
+def assert_table_matches_oracle(M, vectors):
+    for v in vectors:
+        for k, want in oracle_all_k(M, v).items():
+            assert_same(apply_epsilon(M, v, k), want)
+
+
+def basis_up_to(M, d_max: int) -> list:
+    return [b for d in range(d_max + 1) for b in M.basis(d)]
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_polynomial_key_matches_the_recursion(n, ring_name):
+    M = PolyRealization(n, RINGS[ring_name])
+    assert_table_matches_oracle(M, basis_up_to(M, 4))
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("lam,n", [((1,), 2), ((1,), 3), ((1,), 4), ((1, 1), 3), ((1, 1), 4),
+                                   ((2,), 4)])
+def test_every_induced_key_matches_the_recursion(lam, n, ring_name):
+    M = InducedRealization(lam, n, RINGS[ring_name])
+    assert_table_matches_oracle(M, basis_up_to(M, 2))
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("lam,n", [((), 3), ((1,), 3), ((1, 1), 4), ((2,), 4)])
+def test_every_seed_key_matches_the_recursion(lam, n, ring_name):
+    M = SeedRealization(lam, n, RINGS[ring_name])
+    assert_table_matches_oracle(M, M.basis(0))
+
+
+# (kind, shape, rank, largest degree of the random vectors)
+MODULES = [
+    ("poly", (), 3, 3),
+    ("poly", (), 4, 2),
+    ("induced", (1,), 3, 2),
+    ("induced", (1, 1), 3, 1),
+    ("seed", (1,), 4, 0),
+]
+COEFF_TEXTS = ["1", "-1", "q", "t/q", "1/(1 + q)", "(q - t)/(1 - q*t)", "2*q^2 - 3"]
+
+
+@lru_cache(maxsize=None)
+def realization(kind: str, lam: tuple, n: int, ring_name: str):
+    ring = RINGS[ring_name]
+    if kind == "poly":
+        return PolyRealization(n, ring)
+    if kind == "seed":
+        return SeedRealization(lam, n, ring)
+    return InducedRealization(lam, n, ring)
+
+
+@st.composite
+def multi_key_vectors(draw):
+    kind, lam, n, d_max = draw(st.sampled_from(MODULES))
+    ring_name = draw(st.sampled_from(sorted(RINGS)))
+    M = realization(kind, lam, n, ring_name)
+    keys = sorted({k for b in basis_up_to(M, d_max) for k in b.coeffs}, key=repr)
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True))
+    coeffs = {}
+    for key in chosen:
+        c = parse_scalar(draw(st.sampled_from(COEFF_TEXTS)))
+        coeffs[key] = c if ring_name == "qt" else M.ring.convert(c)
+    return M, M._vec(coeffs)
+
+
+@given(multi_key_vectors())
+@settings(max_examples=60, deadline=None)
+def test_random_multi_key_vectors_match_the_recursion(case):
+    M, v = case
+    assert_table_matches_oracle(M, [v])
+
+
+def test_a_bad_index_stores_nothing():
+    for ring in RINGS.values():
+        for M in (PolyRealization(3, ring), InducedRealization((1,), 3, ring),
+                  SeedRealization((1,), 3, ring)):
+            (b,) = M.basis(0)[:1]
+            for k in (-1, M.n + 1):
+                with pytest.raises(IndexOutOfRange):
+                    apply_epsilon(M, b, k)
+            assert not (M._eps_memo or M._tinv_memo or M._ti_memo or M._pool)
+
+
+def test_the_stage_table_belongs_to_the_realization():
+    M, other = PolyRealization(4), PolyRealization(4)
+    b = M.basis(2)[3]
+    e = apply_epsilon(M, b, 1)
+    assert M._eps_memo and not other._eps_memo
+    assert apply_epsilon(other, b, 1) == e
+    assert set(other._eps_memo) == set(M._eps_memo)
+    pooled = {id(c) for c in M._pool.values()}
+    for (j, key), entry in M._eps_memo.items():
+        # stages 1..n-1 of the tail, each keyed by a key whose first j exponents are zero
+        assert 1 <= j < M.n and not any(key[:j])
+        assert all(not any(k2[:j]) for k2, _ in entry)
+        assert all(id(c) in pooled for _, c in entry)
+    # the stage images of one tail serve every head: no new entry for x_1^2 times b
+    before = len(M._eps_memo)
+    head = M.apply_Xi(M.apply_Xi(b, 1), 1)
+    assert_same(apply_epsilon(M, head, 1), M.apply_Xi(M.apply_Xi(e, 1), 1))
+    assert len(M._eps_memo) == before
+    # stage j of a tail is read, not rebuilt, by flavor j
+    assert eps_stage(M, 2, (0, 0, 1, 0)) is M._eps_memo[(2, (0, 0, 1, 0))]
+
+
+# -- mutants of the stage path, each killed by the checks named in its test ----
+
+
+def _stage_normalized_by_n_minus_j_plus_1(M, j, key):
+    """eps_stage with [n-j+1]_q in place of [n-j]_q."""
+    n = M.n
+    if j == n:
+        return ((key, M.ring.one),)
+    hit = M._eps_memo.get((j, key))
+    if hit is None:
+        head = M._head(key, j + 1)
+        inner = bqt.polyrep.eps_stage(M, j + 1, M._join_head((0,) * len(head), key))
+        w = M._vec({M._join_head(head, k2): m for k2, m in inner})
+        ring = M.ring
+        w = bqt.polyrep.tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j + 1))
+        hit = M._eps_memo[(j, key)] = M._interned(w.coeffs.items())
+    return hit
+
+
+def _head_shift_one_exponent_off(M, k, key):
+    """eps_image with the head added to exponents 2..k+1 instead of 1..k."""
+    head = M._head(key, k)
+    stage = eps_stage(M, k, M._join_head((0,) * len(head), key))
+    if not any(head):
+        return stage
+    out = []
+    for k2, m in stage:
+        e = M._head(k2, len(head) + 1)
+        moved = e[:1] + tuple(h + a for h, a in zip(head, e[1:]))
+        out.append((M._join_head(moved, k2), m))
+    return tuple(out)
+
+
+@pytest.fixture
+def wrong_stage_normalizer(monkeypatch):
+    monkeypatch.setattr(bqt.polyrep, "eps_stage", _stage_normalized_by_n_minus_j_plus_1)
+
+
+@pytest.fixture
+def head_shift_off_by_one(monkeypatch):
+    monkeypatch.setattr(bqt.polyrep, "eps_image", _head_shift_one_exponent_off)
+
+
+def failing_ids(reports) -> set:
+    return {r.relation_id for r in reports if r.status != "pass"}
+
+
+def test_wrong_stage_normalizer_is_killed_by_the_oracle_and_the_aux_suite(
+    wrong_stage_normalizer,
+):
+    M = PolyRealization(3)
+    with pytest.raises(AssertionError):
+        assert_table_matches_oracle(M, basis_up_to(M, 1))
+    # each eps_k comes out a nonzero scalar times the true one, which the
+    # idempotent laws and the d_- closed form (a sum that eps_{k-1} fixes) see
+    assert failing_ids(check_aux_identities(PolyRealization(3), 2)) == {
+        "aux_eps_idempotent", "aux_eps_product", "aux_dminus_closed_form",
+    }
+    # equivalent for the flavored suite and the stable limits: a spanning
+    # vector rescaled by a nonzero scalar spans the same flavored space
+    assert all_passed(check_bqt_relations(PolyRealization(3), 3, 3))
+    seq = CompatSeqSpec("polynomial")
+    assert [limit_component(seq, 1, d).dim for d in (1, 2, 3)] == [1, 2, 4]
+
+
+def test_head_shift_off_by_one_is_killed_by_the_oracle_and_every_suite(head_shift_off_by_one):
+    M = PolyRealization(3)
+    with pytest.raises(AssertionError):
+        assert_table_matches_oracle(M, basis_up_to(M, 1))
+    assert failing_ids(check_aux_identities(PolyRealization(3), 2)) == {
+        "aux_eps_idempotent", "aux_eps_product", "aux_eps_absorbs_T", "aux_eps_commutes_T",
+        "aux_dminus_closed_form", "aux_jucys_murphy",
+    }
+    assert failing_ids(check_bqt_relations(PolyRealization(3), 3, 3)) == {
+        "bqt_T1_dplus_sq", "bqt_z1_commutator",
+    }
+    # at k = n the last head exponent falls off the end: the rank-2 spanning
+    # vectors of the flavor-2 degree-3 cell have mixed degrees
+    with pytest.raises(InconsistentFlavors):
+        limit_component(CompatSeqSpec("polynomial"), 2, 3)

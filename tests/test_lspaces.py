@@ -1,13 +1,18 @@
 """Flavored spaces: spanning sets, exact bases, and the operator family."""
 
+import json
+
 import pytest
 
+import bqt.lspaces
+from bqt.cli import main
 from bqt.errors import (
     DegreeTooSmall,
     FlavorAtMax,
     FlavorAtMin,
     FlavorOutOfRange,
     InconsistentFlavors,
+    InternalCheckFailed,
 )
 from bqt.induced import InducedRealization, trivial_to_poly
 from bqt.linalg import RowBasis, solve_combination
@@ -213,6 +218,37 @@ def test_phi_examples():
             phi_action(M3, lv)  # closed-form agreement is asserted inside
     with pytest.raises(FlavorOutOfRange):
         phi_action(M, LVector(2, pv(2, 1, 1)))
+
+
+def test_phi_raises_when_its_closed_form_is_broken(monkeypatch, capsys, tmp_path):
+    """A closed form that disagrees with the commutator raises InternalCheckFailed,
+    and the bqt suite turns that into fail reports, never a traceback."""
+    correct = bqt.lspaces.phi_sides
+
+    def closed_form_off_by_q(M, lv):
+        comm, closed = correct(M, lv)
+        return comm, closed.scale(M.ring.q)
+
+    monkeypatch.setattr(bqt.lspaces, "phi_sides", closed_form_off_by_q)
+    M = PolyRealization(2)
+    with pytest.raises(InternalCheckFailed):
+        phi_action(M, LVector(1, pv(2, 1, 0)))
+    # the zero vector has a zero commutator and a zero closed form
+    assert phi_action(M, LVector(1, M.zero())).is_zero()
+
+    out = tmp_path / "bqt.json"
+    code = main(["check", "bqt", "--module", "poly", "--n", "3", "--kmax", "2", "--dmax", "2",
+                 "--jobs", "1", "--no-timing", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "fail"
+    failed = {(r["relation_id"], r["flavor"]): r for r in doc["reports"] if r["status"] != "pass"}
+    assert set(failed) == {("bqt_phi_dminus", 2), ("bqt_phi_dplus", 1)}
+    for rep in failed.values():
+        assert rep["counterexample"]["error"] == "InternalCheckFailed"
+        assert "closed form" in rep["counterexample"]["message"]
 
 
 def test_operator_closure_into_target_flavors():

@@ -7,6 +7,7 @@ import pytest
 import bqt.relations
 from bqt.errors import NotAnEigenvector, PoleAtPoint
 from bqt.limits import CompatSeqSpec
+from bqt.lspaces import FLAVORED_ALPHABET
 from bqt.relations import (
     PROBABILISTIC_POINTS,
     RelationReport,
@@ -175,6 +176,24 @@ def test_tower_level_suite_small():
     seq = CompatSeqSpec("polynomial")
     reports = check_bqt_relations_on_towers(seq, 1, 2)
     assert reports and all_passed(reports)
+
+
+def test_tower_suite_reports_a_mutated_tower_operator(monkeypatch):
+    """z_i acting as q^i z_i on every component keeps each tower compatible but
+    breaks d_+ z_i = z_{i+1} d_+; the report names the flavor, degree and window."""
+    correct = FLAVORED_ALPHABET["z"]
+    scaled = correct._replace(
+        act=lambda M, lv, i: correct.act(M, lv, i).scale(M.ring.q_power(i))
+    )
+    monkeypatch.setitem(FLAVORED_ALPHABET, "z", scaled)
+    reports = check_bqt_relations_on_towers(CompatSeqSpec("polynomial"), 1, 2)
+    failed = {(r.relation_id, r.flavor): r for r in reports if r.status != "pass"}
+    assert set(failed) == {("bqt_dplus_z", 1)}
+    cex = failed["bqt_dplus_z", 1].counterexample
+    assert cex["instance"] == "i=1"
+    assert cex["flavor"] == 1 and cex["degree"] == 1
+    lo, hi = cex["window"]
+    assert 2 <= lo < hi
 
 
 def test_probabilistic_prefilter_agrees():
