@@ -136,6 +136,25 @@ def test_equal_table_scalars_are_one_object():
             assert len(objects_by_text) < len(scalars)
 
 
+def test_tinv_entries_equal_the_quadratic_relation_and_memo_ids_are_pooled():
+    """Each T_i^{-1} entry is q^{-1}(T_i + (q-1)) multiplied out afresh, and every
+    id the realization keys a memo by is the id of an object its pool holds."""
+    for ring in RINGS.values():
+        M = InducedRealization((1,), 3, ring)
+        assert all(r.status == "pass" for r in check_daha_relations(M, 1))
+        for R in (M, M.seed):
+            assert R._tinv_memo
+            qinv = ring.q_power(-1)
+            for (i, key), entry in R._tinv_memo.items():
+                want = {k: c * qinv for k, c in R._ti_image(i, key)}
+                accumulate(want, key, (ring.q - ring.one) * qinv)
+                assert dict(entry) == want
+            pooled = {id(c) for c in R._pool.values()}
+            assert R._pool_ids == pooled
+            assert set(R._over_q) <= pooled
+            assert all(id(m) in pooled for m in R._over_q.values())
+
+
 def z_word(n: int, i: int, ring) -> tuple:
     return (("Scalar", ring.q_power(-1) * ring.t_power(-1)),) + y_word(n, i, ring)
 
