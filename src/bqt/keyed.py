@@ -29,7 +29,8 @@ extension is exact.  The operators tabled this way are Cherednik's
 
     Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}
 
-(bqt.polyrep) and the flavored z_i, d_+ and d_- (bqt.lspaces).
+(bqt.polyrep) and the flavored z_i, d_+, d_- and phi (bqt.lspaces), whose
+entry builder checks the commutator against the closed form.
 
 eps_k has a table of its own, of stages rather than of whole images.  A
 realization also supplies the head of a key, _head(key, k): its first k

@@ -13,16 +13,23 @@ spaces live
 with d_plus the scaled word q^k X_1 T_1^{-1} .. T_k^{-1} and d_minus the
 geometric sum (q-1)(1 + q T_k^{-1} + ... + q^{n-k} T_{n-1}^{-1}..T_k^{-1}).
 The degree-raising endomorphism phi is computed as the commutator
-[d_plus, d_minus]/(q-1) and cross-checked on every call against its closed
-form q^{k-1} X_1 T_1^{-1} .. T_{k-1}^{-1}; disagreement raises.
+[d_plus, d_minus]/(q-1) and cross-checked against its closed form
+q^{k-1} X_1 T_1^{-1} .. T_{k-1}^{-1}; disagreement raises.
 
-z_i, d_plus and d_minus are linear maps on the whole module, so each is
-applied through the realization's derived-operator table (see bqt.keyed):
-z_chain, dplus_chain and dminus_chain give an operator on whole vectors,
-and the table runs it once per basis key and argument.  phi's closed form
-is dplus_chain at k-1, so it reads the same table.  Every public operator
-checks its index or flavor before it reaches a table, so a bad argument
-stores nothing.
+z_i, d_plus, d_minus and phi are linear maps on the whole module, so each
+is applied through the realization's derived-operator table (see
+bqt.keyed): z_chain, dplus_chain, dminus_chain and phi_chain give an
+operator on whole vectors, and the table runs it once per basis key and
+argument.  phi's closed form is dplus_chain at k-1, so it reads the same
+table.  phi_chain makes the cross-check, once per basis key and flavor,
+when that key's entry is built.  Both sides are linear, so agreement on
+every key of a vector implies agreement on the vector; the check per key
+is at least as strict as one per vector, and no cancellation inside a
+vector can hide a disagreement.  Every public operator checks its index
+or flavor before it reaches a table, so a bad argument stores nothing.
+Each letter of the flavored alphabet names the per-key table it applies
+to a vector of a given flavor, after the same check (bqt.relations reads
+it for the leftmost letter of a word).
 
 eps_k reads the realization's stage table (bqt.polyrep.eps_stage): basis
 monomials that differ only in their first k exponents share one stage
@@ -37,6 +44,8 @@ size (the stable-limit module relies on the reduced sets).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import (
     DegreeTooSmall,
@@ -59,6 +68,11 @@ class LVector:
     def __init__(self, k: int, payload):
         self.k = k
         self.payload = payload
+
+    @property
+    def coeffs(self) -> dict:
+        """The payload's coefficients, so a fused residual reads LVectors as module vectors."""
+        return self.payload.coeffs
 
     def degree(self) -> int:
         return self.payload.degree()
@@ -206,6 +220,32 @@ def _t_index(lv: LVector, i: int) -> int:
     return i
 
 
+def _z_index(lv: LVector, i: int) -> int:
+    if not 1 <= i <= lv.k:
+        raise IndexOutOfRange(f"z index {i} outside 1..{lv.k}")
+    return i
+
+
+def _raised(M, lv: LVector) -> int:
+    """The flavor d_plus leaves, checked to have a flavor above it."""
+    if lv.k >= M.n:
+        raise FlavorAtMax(f"no flavor {lv.k + 1} inside rank {M.n}")
+    return lv.k
+
+
+def _lowered(lv: LVector) -> int:
+    """The flavor d_minus leaves, checked to have a flavor below it."""
+    if lv.k == 0:
+        raise FlavorAtMin("lowering operator undefined at flavor 0")
+    return lv.k
+
+
+def _phi_flavor(M, lv: LVector) -> int:
+    if not 1 <= lv.k <= M.n - 1:
+        raise FlavorOutOfRange(f"phi undefined on flavor {lv.k} at rank {M.n}")
+    return lv.k
+
+
 def t_action(M, lv: LVector, i: int) -> LVector:
     """T_i on a flavor-k vector (1 <= i <= k-1)."""
     return LVector(lv.k, M.apply_Ti(lv.payload, _t_index(lv, i)))
@@ -228,24 +268,26 @@ def dminus_chain(M, v, k: int):
     return tinv_chain_sum(M, v, k).scale(ring.q - ring.one)
 
 
+def phi_chain(M, v, k: int):
+    """phi on v read as a flavor-k vector: the closed form, once the commutator agrees."""
+    comm, closed = phi_sides(M, LVector(k, v))
+    if comm != closed:
+        raise InternalCheckFailed(
+            "phi commutator disagrees with its closed form; operator conventions broken"
+        )
+    return closed.payload
+
+
 def z_action(M, lv: LVector, i: int) -> LVector:
-    if not 1 <= i <= lv.k:
-        raise IndexOutOfRange(f"z index {i} outside 1..{lv.k}")
-    return LVector(lv.k, M.apply_derived(lv.payload, z_chain, i))
+    return LVector(lv.k, M.apply_derived(lv.payload, z_chain, _z_index(lv, i)))
 
 
 def d_plus(M, lv: LVector) -> LVector:
-    k = lv.k
-    if k >= M.n:
-        raise FlavorAtMax(f"no flavor {k + 1} inside rank {M.n}")
-    return LVector(k + 1, M.apply_derived(lv.payload, dplus_chain, k))
+    return LVector(lv.k + 1, M.apply_derived(lv.payload, dplus_chain, _raised(M, lv)))
 
 
 def d_minus(M, lv: LVector) -> LVector:
-    k = lv.k
-    if k == 0:
-        raise FlavorAtMin("lowering operator undefined at flavor 0")
-    return LVector(k - 1, M.apply_derived(lv.payload, dminus_chain, k))
+    return LVector(lv.k - 1, M.apply_derived(lv.payload, dminus_chain, _lowered(lv)))
 
 
 def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
@@ -258,30 +300,36 @@ def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
 
 
 def phi_action(M, lv: LVector) -> LVector:
-    """[d_plus, d_minus]/(q-1), verified against the closed form on the fly."""
-    k = lv.k
-    if not 1 <= k <= M.n - 1:
-        raise FlavorOutOfRange(f"phi undefined on flavor {k} at rank {M.n}")
-    comm, closed = phi_sides(M, lv)
-    if comm != closed:
-        raise InternalCheckFailed(
-            "phi commutator disagrees with its closed form; operator conventions broken"
-        )
-    return closed
+    """[d_plus, d_minus]/(q-1), through the per-key table of phi_chain."""
+    return LVector(lv.k, M.apply_derived(lv.payload, phi_chain, _phi_flavor(M, lv)))
 
 
 # the flavored alphabet: d_plus raises flavor and degree, d_minus lowers the
-# flavor, phi raises the degree; the degree-raising letters need rank >= k+1
+# flavor, phi raises the degree; the degree-raising letters need rank >= k+1.
+# A letter's table depends on the flavor of the vector it acts on, so
+# table(M, lv, *args) reads lv.k, after the same check as the letter's act.
 
 FLAVORED_ALPHABET = {
-    "T": Letter(1, lambda M, lv, i: t_action(M, lv, i)),
+    "T": Letter(1, lambda M, lv, i: t_action(M, lv, i),
+                table=lambda M, lv, i: partial(M._ti_table, M._t_index(_t_index(lv, i)))),
     "Tinv": Letter(
-        1, lambda M, lv, i: LVector(lv.k, M.apply_Ti_inv(lv.payload, _t_index(lv, i)))
+        1, lambda M, lv, i: LVector(lv.k, M.apply_Ti_inv(lv.payload, _t_index(lv, i))),
+        table=lambda M, lv, i: partial(M._tinv_table, M._t_index(_t_index(lv, i))),
     ),
-    "z": Letter(1, lambda M, lv, i: z_action(M, lv, i)),
-    "dplus": Letter(0, lambda M, lv: d_plus(M, lv), flavor_shift=1, degree_shift=1),
-    "dminus": Letter(0, lambda M, lv: d_minus(M, lv), flavor_shift=-1),
-    "phi": Letter(0, lambda M, lv: phi_action(M, lv), degree_shift=1),
+    "z": Letter(1, lambda M, lv, i: z_action(M, lv, i),
+                table=lambda M, lv, i: partial(M._derived_table, z_chain, _z_index(lv, i))),
+    "dplus": Letter(
+        0, lambda M, lv: d_plus(M, lv), flavor_shift=1, degree_shift=1,
+        table=lambda M, lv: partial(M._derived_table, dplus_chain, _raised(M, lv)),
+    ),
+    "dminus": Letter(
+        0, lambda M, lv: d_minus(M, lv), flavor_shift=-1,
+        table=lambda M, lv: partial(M._derived_table, dminus_chain, _lowered(lv)),
+    ),
+    "phi": Letter(
+        0, lambda M, lv: phi_action(M, lv), degree_shift=1,
+        table=lambda M, lv: partial(M._derived_table, phi_chain, _phi_flavor(M, lv)),
+    ),
     "Scalar": Letter(1, lambda M, lv, c: lv.scale(c)),
 }
 DPLUS = ("dplus",)

@@ -345,10 +345,10 @@ def apply_pi_tilde(M: ModuleRealization, v):
 # formal generator words: tuples of symbols applied right to left.  An
 # alphabet maps each tag to its Letter: argument count, action act(M, w, *args)
 # (looking its operator up when called), flavor and degree shifts, and for a
-# letter that reads a per-key table of a keyed realization, table(M, *args):
-# the image function key -> ((key', scalar), ...) of that table, after the
-# same index check as act.  Where table is None or returns None the letter
-# has no per-key table and only act applies it.
+# letter that reads a per-key table of a keyed realization, table(M, w, *args):
+# the image function key -> ((key', scalar), ...) of the table it applies to
+# the vector w, after the same index check as act.  Where table is None or
+# returns None the letter has no per-key table and only act applies it.
 
 
 class Letter(NamedTuple):
@@ -359,19 +359,19 @@ class Letter(NamedTuple):
     table: Callable | None = None
 
 
-def _pi_table(M):
+def _pi_table(M, w):
     """pi's per-key table where the realization memoizes pi (it implements _pi_image)."""
     return M._pi_table if hasattr(M, "_pi_image") else None
 
 
 WORD_ALPHABET = {
     "T": Letter(1, lambda M, w, i: M.apply_Ti(w, i),
-                table=lambda M, i: partial(M._ti_table, M._t_index(i))),
+                table=lambda M, w, i: partial(M._ti_table, M._t_index(i))),
     "Tinv": Letter(1, lambda M, w, i: M.apply_Ti_inv(w, i),
-                   table=lambda M, i: partial(M._tinv_table, M._t_index(i))),
+                   table=lambda M, w, i: partial(M._tinv_table, M._t_index(i))),
     "X": Letter(1, lambda M, w, i: M.apply_Xi(w, i)),
     "Y": Letter(1, lambda M, w, i: apply_Y(M, w, i),
-                table=lambda M, i: partial(M._derived_table, y_chain, _y_index(M, i))),
+                table=lambda M, w, i: partial(M._derived_table, y_chain, _y_index(M, i))),
     "Eps": Letter(1, lambda M, w, k: apply_epsilon(M, w, k)),
     "Pi": Letter(0, lambda M, w: M.apply_pi(w), table=_pi_table),
     "PiTilde": Letter(0, lambda M, w: apply_pi_tilde(M, w)),

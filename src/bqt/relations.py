@@ -7,14 +7,17 @@ anchor carried by every item is the identity itself written out in
 operator notation, so a report is a self-contained audit of what was
 checked where.
 
-The suites over the module alphabet (daha, aux and the Jucys-Murphy check)
-decide each case by one fused zero residual: the leftmost letter of every
-word is read from its per-key table, and the pairs of both sides, the right
-side negated, are summed once per output key.  The case holds exactly when
-every sum is zero, and a zero sum is found before any gcd.  Only a case
-that fails, or raises, is evaluated again side by side, so its
-counterexample and error report are those of the two sides.  The flavored
-and tower suites compare the two sides' normalized vectors.
+The word suites (daha, aux and the Jucys-Murphy check over the module
+alphabet, bqt over the flavored one) decide each case by one fused zero
+residual: the leftmost letter of every word is read from its per-key table,
+a flavored one after the flavor and index check its action makes, and the
+pairs of both sides, the right side negated, are summed once per output
+key.  The case holds exactly when every sum is zero, and a zero sum is
+found before any gcd.  Only a case that fails, or raises, is evaluated
+again side by side, so its counterexample and error report are those of
+the two sides.  The tower suite compares the two sides' normalized
+towers: applying a word to a tower checks the compatibility of the output
+tower, which a fused residual would skip.
 
 Every check applies operators through apply_word, the one word interpreter:
 the catalogs' words, the closed forms' chains, the theta word (through
@@ -160,10 +163,6 @@ def _eval_expr(apply, M, v, expr):
     return out
 
 
-def _apply_flavored(M, lv, word):
-    return apply_word(M, lv, word, FLAVORED_ALPHABET)
-
-
 def _shown(got, show=str) -> dict:
     """Both sides of a mismatch as text; nothing when the evaluation raised."""
     return {} if got is None else {"lhs": show(got[0]), "rhs": show(got[1])}
@@ -178,22 +177,23 @@ def _sides(apply, M, ident, v):
     return _mismatch(_eval_expr(apply, M, v, ident.lhs), _eval_expr(apply, M, v, ident.rhs))
 
 
-def _word_sides(M, ident, v):
-    """_sides(apply_word, M, ident, v), decided first by one fused residual.
+def _word_sides(M, ident, v, alphabet=WORD_ALPHABET):
+    """_sides of the identity's words over the alphabet on v, decided first by
+    one fused residual.
 
     When lhs - rhs vanishes on v that is the verdict.  Only a nonzero
     residual, or a BqtError raised on the way, evaluates the two sides,
     which give the same counterexample or raise the same error as ever.
     """
     try:
-        if _residual_vanishes(M, ident, v):
+        if _residual_vanishes(M, ident, v, alphabet):
             return None
     except BqtError:
         pass
-    return _sides(apply_word, M, ident, v)
+    return _sides(lambda M, w, word: apply_word(M, w, word, alphabet), M, ident, v)
 
 
-def _residual_vanishes(M, ident, v) -> bool:
+def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
     """Whether lhs - rhs of a word identity is zero on v, with one lincomb per output key.
 
     Each term (coeff, word) applies its word without the leftmost letter,
@@ -202,7 +202,8 @@ def _residual_vanishes(M, ident, v) -> bool:
     A letter without a per-key table, or an empty word, is applied in full
     and its coefficients join as (c, 1).  A zero lincomb is found before
     any cancel or gcd, so the output coefficients of a holding case are
-    never normalized.
+    never normalized.  Over the flavored alphabet the payloads' keys are
+    summed: every term of a catalog identity lands in one flavor.
     """
     one = M.ring.one
     groups: dict = {}
@@ -210,9 +211,9 @@ def _residual_vanishes(M, ident, v) -> bool:
         for coeff, word in expr:
             w, image = v, None
             if word:
-                head, args = letter(WORD_ALPHABET, word[0]), word[0][1:]
-                image = head.table and head.table(M, *args)
-                w = apply_word(M, v, word[1:])
+                head, args = letter(alphabet, word[0]), word[0][1:]
+                w = apply_word(M, v, word[1:], alphabet)
+                image = head.table and head.table(M, w, *args)
                 if image is None:
                     w = head.act(M, w, *args)
             M.gather(groups, _term_coeffs(w, coeff, negate), image or (lambda key: ((key, one),)))
@@ -493,7 +494,7 @@ def check_bqt_relations(
         range(0, min(k_max, M.n) + 1),
         d_max,
         lambda k: [(d, lv) for d in range(k, d_max + 1) for lv in lk_spanning_set(M, k, d)],
-        lambda ident, lv: _sides(_apply_flavored, M, ident, lv),
+        lambda ident, lv: _word_sides(M, ident, lv, FLAVORED_ALPHABET),
         lambda d, lv, got: {
             "flavor": lv.k,
             "degree": d,

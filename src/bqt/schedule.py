@@ -109,7 +109,8 @@ def _warm_y(M, params: dict) -> None:
     Best effort: an entry that raises a BqtError stays unbuilt, so the case
     that reads it raises it again and reports it, as in a sequential run.
     """
-    tables = [letter(WORD_ALPHABET, ("Y", i)).table(M, i) for i in range(1, M.n + 1)]
+    zero = M.zero()
+    tables = [letter(WORD_ALPHABET, ("Y", i)).table(M, zero, i) for i in range(1, M.n + 1)]
     for d in range(params["dmax"] + 1):
         for v in M.basis(d):
             for key in v.coeffs:

@@ -12,9 +12,9 @@ operator tables and the exact scalar kernel against each other.
 
 The relation suites decide a word identity by one fused residual, lhs - rhs
 summed per output key.  Its verdict is compared with lhs == rhs of the
-two-sided evaluation on every catalog identity and on random word pairs,
-over both rings, and an identity whose word raises gets the same fail
-report either way.
+two-sided evaluation on every catalog identity, over the module alphabet
+and over the flavored one, and on random word pairs, over both rings, and
+an identity whose word raises gets the same fail report either way.
 """
 
 from functools import lru_cache
@@ -35,7 +35,10 @@ from bqt.relations import (
     _residual_vanishes,
     _sides,
     aux_identities,
+    bqt_identities,
+    check_bqt_relations,
     daha_identities,
+    make_realization,
 )
 from bqt.scalars import QT, ModPField, parse_scalar
 from bqt.tableaux import SeedRealization
@@ -193,18 +196,22 @@ def test_flavored_words_commute_with_evaluation(case):
 # -- the fused residual against the two-sided evaluation --------------------
 
 
-def fused_verdict(M, ident, v):
+def fused_verdict(M, ident, v, alphabet=WORD_ALPHABET):
     """Whether lhs - rhs vanishes on v by the fused residual; "raises" on a BqtError."""
     try:
-        return _residual_vanishes(M, ident, v)
+        return _residual_vanishes(M, ident, v, alphabet)
     except BqtError:
         return "raises"
 
 
-def two_sided_verdict(M, ident, v):
+def two_sided_verdict(M, ident, v, alphabet=WORD_ALPHABET):
     """Whether both sides, each evaluated and normalized, are equal; "raises" on a BqtError."""
+
+    def apply(M, w, word):
+        return apply_word(M, w, word, alphabet)
+
     try:
-        return _eval_expr(apply_word, M, v, ident.lhs) == _eval_expr(apply_word, M, v, ident.rhs)
+        return _eval_expr(apply, M, v, ident.lhs) == _eval_expr(apply, M, v, ident.rhs)
     except BqtError:
         return "raises"
 
@@ -312,3 +319,59 @@ def test_raising_identity_gives_the_two_sided_fail_report():
         "instance": "head",
         "vector": "(1)",
     }
+
+
+# -- the flavored bqt suite: fused against two-sided --------------------------
+
+# module, largest flavor and largest degree
+BQT_MODULES = {
+    "poly_n3": ({"module": "poly", "n": 3}, 3, 3),
+    "murnaghan1_n3": ({"module": "murnaghan", "shape": [1], "n": 3}, 2, 2),
+}
+RINGS = {"QT": QT, "modp": F}
+
+
+def bqt_report_objs(desc, ring, k_max, d_max, two_sided: bool) -> list[dict]:
+    """The bqt suite's report objects without millis; with two_sided, every case
+    goes to the two-sided evaluation."""
+    M = make_realization(desc, ring)
+    if not two_sided:
+        reports = check_bqt_relations(M, k_max, d_max)
+    else:
+        with patch("bqt.relations._residual_vanishes", lambda *args: False):
+            reports = check_bqt_relations(M, k_max, d_max)
+    return [{k: v for k, v in r.to_obj().items() if k != "millis"} for r in reports]
+
+
+def bqt_verdicts(M, k_max, d_max):
+    """(fused, two-sided) verdicts of every bqt catalog identity on every spanning vector."""
+    for k in range(min(k_max, M.n) + 1):
+        for _, _, items in bqt_identities(M.n, k, M.ring):
+            for ident in items:
+                for d in range(k, d_max + 1):
+                    for lv in lk_spanning_set(M, k, d):
+                        yield (fused_verdict(M, ident, lv, FLAVORED_ALPHABET),
+                               two_sided_verdict(M, ident, lv, FLAVORED_ALPHABET))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("module", sorted(BQT_MODULES))
+def test_fused_bqt_verdicts_equal_the_two_sided_ones(module, ring):
+    desc, k_max, d_max = BQT_MODULES[module]
+    verdicts = list(bqt_verdicts(make_realization(desc, RINGS[ring]), k_max, d_max))
+    assert all(got == (True, True) for got in verdicts)
+    fused = bqt_report_objs(desc, RINGS[ring], k_max, d_max, False)
+    assert fused == bqt_report_objs(desc, RINGS[ring], k_max, d_max, True)
+    assert len(verdicts) == sum(r["vectors_checked"] for r in fused) > 0
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_fused_bqt_suite_under_the_sign_flip_gives_the_two_sided_counterexamples(ring):
+    desc = {"module": "poly", "n": 3, "demazure_coefficient": "q-1"}
+    verdicts = list(bqt_verdicts(make_realization(desc, RINGS[ring]), 3, 3))
+    assert all(fused == two_sided for fused, two_sided in verdicts)
+    assert (False, False) in verdicts
+    fused = bqt_report_objs(desc, RINGS[ring], 3, 3, False)
+    assert fused == bqt_report_objs(desc, RINGS[ring], 3, 3, True)
+    failed = [r for r in fused if r["status"] == "fail"]
+    assert failed and all("counterexample" in r for r in failed)

@@ -26,9 +26,12 @@ from bqt.factored import (
     fac_mul,
     lcm_fold,
 )
+from bqt.limits import CompatSeqSpec
 from bqt.relations import (
     all_passed,
+    check_aux_identities,
     check_bqt_relations,
+    check_bqt_relations_on_towers,
     check_daha_relations,
     make_realization,
 )
@@ -129,15 +132,40 @@ def test_daha_suite_on_murnaghan_1_rank_3_kills_the_table_mutant(mutant):
         assert not all_passed(check_daha_relations(make_realization(desc), 2))
 
 
+def failing(reports) -> set:
+    return {r.relation_id for r in reports if r.status != "pass"}
+
+
 def test_cancel_table_mutant_killed_by_the_bqt_suite():
     # An uncancelled pair is the right value in a non-canonical form.  The
-    # DAHA suite decides each case by whether lhs - rhs sums to zero, and a
-    # zero sum is the same whatever form its terms have, so under this
-    # mutant its verdicts stay correct: the mutant is equivalent there.  A
-    # suite that compares the two sides' canonical forms still kills it.
-    poly = {"module": "poly", "n": 2}
+    # DAHA suite and the flavored bqt suite decide each case by whether
+    # lhs - rhs sums to zero, and a zero sum is the same whatever form its
+    # terms have, so under this mutant their fused verdicts stay correct:
+    # the mutant is equivalent there.  Checks that compare two canonical
+    # forms still kill it: the bqt suite on towers (whose tower lifts and
+    # compatibility checks compare vectors), the aux closed forms, and
+    # phi's per-key check of its commutator against its closed form, first
+    # met here at degree 3.
+    poly2, poly3 = {"module": "poly", "n": 2}, {"module": "poly", "n": 3}
     murnaghan = {"module": "murnaghan", "shape": [1], "n": 3}
-    assert all_passed(check_bqt_relations(make_realization(poly), 2, 2))
+    assert all_passed(check_bqt_relations_on_towers(CompatSeqSpec("polynomial"), 1, 2))
+    assert all_passed(check_aux_identities(make_realization(poly3), 2))
+    assert all_passed(check_bqt_relations(make_realization(poly3), 3, 3))
     with patch(*MUTANTS["cancel_table_returns_the_pair"]):
-        assert not all_passed(check_bqt_relations(make_realization(poly), 2, 2))
+        # a new sequence: its realizations build their tables under the mutant
+        assert failing(check_bqt_relations_on_towers(CompatSeqSpec("polynomial"), 1, 2)) == {
+            "bqt_T1_dplus_sq", "bqt_phi_dplus", "bqt_dplus_z", "bqt_z1_commutator",
+        }
+        assert failing(check_aux_identities(make_realization(poly3), 2)) == {
+            "aux_phi_closed_form", "aux_dminus_closed_form",
+        }
+        (phi,) = [r for r in check_bqt_relations(make_realization(poly3), 3, 3)
+                  if r.status != "pass"]
+        assert (phi.relation_id, phi.counterexample["error"]) == (
+            "bqt_phi_dplus", "InternalCheckFailed",
+        )
+        assert phi.counterexample["degree"] == 3
+        # equivalent for the fused suites
+        assert all_passed(check_bqt_relations(make_realization(poly2), 2, 2))
+        assert all_passed(check_bqt_relations(make_realization(poly3), 2, 2))
         assert all_passed(check_daha_relations(make_realization(murnaghan), 2))

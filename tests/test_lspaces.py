@@ -25,6 +25,8 @@ from bqt.lspaces import (
     extract_basis,
     lk_spanning_set,
     phi_action,
+    phi_chain,
+    phi_sides,
     spanning_reduction_agrees,
     t_action,
     z_action,
@@ -249,6 +251,63 @@ def test_phi_raises_when_its_closed_form_is_broken(monkeypatch, capsys, tmp_path
     for rep in failed.values():
         assert rep["counterexample"]["error"] == "InternalCheckFailed"
         assert "closed form" in rep["counterexample"]["message"]
+
+
+# -- the phi table ---------------------------------------------------------------
+
+PHI_MODULES = {
+    **{f"poly_n{n}": (lambda n=n: PolyRealization(n), 3) for n in range(2, 6)},
+    "murnaghan_1_n3": (lambda: InducedRealization((1,), 3), 2),
+    "murnaghan_11_n4": (lambda: InducedRealization((1, 1), 4), 2),
+    "murnaghan_2_n4": (lambda: InducedRealization((2,), 4), 2),
+}
+
+
+def phi_entries(M) -> dict:
+    """(flavor, key) -> entry of the realization's phi table."""
+    return {(k, key): e for (op, k, key), e in M._derived_memo.items() if op is phi_chain}
+
+
+@pytest.mark.parametrize("module", sorted(PHI_MODULES))
+def test_phi_table_entries_equal_the_closed_form_on_every_key(module):
+    # phi is linear, so a check on every basis key covers every vector of
+    # the span: no cancellation inside a vector can hide a wrong entry
+    make, d_max = PHI_MODULES[module]
+    M = make()
+    for d in range(d_max + 1):
+        for v in M.basis(d):
+            (key,) = v.coeffs
+            for k in range(1, M.n):
+                got = phi_action(M, LVector(k, v))
+                comm, closed = phi_sides(M, LVector(k, v))
+                assert comm == closed == got
+                assert dict(phi_entries(M)[k, key]) == closed.payload.coeffs
+    assert len(phi_entries(M)) == (M.n - 1) * sum(len(M.basis(d)) for d in range(d_max + 1))
+
+
+def test_phi_on_a_bad_flavor_raises_and_stores_nothing():
+    M = PolyRealization(3)
+    v = pv(3, 1, 0, 0)
+    for k in (0, 3):
+        with pytest.raises(FlavorOutOfRange):
+            phi_action(M, LVector(k, v))
+        with pytest.raises(FlavorOutOfRange):
+            FLAVORED_ALPHABET["phi"].table(M, LVector(k, v))
+    assert not phi_entries(M)
+
+
+def test_the_phi_table_belongs_to_the_realization():
+    M, other = PolyRealization(3), PolyRealization(3)
+    lv = lk_spanning_set(M, 1, 1)[0]
+    got = phi_action(M, lv)
+    assert set(phi_entries(M)) == {(1, key) for key in lv.payload.coeffs}
+    assert not phi_entries(other)
+    assert phi_action(other, LVector(1, lv.payload)) == got
+    assert set(phi_entries(other)) == set(phi_entries(M))
+    # a second application reads the entries
+    entries = phi_entries(M)
+    phi_action(M, lv)
+    assert all(phi_entries(M)[fk] is e for fk, e in entries.items())
 
 
 def test_operator_closure_into_target_flavors():
