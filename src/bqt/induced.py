@@ -1,14 +1,16 @@
 """Induced modules: polynomials tensored with a tableau seed.
 
 An element is a sparse map from (exponent vector, tableau) pairs to scalars.
-The generator actions are the structural formulas on monomial (x) tableau
-keys:
+The realization supplies the T_i and pi images of one monomial (x) tableau
+key, and the table engine (bqt.keyed) does the rest:
 
     X_i  multiplies the polynomial factor,
-    T_i  splits into swap (x) T_i(seed) plus the polynomial divided
-         difference tensored with the untouched seed vector,
+    T_i  splits into swap (x) T_i(seed), read from the seed's T table, plus
+         the polynomial divided difference (bqt.polyrep.demazure_terms,
+         with (1-q) and q-1 formed once per realization) tensored with the
+         untouched seed vector,
     pi   rotates exponents with a t-twist and hits the seed through the
-         finite pullback word.
+         seed's pi, its finite pullback word.
 
 The rank n connector kills every key carrying x_{n+1} and pushes the seed
 factor through the tableau restriction map; the polynomial tower uses the
@@ -21,10 +23,12 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .keyed import KeyedRealization, SparseVec, accumulate, coeffs_from_entries, strict_int
+from .keyed import ti_entry
 from .polyrep import (
     Exponents,
     PolyVector,
     demazure_terms,
+    dl_coeffs,
     is_exponent_vector,
     monomial_str,
     monomials_of_degree,
@@ -109,6 +113,7 @@ class InducedRealization(KeyedRealization):
         super().__init__(n, ring, (n, self.lam))
         self.seed = SeedRealization(self.lam, n, ring)
         self.tableaux = self.seed.tableaux
+        self._dl_coeffs = dl_coeffs(ring)
 
     def descriptor(self) -> dict:
         return {"module": "murnaghan", "shape": list(self.lam), "n": self.n}
@@ -143,13 +148,11 @@ class InducedRealization(KeyedRealization):
         e, tau = key
         se = swap_exponents(e, i)
         out: dict[IndKey, object] = {}
-        for s, m in self.seed._ti_table(i, tau):
+        for s, m in self.seed._table(ti_entry, i, tau):
             accumulate(out, (se, s), m)
         if se != e:
-            dl = self.ring.one - self.ring.q
-            coeffs = {1: dl, -1: -dl}
-            for de, sign in demazure_terms(e, i):
-                accumulate(out, (de, tau), coeffs[sign])
+            for de, c in demazure_terms(e, i, self._dl_coeffs):
+                accumulate(out, (de, tau), c)
         return tuple(out.items())
 
     def _pi_image(self, key: IndKey) -> tuple:
@@ -161,16 +164,10 @@ class InducedRealization(KeyedRealization):
         img = self.seed.apply_pi(self.seed.basis_vector(tau))
         return tuple(((ne, s), m * tpow if last else m) for s, m in img.coeffs.items())
 
-    def apply_Ti(self, v: IndVector, i: int) -> IndVector:
-        return self._apply_table(v, self._ti_table, self._t_index(i))
-
-    def apply_Ti_inv(self, v: IndVector, i: int) -> IndVector:
-        return self._apply_table(v, self._tinv_table, self._t_index(i))
-
-    def apply_pi(self, v: IndVector) -> IndVector:
-        return self._apply_table(v, self._pi_table)
-
-    # bound on the class itself too, where perfbench's tracer wraps it
+    # bound on the class itself too, where perfbench's tracer wraps them
+    apply_Ti = KeyedRealization.apply_Ti
+    apply_Ti_inv = KeyedRealization.apply_Ti_inv
+    apply_pi = KeyedRealization.apply_pi
     apply_Xi = KeyedRealization.apply_Xi
 
 

@@ -8,10 +8,17 @@ types add only what depends on the key: constructor, degree, print order
 and format, serialization; coeffs_from_entries reads every JSON entry list.
 
 KeyedRealization is the generator engine over such a basis.  A realization
-supplies the T_i image of one key (and its pi image where pi is
-memoized); the engine checks indices, derives
-T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation, memoizes the
-per-key images, and applies an image table to a vector in two halves.
+supplies the T_i and pi images of one key, _ti_image(i, key) and
+_pi_image(key), and the head split below; the engine checks indices,
+defines apply_Ti, apply_Ti_inv and apply_pi once for every realization, and
+keeps every per-key image in one memo keyed by (builder, argument, key).
+_table(build, arg, key) runs build(M, arg, key) the first time a key is
+read and returns the stored entry after that, so table builds and hits
+pass one seam.  The builders are module-level functions, never made per
+call: ti_entry and pi_entry read the realization's images, tinv_entry
+derives T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation,
+derived_entry is the one adapter of an operator defined on whole vectors,
+and bqt.polyrep.eps_stage builds an eps_k stage.
 A T_i^{-1} entry multiplies nothing once its scalars are known: c q^{-1} is
 formed once per pooled T_i-image scalar c, and (q-1) q^{-1} once per
 realization.
@@ -20,25 +27,25 @@ and group_sums sums each group by the ring's lincomb, so each output
 coefficient is reduced once.  The relation suites call the same halves to
 gather the images of several vectors into shared groups (bqt.relations).
 
-Every operator derived from the generators goes through one more table.
 apply_derived(v, op, arg) takes op(M, w, arg), the operator's definition on
-whole vectors, and builds the image of a key the first time it is needed by
-running op on the key's basis vector; every later application reads that
-image.  Each such operator is linear on the whole module, so the linear
-extension is exact.  The operators tabled this way are Cherednik's
+whole vectors; derived_entry builds the image of a key the first time it
+is needed by running op on the key's basis vector, and every later
+application reads that image.  Each such operator is linear on the whole
+module, so the linear extension is exact.  The operators tabled this way
+are Cherednik's
 
     Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}
 
 (bqt.polyrep) and the flavored z_i, d_+, d_- and phi (bqt.lspaces), whose
 entry builder checks the commutator against the closed form.
 
-eps_k has a table of its own, of stages rather than of whole images.  A
-realization also supplies the head of a key, _head(key, k): its first k
-exponents (none for the seed, whose keys carry no polynomial part), and
+eps_k is tabled by stages rather than by whole images.  A realization
+also supplies the head of a key, _head(key, k): its first k exponents
+(none for the seed, whose keys carry no polynomial part), and
 _join_head(head, key), the key with those exponents replaced.  T_j with
-j > k moves only exponents j and j+1, so eps_k of a key is the stage table
-of its tail, the key with the head zeroed, shifted by the head; the stages
-of one tail are shared by every head and by the flavors below it
+j > k moves only exponents j and j+1, so eps_k of a key is the stage
+entry of its tail, the key with the head zeroed, shifted by the head; the
+stages of one tail are shared by every head and by the flavors below it
 (bqt.polyrep.eps_stage).  The same two methods give the one X_i action.
 
 Every table entry stores its scalar through a per-realization pool keyed by
@@ -220,11 +227,10 @@ class SparseVec:
 class KeyedRealization:
     """Generator tables per basis key, shared by every module realization.
 
-    Subclasses set vector_type and implement _ti_image(i, key), returning
-    the T_i image of one key as a tuple of (key, scalar) pairs,
-    contains_key(key), telling whether a key is a basis key of the module,
-    and the head split _head(key, k) and _join_head(head, key); those that
-    memoize pi also implement _pi_image(key).
+    Subclasses set vector_type and implement what depends on the key:
+    _ti_image(i, key) and _pi_image(key), the T_i and pi images of one key
+    as (key, scalar) pairs, contains_key(key), and the head split
+    _head(key, k) and _join_head(head, key).
     """
 
     vector_type: type
@@ -233,11 +239,7 @@ class KeyedRealization:
         self.n = n
         self.ring = ring
         self.meta = meta
-        self._ti_memo: dict[tuple, tuple] = {}
-        self._tinv_memo: dict[tuple, tuple] = {}
-        self._pi_memo: dict = {}
-        self._derived_memo: dict[tuple, tuple] = {}
-        self._eps_memo: dict[tuple, tuple] = {}
+        self._memo: dict[tuple, tuple] = {}
         self._pool: dict = {}
         self._pool_ids: set[int] = set()
         # c q^{-1} by id(c) for each pooled T_i-image scalar c, which the pool keeps alive
@@ -269,40 +271,21 @@ class KeyedRealization:
         self._pool_ids.add(id(c))
         return c
 
-    def _ti_table(self, i: int, key) -> tuple:
-        hit = self._ti_memo.get((i, key))
+    def _table(self, build, arg, key) -> tuple:
+        """build(self, arg, key), one key's image pairs, as a table entry built on first use."""
+        hit = self._memo.get((build, arg, key))
         if hit is None:
-            hit = self._ti_memo[(i, key)] = self._interned(self._ti_image(i, key))
+            hit = self._memo[(build, arg, key)] = self._interned(build(self, arg, key))
         return hit
 
-    def _tinv_table(self, i: int, key) -> tuple:
-        """T_i^{-1} = q^{-1}(T_i + (q-1)), from the quadratic relation."""
-        hit = self._tinv_memo.get((i, key))
-        if hit is None:
-            over_q = self._over_q
-            out = {}
-            for k, c in self._ti_table(i, key):
-                m = over_q.get(id(c))
-                if m is None:
-                    m = over_q[id(c)] = self._pooled(c * self._qinv)
-                out[k] = m
-            accumulate(out, key, self._tinv_diag)
-            hit = self._tinv_memo[(i, key)] = self._interned(out.items())
-        return hit
+    def apply_Ti(self, v, i: int):
+        return self._apply_table(v, self._table, ti_entry, self._t_index(i))
 
-    def _pi_table(self, key) -> tuple:
-        hit = self._pi_memo.get(key)
-        if hit is None:
-            hit = self._pi_memo[key] = self._interned(self._pi_image(key))
-        return hit
+    def apply_Ti_inv(self, v, i: int):
+        return self._apply_table(v, self._table, tinv_entry, self._t_index(i))
 
-    def _derived_table(self, op, arg, key) -> tuple:
-        """op(self, basis vector of key, arg) as a table entry, built on first use."""
-        hit = self._derived_memo.get((op, arg, key))
-        if hit is None:
-            img = op(self, self._vec({key: self.ring.one}), arg)
-            hit = self._derived_memo[(op, arg, key)] = self._interned(img.coeffs.items())
-        return hit
+    def apply_pi(self, v):
+        return self._apply_table(v, self._table, pi_entry, None)
 
     def apply_Xi(self, v, i: int):
         """x_i v: exponent i of every key raised by one."""
@@ -319,7 +302,7 @@ class KeyedRealization:
 
         Callers check arg before the call, so a bad argument stores nothing.
         """
-        return self._apply_table(v, self._derived_table, op, arg)
+        return self._apply_table(v, self._table, derived_entry, (op, arg))
 
     def _apply_table(self, v, table, *args):
         """Linear extension of a per-key table: table(*args, key) per key of v.
@@ -368,3 +351,36 @@ class KeyedRealization:
             if not s.is_zero():
                 out[k2] = s
         return out
+
+
+# The builders of the one memo, each build(M, arg, key) -> one key's image
+# pairs.  They are module-level functions, never made per call, so equal
+# arguments find the same entry.
+
+
+def ti_entry(M, i: int, key):
+    return M._ti_image(i, key)
+
+
+def tinv_entry(M, i: int, key):
+    """T_i^{-1} = q^{-1}(T_i + (q-1)), from the quadratic relation."""
+    over_q = M._over_q
+    out = {}
+    for k, c in M._table(ti_entry, i, key):
+        m = over_q.get(id(c))
+        if m is None:
+            m = over_q[id(c)] = M._pooled(c * M._qinv)
+        out[k] = m
+    accumulate(out, key, M._tinv_diag)
+    return out.items()
+
+
+def pi_entry(M, _, key):
+    return M._pi_image(key)
+
+
+def derived_entry(M, op_arg: tuple, key):
+    """op(M, basis vector of key, arg) for op_arg = (op, arg): the one adapter of
+    an operator defined on whole vectors."""
+    op, arg = op_arg
+    return op(M, M._vec({key: M.ring.one}), arg).coeffs.items()

@@ -17,11 +17,11 @@ The degree-raising endomorphism phi is computed as the commutator
 q^{k-1} X_1 T_1^{-1} .. T_{k-1}^{-1}; disagreement raises.
 
 z_i, d_plus, d_minus and phi are linear maps on the whole module, so each
-is applied through the realization's derived-operator table (see
-bqt.keyed): z_chain, dplus_chain, dminus_chain and phi_chain give an
-operator on whole vectors, and the table runs it once per basis key and
+is applied through the realization's one memo (see bqt.keyed): z_chain,
+dplus_chain, dminus_chain and phi_chain give an operator on whole vectors,
+and the memo's derived_entry adapter runs it once per basis key and
 argument.  phi's closed form is dplus_chain at k-1, so it reads the same
-table.  phi_chain makes the cross-check, once per basis key and flavor,
+entries.  phi_chain makes the cross-check, once per basis key and flavor,
 when that key's entry is built.  Both sides are linear, so agreement on
 every key of a vector implies agreement on the vector; the check per key
 is at least as strict as one per vector, and no cancellation inside a
@@ -31,7 +31,7 @@ Each letter of the flavored alphabet names the per-key table it applies
 to a vector of a given flavor, after the same check (bqt.relations reads
 it for the leftmost letter of a word).
 
-eps_k reads the realization's stage table (bqt.polyrep.eps_stage): basis
+eps_k reads the stage entries of the same memo (bqt.polyrep.eps_stage): basis
 monomials that differ only in their first k exponents share one stage
 image, and flavor k builds on the stages of flavor k+1, so the spanning
 sets of all flavors of one realization share their T^{-1} chains.
@@ -57,6 +57,7 @@ from .errors import (
     InternalCheckFailed,
 )
 from .linalg import RowBasis
+from .keyed import derived_entry, ti_entry, tinv_entry
 from .polyrep import Letter, apply_Y, apply_epsilon, apply_x1_tinv_chain, tinv_chain_sum
 
 
@@ -311,24 +312,26 @@ def phi_action(M, lv: LVector) -> LVector:
 
 FLAVORED_ALPHABET = {
     "T": Letter(1, lambda M, lv, i: t_action(M, lv, i),
-                table=lambda M, lv, i: partial(M._ti_table, M._t_index(_t_index(lv, i)))),
+                table=lambda M, lv, i: partial(M._table, ti_entry, M._t_index(_t_index(lv, i)))),
     "Tinv": Letter(
         1, lambda M, lv, i: LVector(lv.k, M.apply_Ti_inv(lv.payload, _t_index(lv, i))),
-        table=lambda M, lv, i: partial(M._tinv_table, M._t_index(_t_index(lv, i))),
+        table=lambda M, lv, i: partial(M._table, tinv_entry, M._t_index(_t_index(lv, i))),
     ),
-    "z": Letter(1, lambda M, lv, i: z_action(M, lv, i),
-                table=lambda M, lv, i: partial(M._derived_table, z_chain, _z_index(lv, i))),
+    "z": Letter(
+        1, lambda M, lv, i: z_action(M, lv, i),
+        table=lambda M, lv, i: partial(M._table, derived_entry, (z_chain, _z_index(lv, i))),
+    ),
     "dplus": Letter(
         0, lambda M, lv: d_plus(M, lv), flavor_shift=1, degree_shift=1,
-        table=lambda M, lv: partial(M._derived_table, dplus_chain, _raised(M, lv)),
+        table=lambda M, lv: partial(M._table, derived_entry, (dplus_chain, _raised(M, lv))),
     ),
     "dminus": Letter(
         0, lambda M, lv: d_minus(M, lv), flavor_shift=-1,
-        table=lambda M, lv: partial(M._derived_table, dminus_chain, _lowered(lv)),
+        table=lambda M, lv: partial(M._table, derived_entry, (dminus_chain, _lowered(lv))),
     ),
     "phi": Letter(
         0, lambda M, lv: phi_action(M, lv), degree_shift=1,
-        table=lambda M, lv: partial(M._derived_table, phi_chain, _phi_flavor(M, lv)),
+        table=lambda M, lv: partial(M._table, derived_entry, (phi_chain, _phi_flavor(M, lv))),
     ),
     "Scalar": Letter(1, lambda M, lv, c: lv.scale(c)),
 }

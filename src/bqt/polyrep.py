@@ -8,24 +8,27 @@ primitive generator actions
     pi(f)   = f(x_2, ..., x_n, t x_1)
     X_i(f)  = x_i f
 
-T_i is tabled per monomial, where the divided difference is a closed sum
-of monomials with coefficients +-1 (demazure_terms); no polynomial division
-is carried out.  T_i^{-1} comes from the quadratic relation as
-q^{-1}(T_i + (q-1)).
+by supplying the T_i and pi images of one monomial to the table engine
+(bqt.keyed), which applies them, derives T_i^{-1} = q^{-1}(T_i + (q-1))
+from the quadratic relation, and gives X_i.  The divided difference of a
+monomial is a closed sum of monomials with coefficients +-dl
+(demazure_terms, shared with bqt.induced); no polynomial division is
+carried out.  pi of x^e is the one monomial t^(e_n) x^(e_n, e_1, ..,
+e_{n-1}).
 
 Everything above the primitives is generic over any realization exposing
-the same surface: Y_i (read from the realization's derived-operator table,
-which bqt.keyed builds from y_chain on first use), the partial symmetrizers
-eps_k, the affine intertwiner word X_1 T_1^{-1} ... and formal generator
-words applied right to left.
+the same surface: Y_i (read from the realization's memo, whose adapter
+runs y_chain on first use), the partial symmetrizers eps_k, the affine
+intertwiner word X_1 T_1^{-1} ... and formal generator words applied right
+to left.
 
 eps_k is the telescoping right-to-left recursion, not the factorial-size
 coset sum, run once per stage and tail.  Stage j, eps_stage(M, j, key), is
-eps_j of a key whose first j exponents are zero; it is the stage j+1 image
+eps_j of a key whose first j exponents are zero; it is the stage j+1 entry
 of the key with exponent j+1 zeroed, times x_{j+1} to that exponent, pushed
-through tinv_chain_sum and divided by [n-j]_q.  The realization keeps each
-stage image in a table, and eps_k of a key is the stage k image of its tail
-shifted by its head (bqt.keyed).
+through tinv_chain_sum and divided by [n-j]_q.  eps_stage is the builder of
+those entries in the realization's memo, and eps_k of a key is the stage k
+entry of its tail shifted by its head (bqt.keyed).
 
 The realization's coefficient ring is pluggable (exact Q(q,t) or a prime
 field evaluation); all scalar constants are built through ring methods.
@@ -38,6 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .errors import IndexOutOfRange, UnsupportedOperation
 from .keyed import KeyedRealization, SparseVec, accumulate, coeffs_from_entries, strict_int
+from .keyed import derived_entry, pi_entry, ti_entry, tinv_entry
 from .scalars import QT, parse_scalar
 
 Exponents = tuple[int, ...]
@@ -119,20 +123,17 @@ class PolyVector(SparseVec):
 
 
 class ModuleRealization(Protocol):
-    """Contract every module realization satisfies (duck-typed)."""
+    """What a realization supplies to KeyedRealization, which owns the rest:
+    the tables, the generator and derived actions, X_i and eps_k."""
 
-    n: int
-    ring: object
     kind: str
+    vector_type: type
 
+    def descriptor(self) -> dict: ...
     def basis(self, degree: int) -> list: ...
-    def zero(self): ...
-    def apply_Ti(self, v, i: int): ...
-    def apply_Ti_inv(self, v, i: int): ...
-    def apply_pi(self, v): ...
-    def apply_Xi(self, v, i: int): ...
-    def apply_derived(self, v, op, arg): ...
     def contains_key(self, key) -> bool: ...
+    def _ti_image(self, i: int, key) -> tuple: ...
+    def _pi_image(self, key) -> tuple: ...
     def _head(self, key, k: int) -> tuple: ...
     def _join_head(self, head: tuple, key): ...
 
@@ -158,17 +159,29 @@ def swap_exponents(exps: Exponents, i: int) -> Exponents:
     return tuple(lst)
 
 
-def demazure_terms(exps: Exponents, i: int) -> list[tuple[Exponents, int]]:
-    """x_i (x^e - s_i x^e)/(x_i - x_{i+1}) for one monomial, as (exponents, +-1) pairs.
+def dl_coeffs(ring, demazure_coefficient: str = "1-q") -> dict:
+    """The scalar dl on the divided difference in T_i, and -dl, keyed by sign."""
+    if demazure_coefficient == "1-q":
+        dl = ring.one - ring.q
+    elif demazure_coefficient == "q-1":
+        dl = ring.q - ring.one
+    else:
+        raise ValueError("demazure_coefficient must be '1-q' or 'q-1'")
+    return {1: dl, -1: -dl}
 
-    With a = e_i > b = e_{i+1} it is the sum of x_i^k x_{i+1}^(a+b-k) over
-    b < k <= a; with a < b it is minus the sum over a < k <= b; with a = b it
-    is zero.  Terms come in increasing powers of x_i.
+
+def demazure_terms(exps: Exponents, i: int, coeffs: dict) -> list[tuple[Exponents, object]]:
+    """dl x_i (x^e - s_i x^e)/(x_i - x_{i+1}) for one monomial, as (exponents, scalar) pairs.
+
+    With a = e_i > b = e_{i+1} it is dl times the sum of x_i^k x_{i+1}^(a+b-k)
+    over b < k <= a; with a < b it is -dl times the sum over a < k <= b; with
+    a = b it is zero.  coeffs is dl_coeffs(...).  Terms come in increasing
+    powers of x_i.
     """
     a, b = exps[i - 1], exps[i]
-    sign = 1 if a > b else -1
+    c = coeffs[1 if a > b else -1]
     head, tail = exps[: i - 1], exps[i + 1 :]
-    return [(head + (k, a + b - k) + tail, sign) for k in range(min(a, b) + 1, max(a, b) + 1)]
+    return [(head + (k, a + b - k) + tail, c) for k in range(min(a, b) + 1, max(a, b) + 1)]
 
 
 class PolyRealization(KeyedRealization):
@@ -188,14 +201,7 @@ class PolyRealization(KeyedRealization):
             raise ValueError("rank must be positive")
         super().__init__(n, ring, (n,))
         self.demazure_coefficient = demazure_coefficient
-        if demazure_coefficient == "1-q":
-            dl = ring.one - ring.q
-        elif demazure_coefficient == "q-1":
-            dl = ring.q - ring.one
-        else:
-            raise ValueError("demazure_coefficient must be '1-q' or 'q-1'")
-        # the scalar on each term of demazure_terms, by its sign
-        self._dl_coeffs = {1: dl, -1: -dl}
+        self._dl_coeffs = dl_coeffs(ring, demazure_coefficient)
 
     def descriptor(self) -> dict:
         d = {"module": "poly", "n": self.n}
@@ -229,25 +235,19 @@ class PolyRealization(KeyedRealization):
         if exps[i - 1] == exps[i]:
             return ((exps, one),)
         out: dict[Exponents, object] = {swap_exponents(exps, i): one}
-        for e, sign in demazure_terms(exps, i):
-            accumulate(out, e, self._dl_coeffs[sign])
+        for e, c in demazure_terms(exps, i, self._dl_coeffs):
+            accumulate(out, e, c)
         return tuple(out.items())
 
-    def apply_Ti(self, v: PolyVector, i: int) -> PolyVector:
-        return self._apply_table(v, self._ti_table, self._t_index(i))
+    def _pi_image(self, exps: Exponents) -> tuple:
+        """x^e -> t^(e_n) x^(e_n, e_1, .., e_{n-1})."""
+        last = exps[-1]
+        return (((last,) + exps[:-1], self.ring.t_power(last)),)
 
-    def apply_Ti_inv(self, v: PolyVector, i: int) -> PolyVector:
-        return self._apply_table(v, self._tinv_table, self._t_index(i))
-
-    def apply_pi(self, v: PolyVector) -> PolyVector:
-        ring = self.ring
-        out: dict[Exponents, object] = {}
-        for e, c in v.coeffs.items():
-            last = e[-1]
-            out[(last,) + e[:-1]] = c * ring.t_power(last) if last else c
-        return PolyVector(self.n, out)
-
-    # bound on the class itself too, where perfbench's tracer wraps it
+    # bound on the class itself too, where perfbench's tracer wraps them
+    apply_Ti = KeyedRealization.apply_Ti
+    apply_Ti_inv = KeyedRealization.apply_Ti_inv
+    apply_pi = KeyedRealization.apply_pi
     apply_Xi = KeyedRealization.apply_Xi
 
 
@@ -256,7 +256,7 @@ class PolyRealization(KeyedRealization):
 # ---------------------------------------------------------------------------
 
 
-def y_chain(M: ModuleRealization, v, i: int):
+def y_chain(M: KeyedRealization, v, i: int):
     """q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1} v, generator by generator."""
     w = v
     for j in range(i, M.n):
@@ -267,18 +267,18 @@ def y_chain(M: ModuleRealization, v, i: int):
     return w.scale(M.ring.q_power(M.n - i + 1))
 
 
-def _y_index(M: ModuleRealization, i: int) -> int:
+def _y_index(M: KeyedRealization, i: int) -> int:
     if not 1 <= i <= M.n:
         raise IndexOutOfRange(f"Y index {i} outside 1..{M.n}")
     return i
 
 
-def apply_Y(M: ModuleRealization, v, i: int):
+def apply_Y(M: KeyedRealization, v, i: int):
     """Y_i, through the per-key table of y_chain."""
     return M.apply_derived(v, y_chain, _y_index(M, i))
 
 
-def apply_epsilon(M: ModuleRealization, v, k: int):
+def apply_epsilon(M: KeyedRealization, v, k: int):
     """Partial trivial idempotent eps_k, by linear extension of eps_image."""
     n = M.n
     if not 0 <= k <= n:
@@ -286,39 +286,35 @@ def apply_epsilon(M: ModuleRealization, v, k: int):
     return M._apply_table(v, eps_image, M, k)
 
 
-def eps_image(M: ModuleRealization, k: int, key) -> tuple:
+def eps_image(M: KeyedRealization, k: int, key) -> tuple:
     """eps_k of one key: the stage k image of its tail, shifted by its head."""
     head = M._head(key, k)
-    stage = eps_stage(M, k, M._join_head((0,) * len(head), key))
+    stage = M._table(eps_stage, k, M._join_head((0,) * len(head), key))
     if not any(head):
         return stage
     return tuple((M._join_head(head, k2), m) for k2, m in stage)
 
 
-def eps_stage(M: ModuleRealization, j: int, key) -> tuple:
-    """eps_j of a key whose first j exponents are zero, as a table entry.
+def eps_stage(M: KeyedRealization, j: int, key):
+    """eps_j of a key whose first j exponents are zero: the builder of stage j entries.
 
     Stage j rewrites eps_j = (sum_r q^r T_{j+r}^{-1}..T_{j+1}^{-1}) eps_{j+1}
     normalized by [n-j]_q.  eps_{j+1} is built from T_{j+2}..T_{n-1}, which
     commute with x_1..x_{j+1}, so eps_{j+1} of the key is x_{j+1}^a times
-    the stage j+1 image of the key with its exponent j+1 (that is a)
+    the stage j+1 entry of the key with its exponent j+1 (that is a)
     zeroed.  Stage n is the key itself.
     """
     n = M.n
     if j == n:
         return ((key, M.ring.one),)
-    hit = M._eps_memo.get((j, key))
-    if hit is None:
-        head = M._head(key, j + 1)
-        inner = eps_stage(M, j + 1, M._join_head((0,) * len(head), key))
-        w = M._vec({M._join_head(head, k2): m for k2, m in inner})
-        ring = M.ring
-        w = tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j))
-        hit = M._eps_memo[(j, key)] = M._interned(w.coeffs.items())
-    return hit
+    head = M._head(key, j + 1)
+    inner = M._table(eps_stage, j + 1, M._join_head((0,) * len(head), key))
+    w = M._vec({M._join_head(head, k2): m for k2, m in inner})
+    ring = M.ring
+    return tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j)).coeffs.items()
 
 
-def tinv_chain_sum(M: ModuleRealization, v, a: int):
+def tinv_chain_sum(M: KeyedRealization, v, a: int):
     """v + q T_a^{-1} v + q^2 T_{a+1}^{-1} T_a^{-1} v + ... up to T_{n-1}^{-1}."""
     ring = M.ring
     acc = u = v
@@ -330,7 +326,7 @@ def tinv_chain_sum(M: ModuleRealization, v, a: int):
     return acc
 
 
-def apply_x1_tinv_chain(M: ModuleRealization, v, m: int):
+def apply_x1_tinv_chain(M: KeyedRealization, v, m: int):
     """X_1 T_1^{-1} ... T_m^{-1} applied right to left; m = 0 is plain X_1."""
     w = v
     for j in range(m, 0, -1):
@@ -338,7 +334,7 @@ def apply_x1_tinv_chain(M: ModuleRealization, v, m: int):
     return M.apply_Xi(w, 1)
 
 
-def apply_pi_tilde(M: ModuleRealization, v):
+def apply_pi_tilde(M: KeyedRealization, v):
     return apply_x1_tinv_chain(M, v, M.n - 1)
 
 
@@ -347,8 +343,8 @@ def apply_pi_tilde(M: ModuleRealization, v):
 # (looking its operator up when called), flavor and degree shifts, and for a
 # letter that reads a per-key table of a keyed realization, table(M, w, *args):
 # the image function key -> ((key', scalar), ...) of the table it applies to
-# the vector w, after the same index check as act.  Where table is None or
-# returns None the letter has no per-key table and only act applies it.
+# the vector w, after the same index check as act.  Where table is None the
+# letter has no per-key table and only act applies it.
 
 
 class Letter(NamedTuple):
@@ -359,21 +355,17 @@ class Letter(NamedTuple):
     table: Callable | None = None
 
 
-def _pi_table(M, w):
-    """pi's per-key table where the realization memoizes pi (it implements _pi_image)."""
-    return M._pi_table if hasattr(M, "_pi_image") else None
-
-
 WORD_ALPHABET = {
     "T": Letter(1, lambda M, w, i: M.apply_Ti(w, i),
-                table=lambda M, w, i: partial(M._ti_table, M._t_index(i))),
+                table=lambda M, w, i: partial(M._table, ti_entry, M._t_index(i))),
     "Tinv": Letter(1, lambda M, w, i: M.apply_Ti_inv(w, i),
-                   table=lambda M, w, i: partial(M._tinv_table, M._t_index(i))),
+                   table=lambda M, w, i: partial(M._table, tinv_entry, M._t_index(i))),
     "X": Letter(1, lambda M, w, i: M.apply_Xi(w, i)),
     "Y": Letter(1, lambda M, w, i: apply_Y(M, w, i),
-                table=lambda M, w, i: partial(M._derived_table, y_chain, _y_index(M, i))),
+                table=lambda M, w, i: partial(M._table, derived_entry, (y_chain, _y_index(M, i)))),
     "Eps": Letter(1, lambda M, w, k: apply_epsilon(M, w, k)),
-    "Pi": Letter(0, lambda M, w: M.apply_pi(w), table=_pi_table),
+    "Pi": Letter(0, lambda M, w: M.apply_pi(w),
+                 table=lambda M, w: partial(M._table, pi_entry, None)),
     "PiTilde": Letter(0, lambda M, w: apply_pi_tilde(M, w)),
     "Scalar": Letter(1, lambda M, w, c: w.scale(c)),
 }
@@ -387,7 +379,7 @@ def letter(alphabet: dict, sym: tuple) -> Letter:
     return entry
 
 
-def apply_word(M: ModuleRealization, v, word: Iterable[tuple], alphabet: dict = WORD_ALPHABET):
+def apply_word(M: KeyedRealization, v, word: Iterable[tuple], alphabet: dict = WORD_ALPHABET):
     """Apply a word right to left (the empty word is the identity); operators check indices."""
     w = v
     for sym in reversed(list(word)):

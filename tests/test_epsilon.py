@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import bqt.polyrep
 from bqt.errors import InconsistentFlavors, IndexOutOfRange
 from bqt.induced import InducedRealization
+from bqt.keyed import ti_entry, tinv_entry
 from bqt.limits import CompatSeqSpec, limit_component
 from bqt.polyrep import PolyRealization, apply_epsilon, eps_stage
 from bqt.relations import all_passed, check_aux_identities, check_bqt_relations
@@ -139,54 +140,63 @@ def test_a_bad_index_stores_nothing():
             for k in (-1, M.n + 1):
                 with pytest.raises(IndexOutOfRange):
                     apply_epsilon(M, b, k)
-            assert not (M._eps_memo or M._tinv_memo or M._ti_memo or M._pool)
+            assert not (M._memo or M._pool)
+
+
+def stage_entries(M) -> dict:
+    """(j, key) -> entry of the realization's eps stage table."""
+    return {(j, key): e for (b, j, key), e in M._memo.items() if b is eps_stage}
 
 
 def test_the_stage_table_belongs_to_the_realization():
     M, other = PolyRealization(4), PolyRealization(4)
     b = M.basis(2)[3]
     e = apply_epsilon(M, b, 1)
-    assert M._eps_memo and not other._eps_memo
+    assert stage_entries(M) and not other._memo
     assert apply_epsilon(other, b, 1) == e
-    assert set(other._eps_memo) == set(M._eps_memo)
+    assert set(other._memo) == set(M._memo)
+    # the stage table reads T^{-1} and T entries and nothing else
+    assert {b for b, _, _ in M._memo} == {eps_stage, tinv_entry, ti_entry}
     pooled = {id(c) for c in M._pool.values()}
-    for (j, key), entry in M._eps_memo.items():
-        # stages 1..n-1 of the tail, each keyed by a key whose first j exponents are zero
-        assert 1 <= j < M.n and not any(key[:j])
+    for (j, key), entry in stage_entries(M).items():
+        # stages 1..n of the tail, each keyed by a key whose first j exponents are zero
+        assert 1 <= j <= M.n and not any(key[:j])
         assert all(not any(k2[:j]) for k2, _ in entry)
         assert all(id(c) in pooled for _, c in entry)
     # the stage images of one tail serve every head: no new entry for x_1^2 times b
-    before = len(M._eps_memo)
+    before = len(M._memo)
     head = M.apply_Xi(M.apply_Xi(b, 1), 1)
     assert_same(apply_epsilon(M, head, 1), M.apply_Xi(M.apply_Xi(e, 1), 1))
-    assert len(M._eps_memo) == before
+    assert len(M._memo) == before
     # stage j of a tail is read, not rebuilt, by flavor j
-    assert eps_stage(M, 2, (0, 0, 1, 0)) is M._eps_memo[(2, (0, 0, 1, 0))]
+    entry = M._table(eps_stage, 2, (0, 0, 1, 0))
+    assert stage_entries(M)[(2, (0, 0, 1, 0))] is entry
+    before = len(M._memo)
+    assert M._table(eps_stage, 2, (0, 0, 1, 0)) is entry
+    assert len(M._memo) == before
 
 
 # -- mutants of the stage path, each killed by the checks named in its test ----
 
 
 def _stage_normalized_by_n_minus_j_plus_1(M, j, key):
-    """eps_stage with [n-j+1]_q in place of [n-j]_q."""
-    n = M.n
+    """The stage builder with [n-j+1]_q in place of [n-j]_q.
+
+    The builder reads its inner stage through the one memo under the patched
+    builder, so rescaling its image by [n-j]_q / [n-j+1]_q changes the
+    normalizer of every stage and nothing else.
+    """
+    n, ring = M.n, M.ring
+    image = eps_stage(M, j, key)
     if j == n:
-        return ((key, M.ring.one),)
-    hit = M._eps_memo.get((j, key))
-    if hit is None:
-        head = M._head(key, j + 1)
-        inner = bqt.polyrep.eps_stage(M, j + 1, M._join_head((0,) * len(head), key))
-        w = M._vec({M._join_head(head, k2): m for k2, m in inner})
-        ring = M.ring
-        w = bqt.polyrep.tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j + 1))
-        hit = M._eps_memo[(j, key)] = M._interned(w.coeffs.items())
-    return hit
+        return image
+    return M._vec(dict(image)).scale(ring.q_integer(n - j) / ring.q_integer(n - j + 1)).coeffs.items()
 
 
 def _head_shift_one_exponent_off(M, k, key):
     """eps_image with the head added to exponents 2..k+1 instead of 1..k."""
     head = M._head(key, k)
-    stage = eps_stage(M, k, M._join_head((0,) * len(head), key))
+    stage = M._table(bqt.polyrep.eps_stage, k, M._join_head((0,) * len(head), key))
     if not any(head):
         return stage
     out = []

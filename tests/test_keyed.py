@@ -15,7 +15,10 @@ distinct pair of values.  They are checked against the plain
 product-by-product fold on vectors whose coefficients are some shared
 objects and some distinct objects of equal value, value keys are checked to
 be equal exactly when the scalars are, and a repeated application must leave
-every table, the pool and the realization's attributes as they were.
+every table, the pool and the realization's attributes as they were.  Every
+per-key table of a realization is one memo keyed by (builder, argument,
+key), so an application on warm tables that adds any entry at all shows a
+builder or an argument made afresh on each call.
 """
 
 from functools import lru_cache
@@ -26,17 +29,18 @@ from hypothesis import strategies as st
 
 from bqt.errors import FlavorAtMax, IndexOutOfRange
 from bqt.induced import InducedRealization
-from bqt.keyed import _repeats, accumulate
+from bqt.keyed import _repeats, accumulate, derived_entry, pi_entry, ti_entry, tinv_entry
 from bqt.lspaces import (
     FLAVORED_ALPHABET,
     LVector,
     d_minus,
     d_plus,
     lk_spanning_set,
+    phi_action,
     t_action,
     z_action,
 )
-from bqt.polyrep import PolyRealization, apply_word, apply_Y, y_chain
+from bqt.polyrep import PolyRealization, apply_epsilon, apply_word, apply_Y, y_chain
 from bqt.relations import check_daha_relations
 from bqt.scalars import QT, ModPField, parse_scalar
 from bqt.tableaux import SeedRealization
@@ -112,9 +116,9 @@ def fold_table(M, v, table, *args):
 @settings(max_examples=40, deadline=None)
 def test_table_application_equals_the_product_by_product_sum(case):
     M, v, i = case
-    tables = [(M._derived_table, y_chain, i)]
+    tables = [(M._table, derived_entry, (y_chain, i)), (M._table, pi_entry, None)]
     if i < M.n:
-        tables += [(M._ti_table, i), (M._tinv_table, i)]
+        tables += [(M._table, ti_entry, i), (M._table, tinv_entry, i)]
     for table, *args in tables:
         got = M._apply_table(v, table, *args)
         assert got == fold_table(M, v, table, *args)
@@ -125,10 +129,9 @@ def test_equal_table_scalars_are_one_object():
     for ring in RINGS.values():
         M = InducedRealization((1,), 3, ring)
         assert all(r.status == "pass" for r in check_daha_relations(M, 1))
-        assert any(op is y_chain for op, _, _ in M._derived_memo)
+        assert any(b is derived_entry and arg[0] is y_chain for b, arg, _ in M._memo)
         for R in (M, M.seed):
-            tables = (R._ti_memo, R._tinv_memo, R._pi_memo, R._derived_memo)
-            scalars = [c for t in tables for entry in t.values() for _, c in entry]
+            scalars = [c for entry in R._memo.values() for _, c in entry]
             objects_by_text: dict = {}
             for c in scalars:
                 objects_by_text.setdefault(str(c), set()).add(id(c))
@@ -143,9 +146,10 @@ def test_tinv_entries_equal_the_quadratic_relation_and_memo_ids_are_pooled():
         M = InducedRealization((1,), 3, ring)
         assert all(r.status == "pass" for r in check_daha_relations(M, 1))
         for R in (M, M.seed):
-            assert R._tinv_memo
+            tinv = {(i, key): e for (b, i, key), e in R._memo.items() if b is tinv_entry}
+            assert tinv
             qinv = ring.q_power(-1)
-            for (i, key), entry in R._tinv_memo.items():
+            for (i, key), entry in tinv.items():
                 want = {k: c * qinv for k, c in R._ti_image(i, key)}
                 accumulate(want, key, (ring.q - ring.one) * qinv)
                 assert dict(entry) == want
@@ -222,10 +226,11 @@ def test_bad_index_or_flavor_raises_before_any_table_entry():
         for error, call in bad:
             with pytest.raises(error):
                 call()
-        assert not (M._ti_memo or M._tinv_memo or M._pi_memo or M._derived_memo)
+        assert not M._memo
         assert not M._pool
         d_minus(M, lv)
-        assert M._derived_memo and M._tinv_memo
+        built = {b for b, _, _ in M._memo}
+        assert derived_entry in built and tinv_entry in built
 
 
 # equal values in different forms, numerators shared across denominators,
@@ -280,9 +285,9 @@ def test_memoized_vector_ops_equal_the_plain_fold(case):
     assert_same(v.add(w), folded(v, w.coeffs.items()))
     assert_same(v.sub(w), folded(v, ((k, -x) for k, x in w.coeffs.items())))
     assert_same(v.sub(v), M.zero())
-    tables = [(M._derived_table, y_chain, i)]
+    tables = [(M._table, derived_entry, (y_chain, i)), (M._table, pi_entry, None)]
     if i < M.n:
-        tables += [(M._ti_table, i), (M._tinv_table, i)]
+        tables += [(M._table, ti_entry, i), (M._table, tinv_entry, i)]
     for table, *args in tables:
         assert_same(M._apply_table(v, table, *args), fold_table(M, v, table, *args))
     # one product per distinct value of a repeating input: equal products are one object
@@ -307,7 +312,7 @@ def table_state(M) -> list:
     out = []
     for R in (M, getattr(M, "seed", None)):
         if R is not None:
-            memos = (R._ti_memo, R._tinv_memo, R._pi_memo, R._derived_memo, R._pool, R.cache)
+            memos = (R._memo, R._pool, R._over_q, R.cache)
             out += [sorted(vars(R)), [len(t) for t in memos]]
     return out
 
@@ -316,9 +321,26 @@ def table_state(M) -> list:
 @settings(max_examples=40, deadline=None)
 def test_application_on_warm_tables_leaves_the_realization_as_it_was(case):
     M, v, w, c, i = case
-    ops = [lambda: apply_Y(M, v, i), lambda: v.scale(c).add(w).sub(v)]
+    ops = [
+        lambda: apply_Y(M, v, i),
+        lambda: v.scale(c).add(w).sub(v),
+        lambda: M.apply_pi(v),
+        lambda: apply_epsilon(M, v, i - 1),
+    ]
     if i < M.n:
         ops += [lambda: M.apply_Ti(v, i), lambda: M.apply_Ti_inv(v, i)]
+    # the flavored letters, each by its action and by its per-key table
+    letters = [(LVector(i, v), ("z", i)), (LVector(i, v), ("dminus",))]
+    if M.kind != "seed":  # d_+ and phi multiply by X_1
+        letters.append((LVector(i - 1, v), ("dplus",)))
+        if i < M.n:
+            letters.append((LVector(i, v), ("phi",)))
+    for lv, sym in letters:
+        entry = FLAVORED_ALPHABET[sym[0]]
+        ops += [
+            lambda lv=lv, sym=sym: apply_word(M, lv, (sym,), FLAVORED_ALPHABET).payload,
+            lambda lv=lv, sym=sym, entry=entry: M._apply_table(v, entry.table(M, lv, *sym[1:])),
+        ]
     for op in ops:
         first = op()
         before = table_state(M)

@@ -15,6 +15,7 @@ from bqt.errors import (
     InternalCheckFailed,
 )
 from bqt.induced import InducedRealization, trivial_to_poly
+from bqt.keyed import derived_entry
 from bqt.linalg import RowBasis, solve_combination
 from bqt.lspaces import (
     FLAVORED_ALPHABET,
@@ -265,7 +266,11 @@ PHI_MODULES = {
 
 def phi_entries(M) -> dict:
     """(flavor, key) -> entry of the realization's phi table."""
-    return {(k, key): e for (op, k, key), e in M._derived_memo.items() if op is phi_chain}
+    return {
+        (arg[1], key): e
+        for (b, arg, key), e in M._memo.items()
+        if b is derived_entry and arg[0] is phi_chain
+    }
 
 
 @pytest.mark.parametrize("module", sorted(PHI_MODULES))

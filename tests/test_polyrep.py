@@ -17,10 +17,12 @@ from bqt.polyrep import (
     apply_pi_tilde,
     apply_word,
     monomials_of_degree,
+    monomials_up_to_degree,
     word_from_json,
     word_to_json,
 )
-from bqt.scalars import ONE, parse_scalar
+from bqt.keyed import pi_entry
+from bqt.scalars import ONE, QT, ModPField, parse_scalar
 
 sq, st_ = sympy.symbols("q t")
 
@@ -102,6 +104,20 @@ def test_Ti_inverse_is_inverse():
                 assert M.apply_Ti_inv(M.apply_Ti(b, i), i) == b
 
 
+def pi_oracle(n: int, exps: tuple, ring) -> dict:
+    """f(x_2, ..., x_n, t x_1) for f = x^exps: x_j -> x_{j+1} for j < n, x_n -> t x_1."""
+    out = [0] * n
+    c = ring.one
+    for j, a in enumerate(exps):
+        if j + 1 < n:
+            out[j + 1] += a
+        else:
+            out[0] += a
+            for _ in range(a):
+                c = c * ring.convert(parse_scalar("t"))
+    return {tuple(out): c}
+
+
 def test_pi_substitution():
     M = PolyRealization(3)
     assert M.apply_pi(mono(3, 1, 0, 0)) == mono(3, 0, 1, 0)
@@ -112,6 +128,15 @@ def test_pi_substitution():
     for _ in range(3):
         w = M.apply_pi(w)
     assert w == scaled("t^3", v)
+    # pi is a table entry per monomial; each equals the substitution, read
+    # from the table and applied to the basis vector, over Q(q,t) and F_p
+    for ring in (QT, ModPField(2**31 - 1, 5, 7)):
+        for n in range(1, 6):
+            M = PolyRealization(n, ring)
+            for e in monomials_up_to_degree(n, 4):
+                want = pi_oracle(n, e, ring)
+                assert dict(M._table(pi_entry, None, e)) == want
+                assert M.apply_pi(PolyVector(n, {e: ring.one})) == PolyVector(n, want)
 
 
 def _mult(a: PolyVector, b: PolyVector) -> PolyVector:
