@@ -190,7 +190,8 @@ def _stage_normalized_by_n_minus_j_plus_1(M, j, key):
     image = eps_stage(M, j, key)
     if j == n:
         return image
-    return M._vec(dict(image)).scale(ring.q_integer(n - j) / ring.q_integer(n - j + 1)).coeffs.items()
+    rescale = ring.q_integer(n - j) / ring.q_integer(n - j + 1)
+    return M._vec(dict(image)).scale(rescale).coeffs.items()
 
 
 def _head_shift_one_exponent_off(M, k, key):

@@ -36,7 +36,6 @@ from bqt.lspaces import (
     d_minus,
     d_plus,
     lk_spanning_set,
-    phi_action,
     t_action,
     z_action,
 )
