@@ -18,7 +18,9 @@ pass one seam.  The builders are module-level functions, never made per
 call: ti_entry and pi_entry read the realization's images, tinv_entry
 derives T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation,
 derived_entry is the one adapter of an operator defined on whole vectors,
-and bqt.polyrep.eps_stage builds an eps_k stage.
+and bqt.polyrep.eps_stage builds an eps_k stage (by the T^{-1} recursion,
+or for stage 0 of a partition key on the polynomial module by the
+Hall-Littlewood closed form, whose entries are leaves no stage reads).
 A T_i^{-1} entry multiplies nothing once its scalars are known: c q^{-1} is
 formed once per pooled T_i-image scalar c, and (q-1) q^{-1} once per
 realization.

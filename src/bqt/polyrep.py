@@ -28,7 +28,12 @@ eps_j of a key whose first j exponents are zero; it is the stage j+1 entry
 of the key with exponent j+1 zeroed, times x_{j+1} to that exponent, pushed
 through tinv_chain_sum and divided by [n-j]_q.  eps_stage is the builder of
 those entries in the realization's memo, and eps_k of a key is the stage k
-entry of its tail shifted by its head (bqt.keyed).
+entry of its tail shifted by its head (bqt.keyed).  Stage 0 of a partition
+key on the polynomial module (demazure_coefficient "1-q") is built in
+closed form instead, as a multiple of the Hall-Littlewood polynomial P_mu
+at t = q (eps0_partition; Macdonald, Symmetric Functions and Hall
+Polynomials, III (5.11')), which tests/test_epsilon.py checks against the
+recursion; every other stage, key and module keeps the recursion.
 
 The realization's coefficient ring is pluggable (exact Q(q,t) or a prime
 field evaluation); all scalar constants are built through ring methods.
@@ -36,6 +41,7 @@ field evaluation); all scalar constants are built through ring methods.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Protocol
 
@@ -302,16 +308,144 @@ def eps_stage(M: KeyedRealization, j: int, key):
     normalized by [n-j]_q.  eps_{j+1} is built from T_{j+2}..T_{n-1}, which
     commute with x_1..x_{j+1}, so eps_{j+1} of the key is x_{j+1}^a times
     the stage j+1 entry of the key with its exponent j+1 (that is a)
-    zeroed.  Stage n is the key itself.
+    zeroed.  Stage n is the key itself.  Stage 0 of a partition on the
+    polynomial module (demazure_coefficient "1-q") is the Hall-Littlewood
+    closed form eps0_partition instead; the recursion stays for every
+    other stage, key and module.
     """
     n = M.n
     if j == n:
         return ((key, M.ring.one),)
+    if (j == 0 and isinstance(M, PolyRealization) and M.demazure_coefficient == "1-q"
+            and all(a >= b for a, b in zip(key, key[1:]))):
+        return eps0_partition(M, key)
     head = M._head(key, j + 1)
     inner = M._table(eps_stage, j + 1, M._join_head((0,) * len(head), key))
     w = M._vec({M._join_head(head, k2): m for k2, m in inner})
     ring = M.ring
     return tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j)).coeffs.items()
+
+
+def eps0_partition(M: PolyRealization, mu: Exponents) -> list:
+    """eps_0 x^mu of a partition mu (padded with zeros to length n), in closed form.
+
+    eps_0 x^mu = (prod_i [m_i]_q! / [n]_q!) P_mu(x_1..x_n; t = q), m_i the
+    number of parts of mu equal to i, zeros counted.  P_mu is the
+    Hall-Littlewood polynomial, sum over semistandard tableaux T of shape mu
+    of psi_T(q) x^T (Macdonald, Symmetric Functions and Hall Polynomials,
+    2nd ed., III (5.11')).  The coefficient of x^beta depends only on the
+    sorted beta, so it is computed once per dominant weight (hl_coefficient)
+    and every rearrangement of that weight gets the one scalar object.
+    tests/test_epsilon.py checks it against the T^{-1} recursion.
+    """
+    ring = M.ring
+    norm = eps0_normalizer(ring, mu)
+    shape = tuple(a for a in mu if a)
+    psi_factors = [ring.one - ring.q_power(m) for m in range(len(shape) + 1)]
+    out = []
+    # every lam <= mu in dominance has a tableau of shape mu and weight lam
+    for lam in partitions_dominated_by(mu):
+        c = norm * hl_coefficient(ring, shape, lam, psi_factors)
+        if not c.is_zero():
+            c = M._pooled(c)
+            out.extend((beta, c) for beta in rearrangements(lam))
+    return out
+
+
+def eps0_normalizer(ring, mu: Exponents):
+    """prod_i [m_i]_q! / [n]_q!, m_i the multiplicity of i in mu, zeros counted."""
+    num = den = ring.one
+    for m in Counter(mu).values():
+        for r in range(2, m + 1):
+            num = num * ring.q_integer(r)
+    for r in range(2, len(mu) + 1):
+        den = den * ring.q_integer(r)
+    return num / den
+
+
+def partitions_dominated_by(mu: Exponents) -> list[Exponents]:
+    """Weakly decreasing lam of len(mu) parts and |mu| boxes with lam <= mu in dominance."""
+    out: list[Exponents] = []
+    total = sum(mu)
+    bounds = [sum(mu[: i + 1]) for i in range(len(mu))]
+
+    def rec(prefix: tuple, room: int, top: int) -> None:
+        i = len(prefix)
+        if i == len(mu):
+            if not room:
+                out.append(prefix)
+            return
+        for a in range(min(top, room), -1, -1):
+            if total - room + a <= bounds[i] and a * (len(mu) - i) >= room:
+                rec(prefix + (a,), room - a, a)
+
+    rec((), total, total)
+    return out
+
+
+def hl_coefficient(ring, shape: Exponents, lam: Exponents, psi_factors: list):
+    """sum of psi_T(q) over the semistandard tableaux T of shape and weight lam.
+
+    A dynamic program over the chains of partitions 0 = nu_0 < nu_1 < .. <
+    nu_len(lam) = shape, each nu_i / nu_(i-1) a horizontal strip of lam_i
+    boxes; psi_factors[m] is 1 - q^m.
+    """
+    states = {(0,) * len(shape): ring.one}
+    for size in lam:
+        nxt: dict = {}
+        for nu, acc in states.items():
+            for kappa in horizontal_strips(nu, shape, size):
+                val = times_strip_psi(acc, nu, kappa, psi_factors)
+                cur = nxt.get(kappa)
+                nxt[kappa] = val if cur is None else cur + val
+        states = nxt
+    return states[shape]
+
+
+def times_strip_psi(val, nu: Exponents, kappa: Exponents, psi_factors: list):
+    """val times psi of the horizontal strip kappa/nu: the product of
+    (1 - q^(m_j(nu))) over the columns j >= 1 that the strip misses while it
+    fills column j+1."""
+    cols = {c for a, b in zip(nu, kappa) for c in range(a + 1, b + 1)}
+    for c in cols:
+        if c > 1 and c - 1 not in cols:
+            val = val * psi_factors[nu.count(c - 1)]
+    return val
+
+
+def horizontal_strips(nu: Exponents, shape: Exponents, size: int) -> list[Exponents]:
+    """The kappa inside shape with kappa / nu a horizontal strip of size boxes."""
+    out: list[Exponents] = []
+
+    def rec(i: int, prefix: tuple, room: int) -> None:
+        if i == len(nu):
+            if not room:
+                out.append(prefix)
+            return
+        top = shape[i] if i == 0 else min(shape[i], nu[i - 1])
+        for b in range(nu[i], min(top, nu[i] + room) + 1):
+            rec(i + 1, prefix + (b,), room - (b - nu[i]))
+
+    rec(0, (), size)
+    return out
+
+
+def rearrangements(lam: Exponents) -> list[Exponents]:
+    """The distinct permutations of lam, in lexicographic order (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a = sorted(lam)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+        out.append(tuple(a))
 
 
 def tinv_chain_sum(M: KeyedRealization, v, a: int):

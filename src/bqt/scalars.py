@@ -741,12 +741,32 @@ def _parse_factor(toks: _Tokens) -> QtScalar:
         e = toks.next()
         if not e.isdigit():
             raise ValueError("exponent must be a nonnegative integer")
-        k = int(e)
-        out = ONE
-        for _ in range(k):
-            out = out * base
-        return out
+        return _power(base, int(e))
     return base
+
+
+# The largest result a power in scalar text may have: (k*dq + 1)(k*dt + 1)
+# terms of k*b bits for base^k, where dq, dt and b are the largest q-degree,
+# t-degree and coefficient bit length of the base's numerator and denominator.
+MAX_POWER_BITS = 1 << 20
+
+
+def _power(base: QtScalar, k: int) -> QtScalar:
+    """base^k by repeated squaring; ValueError when the result passes MAX_POWER_BITS."""
+    terms = [*base.num.terms.items(), *base.den.terms.items()]
+    dq = max(e[0] for e, _ in terms)
+    dt = max(e[1] for e, _ in terms)
+    b = max(abs(c).bit_length() for _, c in terms)
+    if (k * dq + 1) * (k * dt + 1) * k * b > MAX_POWER_BITS:
+        raise ValueError(f"power ^{k} of a base of degree ({dq}, {dt}) passes the size limit")
+    out = ONE
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 def _parse_base(toks: _Tokens) -> QtScalar:

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -269,6 +270,20 @@ def test_act_rejects_vector_of_another_module(capsys, tmp_path, module_args, pay
 
 
 CHECK_POLY2 = ["--module", "poly", "--n", "2"]
+
+
+@pytest.mark.parametrize("text", ["q^99999999", "q^1000000", "(1 + q + t)^101"])
+def test_a_power_past_the_size_limit_exits_2_within_a_second(capsys, tmp_path, text):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps(POLY2))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "act", *CHECK_POLY2, "--word", json.dumps([["Scalar", text]]),
+                         "--in", str(vec))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: power ^") and "passes the size limit" in err
+    assert "Traceback" not in err
 
 
 # scalar text the parser rejects, and the message of each error branch

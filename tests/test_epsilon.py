@@ -9,9 +9,16 @@ vectors.  The two are compared on every basis key of small polynomial,
 induced and seed modules, for every k, and on random multi-key vectors,
 over Q(q,t) and over a prime field.
 
-Two test-only mutants of the stage path are kept with the checks that kill
-them: a stage normalized by [n-j+1]_q instead of [n-j]_q, and a head shift
-that lands one exponent to the right.
+Stage 0 of a partition key on the polynomial module is not the recursion
+but the Hall-Littlewood closed form (bqt.polyrep.eps0_partition); it is
+compared with the recursion on every partition key up to rank 7 and
+degree 6, the largest flavor-0 cells the stable limits reach.
+
+Four test-only mutants are kept with the checks that kill them: a stage
+normalized by [n-j+1]_q instead of [n-j]_q, a head shift that lands one
+exponent to the right, and two faults of the closed form: psi reading the
+multiplicities of the outer partition of a strip instead of the inner one,
+and a normalizer without [m_0]_q!.
 """
 
 from functools import lru_cache
@@ -25,7 +32,8 @@ from bqt.errors import InconsistentFlavors, IndexOutOfRange
 from bqt.induced import InducedRealization
 from bqt.keyed import ti_entry, tinv_entry
 from bqt.limits import CompatSeqSpec, limit_component
-from bqt.polyrep import PolyRealization, apply_epsilon, eps_stage
+from bqt.polyrep import (PolyRealization, apply_epsilon, eps0_partition, eps_stage,
+                         monomials_of_degree)
 from bqt.relations import all_passed, check_aux_identities, check_bqt_relations
 from bqt.scalars import QT, ModPField, parse_scalar
 from bqt.tableaux import SeedRealization
@@ -88,6 +96,52 @@ def test_every_induced_key_matches_the_recursion(lam, n, ring_name):
 def test_every_seed_key_matches_the_recursion(lam, n, ring_name):
     M = SeedRealization(lam, n, RINGS[ring_name])
     assert_table_matches_oracle(M, M.basis(0))
+
+
+def partition_keys(n: int, d_max: int) -> list:
+    """The weakly decreasing exponent vectors of rank n and degree <= d_max."""
+    return [e for d in range(d_max + 1) for e in monomials_of_degree(n, d)
+            if all(a >= b for a, b in zip(e, e[1:]))]
+
+
+def builders(M) -> set:
+    return {b for b, _, _ in M._memo}
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_closed_form_matches_the_recursion_on_every_partition_key(n, ring_name):
+    ring = RINGS[ring_name]
+    M, oracle = PolyRealization(n, ring), PolyRealization(n, ring)
+    keys = partition_keys(n, 6)
+    # the partitions of 0..6 with at most n parts
+    assert len(keys) == [7, 16, 23, 27, 29, 30, 30][n - 1]
+    for key in keys:
+        v = M._vec({key: ring.one})
+        assert_same(apply_epsilon(M, v, 0), oracle_all_k(oracle, v)[0])
+    # no T^{-1} chain ran: every entry is a stage-0 closed form
+    assert builders(M) == {eps_stage}
+
+
+def test_only_a_partition_key_on_the_genuine_module_takes_the_closed_form():
+    one = QT.one
+    M = PolyRealization(4)
+    M._table(eps_stage, 0, (2, 1, 1, 0))
+    assert builders(M) == {eps_stage}
+    # a key that is not weakly decreasing, and the q-1 negative control, take
+    # the T^{-1} recursion and still match the oracle
+    cases = [((1, 2, 0, 1), "1-q"), ((0, 1, 1, 2), "1-q"), ((2, 1, 1, 0), "q-1"),
+             ((1, 0, 0, 0), "q-1")]
+    for key, coefficient in cases:
+        M = PolyRealization(4, demazure_coefficient=coefficient)
+        oracle = PolyRealization(4, demazure_coefficient=coefficient)
+        v = M._vec({key: one})
+        got = apply_epsilon(M, v, 0)
+        assert tinv_entry in builders(M)
+        assert_same(got, oracle_all_k(oracle, v)[0])
+        if coefficient == "q-1":
+            # which is why the closed form is kept off that module
+            assert M._vec(dict(eps0_partition(M, key))) != got
 
 
 # (kind, shape, rank, largest degree of the random vectors)
@@ -184,7 +238,9 @@ def _stage_normalized_by_n_minus_j_plus_1(M, j, key):
 
     The builder reads its inner stage through the one memo under the patched
     builder, so rescaling its image by [n-j]_q / [n-j+1]_q changes the
-    normalizer of every stage and nothing else.
+    normalizer of every recursive stage and nothing else.  Stage 0 of a
+    partition key is the closed form, which reads no inner stage, so it is
+    rescaled once while stage 0 of any other key is rescaled once per stage.
     """
     n, ring = M.n, M.ring
     image = eps_stage(M, j, key)
@@ -228,10 +284,12 @@ def test_wrong_stage_normalizer_is_killed_by_the_oracle_and_the_aux_suite(
     M = PolyRealization(3)
     with pytest.raises(AssertionError):
         assert_table_matches_oracle(M, basis_up_to(M, 1))
-    # each eps_k comes out a nonzero scalar times the true one, which the
-    # idempotent laws and the d_- closed form (a sum that eps_{k-1} fixes) see
+    # each eps_k of a key comes out a nonzero scalar times the true one, which
+    # the idempotent laws and the d_- closed form (a sum that eps_{k-1} fixes)
+    # see; the scalar of eps_0 differs between a partition key and its
+    # rearrangements, so eps_0 T_i = eps_0 fails as well
     assert failing_ids(check_aux_identities(PolyRealization(3), 2)) == {
-        "aux_eps_idempotent", "aux_eps_product", "aux_dminus_closed_form",
+        "aux_eps_idempotent", "aux_eps_product", "aux_eps_absorbs_T", "aux_dminus_closed_form",
     }
     # equivalent for the flavored suite and the stable limits: a spanning
     # vector rescaled by a nonzero scalar spans the same flavored space
@@ -255,3 +313,52 @@ def test_head_shift_off_by_one_is_killed_by_the_oracle_and_every_suite(head_shif
     # vectors of the flavor-2 degree-3 cell have mixed degrees
     with pytest.raises(InconsistentFlavors):
         limit_component(CompatSeqSpec("polynomial"), 2, 3)
+
+
+# -- mutants of the stage-0 closed form ----------------------------------------
+
+
+def _times_strip_psi_of_the_outer_partition(val, nu, kappa, psi_factors):
+    """times_strip_psi reading m_j(kappa), the outer partition, not m_j(nu)."""
+    cols = {c for a, b in zip(nu, kappa) for c in range(a + 1, b + 1)}
+    for c in cols:
+        if c > 1 and c - 1 not in cols:
+            val = val * psi_factors[kappa.count(c - 1)]
+    return val
+
+
+_eps0_normalizer = bqt.polyrep.eps0_normalizer
+
+
+def _normalizer_without_m0_factorial(ring, mu):
+    """eps0_normalizer with [m_0]_q! missing, m_0 the number of zero parts."""
+    norm = _eps0_normalizer(ring, mu)
+    for r in range(2, mu.count(0) + 1):
+        norm = norm / ring.q_integer(r)
+    return norm
+
+
+@pytest.fixture(params=["psi_of_outer_partition", "normalizer_without_m0"])
+def closed_form_mutant(request, monkeypatch):
+    if request.param == "psi_of_outer_partition":
+        monkeypatch.setattr(bqt.polyrep, "times_strip_psi",
+                            _times_strip_psi_of_the_outer_partition)
+    else:
+        monkeypatch.setattr(bqt.polyrep, "eps0_normalizer", _normalizer_without_m0_factorial)
+
+
+def test_a_closed_form_mutant_is_killed_by_the_oracle_and_the_aux_suite(closed_form_mutant):
+    M = PolyRealization(3)
+    with pytest.raises(AssertionError):
+        assert_table_matches_oracle(M, basis_up_to(M, 2))
+    # eps_0 of a partition key changes while eps_0 of its rearrangements
+    # (the recursion) does not, which eps_0 T_i = eps_0 and eps_0^2 = eps_0 see
+    assert failing_ids(check_aux_identities(PolyRealization(3), 2)) == {
+        "aux_eps_idempotent", "aux_eps_absorbs_T", "aux_dminus_closed_form",
+    }
+    # equivalent for the flavored suite and the stable limits: the mutant
+    # eps_0 x^mu is still a symmetric polynomial with leading monomial
+    # class mu, so the flavor-0 spanning vectors span the same space
+    assert all_passed(check_bqt_relations(PolyRealization(3), 3, 3))
+    seq = CompatSeqSpec("polynomial")
+    assert [limit_component(seq, 0, d).dim for d in range(5)] == [1, 1, 2, 3, 5]

@@ -6,6 +6,7 @@ drives the random-algebra properties.
 
 import functools
 import random
+import time
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from bqt.scalars import (
     QT,
     T,
     ZERO,
+    MAX_POWER_BITS,
     IntPoly2,
     ModPField,
     QtScalar,
@@ -411,6 +413,36 @@ def test_add_examples():
     assert parse_scalar("1/(q-1)") * parse_scalar("(q-1)") == ONE
     with pytest.raises(DivisionByZero):
         ONE / ZERO
+
+
+@pytest.mark.parametrize("base, k", [("q", 200), ("1 + q", 20), ("(q - t)/(1 - q*t)", 7),
+                                     ("2", 65), ("0", 3), ("q", 0)])
+def test_a_power_by_squaring_equals_repeated_multiplication(base, k):
+    b, want = parse_scalar(base), ONE
+    for _ in range(k):
+        want = want * b
+    got = parse_scalar(f"({base})^{k}")
+    assert got == want and str(got) == str(want)
+
+
+@pytest.mark.parametrize("text", ["q^99999999", "q^1000000", "2^600000", "(1 + q + t)^101",
+                                  "(q^2 - t)^99999999/(1 - q*t)"])
+def test_a_power_past_the_size_limit_is_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="passes the size limit"):
+        parse_scalar(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_power_at_the_size_limit_parses():
+    # (k*dq + 1)(k*dt + 1) k b for base^k: the largest k on each side of MAX_POWER_BITS
+    assert MAX_POWER_BITS == 1 << 20
+    assert parse_scalar("q^1023") == QT.q_power(1023)
+    with pytest.raises(ValueError):
+        parse_scalar("q^1024")
+    assert parse_scalar("(1 + q + t)^100").num.terms[(50, 50)] > 0
+    with pytest.raises(ValueError):
+        parse_scalar("(1 + q + t)^101")
 
 
 @given(scalars(), scalars(), scalars())
