@@ -11,16 +11,17 @@ KeyedRealization is the generator engine over such a basis.  A realization
 supplies the T_i and pi images of one key, _ti_image(i, key) and
 _pi_image(key), and the head split below; the engine checks indices,
 defines apply_Ti, apply_Ti_inv and apply_pi once for every realization, and
-keeps every per-key image in one memo keyed by (builder, argument, key).
-_table(build, arg, key) runs build(M, arg, key) the first time a key is
-read and returns the stored entry after that, so table builds and hits
-pass one seam.  The builders are module-level functions, never made per
-call: ti_entry and pi_entry read the realization's images, tinv_entry
-derives T_i^{-1} = q^{-1}(T_i + (q-1)) from the quadratic relation,
-derived_entry is the one adapter of an operator defined on whole vectors,
-and bqt.polyrep.eps_stage builds an eps_k stage (by the T^{-1} recursion,
-or for stage 0 of a partition key on the polynomial module by the
-Hall-Littlewood closed form, whose entries are leaves no stage reads).
+keeps every per-key image in one memo keyed by (builder, argument, key),
+the argument an int or None.  _table(build, arg, key) runs build(M, arg,
+key) the first time a key is read and returns the stored entry after that,
+so table builds and hits pass one seam; apply_entries(v, build, arg) is its
+linear extension.  The builders are module-level functions, made once at
+import and never per call: ti_entry and pi_entry read the realization's
+images, tinv_entry derives T_i^{-1} = q^{-1}(T_i + (q-1)) from the
+quadratic relation, and bqt.polyrep.eps_stage builds an eps_k stage (by the
+T^{-1} recursion, or for stage 0 of a partition key on the polynomial
+module by the Hall-Littlewood closed form, whose entries are leaves no
+stage reads).
 A T_i^{-1} entry multiplies nothing once its scalars are known: c q^{-1} is
 formed once per pooled T_i-image scalar c, and (q-1) q^{-1} once per
 realization.
@@ -29,17 +30,19 @@ and group_sums sums each group by the ring's lincomb, so each output
 coefficient is reduced once.  The relation suites call the same halves to
 gather the images of several vectors into shared groups (bqt.relations).
 
-apply_derived(v, op, arg) takes op(M, w, arg), the operator's definition on
-whole vectors; derived_entry builds the image of a key the first time it
-is needed by running op on the key's basis vector, and every later
-application reads that image.  Each such operator is linear on the whole
-module, so the linear extension is exact.  The operators tabled this way
-are Cherednik's
+derived(op) makes the builder of an operator given as op(M, w, arg), its
+definition on whole vectors: the entry of a key is op on the key's basis
+vector, built the first time it is needed, and every later application
+reads it.  Each such operator is linear on the whole module, so the linear
+extension is exact.  derived is called once per operator, so an operator
+has one builder and its entries are keyed like the generators'.  The
+operators tabled this way are Cherednik's
 
     Y_i = q^(n-i+1) T_{i-1}..T_1 pi T_{n-1}^{-1}..T_i^{-1}
 
-(bqt.polyrep) and the flavored z_i, d_+, d_- and phi (bqt.lspaces), whose
-entry builder checks the commutator against the closed form.
+(bqt.polyrep) and the flavored d_+, d_- and phi (bqt.lspaces), whose
+entry builder checks the commutator against the closed form.  z_i =
+Y_i/(qt) has no table of its own: it reads the Y_i table.
 
 eps_k is tabled by stages rather than by whole images.  A realization
 also supplies the head of a key, _head(key, k): its first k exponents
@@ -229,10 +232,10 @@ class SparseVec:
 class KeyedRealization:
     """Generator tables per basis key, shared by every module realization.
 
-    Subclasses set vector_type and implement what depends on the key:
-    _ti_image(i, key) and _pi_image(key), the T_i and pi images of one key
-    as (key, scalar) pairs, contains_key(key), and the head split
-    _head(key, k) and _join_head(head, key).
+    Subclasses set kind and vector_type and implement what depends on the
+    key: _ti_image(i, key) and _pi_image(key), the T_i and pi images of one
+    key as (key, scalar) pairs, contains_key(key), the head split
+    _head(key, k) and _join_head(head, key), basis(degree) and descriptor().
     """
 
     vector_type: type
@@ -280,14 +283,21 @@ class KeyedRealization:
             hit = self._memo[(build, arg, key)] = self._interned(build(self, arg, key))
         return hit
 
+    def apply_entries(self, v, build, arg):
+        """The linear extension of build's table at arg: build(self, arg, key) per key of v.
+
+        Callers check arg before the call, so a bad argument stores nothing.
+        """
+        return self._apply_table(v, self._table, build, arg)
+
     def apply_Ti(self, v, i: int):
-        return self._apply_table(v, self._table, ti_entry, self._t_index(i))
+        return self.apply_entries(v, ti_entry, self._t_index(i))
 
     def apply_Ti_inv(self, v, i: int):
-        return self._apply_table(v, self._table, tinv_entry, self._t_index(i))
+        return self.apply_entries(v, tinv_entry, self._t_index(i))
 
     def apply_pi(self, v):
-        return self._apply_table(v, self._table, pi_entry, None)
+        return self.apply_entries(v, pi_entry, None)
 
     def apply_Xi(self, v, i: int):
         """x_i v: exponent i of every key raised by one."""
@@ -298,13 +308,6 @@ class KeyedRealization:
             head = self._head(key, i)
             out[self._join_head(head[:-1] + (head[-1] + 1,), key)] = c
         return self._vec(out)
-
-    def apply_derived(self, v, op, arg):
-        """op(self, v, arg) for a linear op, by linear extension of its per-key images.
-
-        Callers check arg before the call, so a bad argument stores nothing.
-        """
-        return self._apply_table(v, self._table, derived_entry, (op, arg))
 
     def _apply_table(self, v, table, *args):
         """Linear extension of a per-key table: table(*args, key) per key of v.
@@ -356,8 +359,8 @@ class KeyedRealization:
 
 
 # The builders of the one memo, each build(M, arg, key) -> one key's image
-# pairs.  They are module-level functions, never made per call, so equal
-# arguments find the same entry.
+# pairs.  They are made once, at import, never per call, so equal arguments
+# find the same entry.
 
 
 def ti_entry(M, i: int, key):
@@ -381,8 +384,11 @@ def pi_entry(M, _, key):
     return M._pi_image(key)
 
 
-def derived_entry(M, op_arg: tuple, key):
-    """op(M, basis vector of key, arg) for op_arg = (op, arg): the one adapter of
-    an operator defined on whole vectors."""
-    op, arg = op_arg
-    return op(M, M._vec({key: M.ring.one}), arg).coeffs.items()
+def derived(op):
+    """The builder of a linear operator op(M, w, arg) defined on whole vectors:
+    its entry of a key is op on the key's basis vector."""
+
+    def entry(M, arg, key):
+        return op(M, M._vec({key: M.ring.one}), arg).coeffs.items()
+
+    return entry

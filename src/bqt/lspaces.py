@@ -16,20 +16,24 @@ The degree-raising endomorphism phi is computed as the commutator
 [d_plus, d_minus]/(q-1) and cross-checked against its closed form
 q^{k-1} X_1 T_1^{-1} .. T_{k-1}^{-1}; disagreement raises.
 
-z_i, d_plus, d_minus and phi are linear maps on the whole module, so each
-is applied through the realization's one memo (see bqt.keyed): z_chain,
-dplus_chain, dminus_chain and phi_chain give an operator on whole vectors,
-and the memo's derived_entry adapter runs it once per basis key and
-argument.  phi's closed form is dplus_chain at k-1, so it reads the same
-entries.  phi_chain makes the cross-check, once per basis key and flavor,
-when that key's entry is built.  Both sides are linear, so agreement on
-every key of a vector implies agreement on the vector; the check per key
-is at least as strict as one per vector, and no cancellation inside a
-vector can hide a disagreement.  Every public operator checks its index
-or flavor before it reaches a table, so a bad argument stores nothing.
-Each letter of the flavored alphabet names the per-key table it applies
-to a vector of a given flavor, after the same check (bqt.relations reads
-it for the leftmost letter of a word).
+d_plus, d_minus and phi are linear maps on the whole module, so each is
+applied through the realization's one memo (see bqt.keyed): dplus_chain,
+dminus_chain and phi_chain give an operator on whole vectors, and their
+builders dplus_entry, dminus_entry and phi_entry, each made once by
+keyed.derived, run it once per basis key and flavor.  z_i has no table of
+its own: z_action is apply_Y scaled by z_factor = (qt)^{-1}, and the z
+letter reads the Y_i table itself, with that factor on the term that
+applies it rather than on each entry.  phi's closed form is dplus_chain at
+k-1, so it reads the same entries.  phi keeps its own table because
+phi_chain makes the cross-check, once per basis key and flavor, when that
+key's entry is built.  Both sides are linear, so agreement on every key of
+a vector implies agreement on the vector; the check per key is at least as
+strict as one per vector, and no cancellation inside a vector can hide a
+disagreement.  Every public operator checks its index or flavor before
+it reaches a table, so a bad argument stores nothing.  Each letter of the
+flavored alphabet names the per-key table it applies to a vector of a
+given flavor, after the same check (bqt.relations reads it for the
+leftmost letter of a word).
 
 eps_k reads the stage entries of the same memo (bqt.polyrep.eps_stage): basis
 monomials that differ only in their first k exponents share one stage
@@ -57,8 +61,9 @@ from .errors import (
     InternalCheckFailed,
 )
 from .linalg import RowBasis
-from .keyed import derived_entry, ti_entry, tinv_entry
+from .keyed import derived, ti_entry, tinv_entry
 from .polyrep import Letter, apply_Y, apply_epsilon, apply_x1_tinv_chain, tinv_chain_sum
+from .polyrep import _y_index, y_entry
 
 
 class LVector:
@@ -252,10 +257,9 @@ def t_action(M, lv: LVector, i: int) -> LVector:
     return LVector(lv.k, M.apply_Ti(lv.payload, _t_index(lv, i)))
 
 
-def z_chain(M, v, i: int):
-    """Y_i v / (qt), through the Y_i table."""
-    ring = M.ring
-    return apply_Y(M, v, i).scale(ring.q_power(-1) * ring.t_power(-1))
+def z_factor(ring):
+    """(qt)^{-1}: z_i is the Y_i table's image times this scalar."""
+    return ring.q_power(-1) * ring.t_power(-1)
 
 
 def dplus_chain(M, v, k: int):
@@ -279,16 +283,22 @@ def phi_chain(M, v, k: int):
     return closed.payload
 
 
+dplus_entry = derived(dplus_chain)
+dminus_entry = derived(dminus_chain)
+phi_entry = derived(phi_chain)
+
+
 def z_action(M, lv: LVector, i: int) -> LVector:
-    return LVector(lv.k, M.apply_derived(lv.payload, z_chain, _z_index(lv, i)))
+    """z_i = Y_i/(qt) on a flavor-k vector (1 <= i <= k)."""
+    return LVector(lv.k, apply_Y(M, lv.payload, _z_index(lv, i)).scale(z_factor(M.ring)))
 
 
 def d_plus(M, lv: LVector) -> LVector:
-    return LVector(lv.k + 1, M.apply_derived(lv.payload, dplus_chain, _raised(M, lv)))
+    return LVector(lv.k + 1, M.apply_entries(lv.payload, dplus_entry, _raised(M, lv)))
 
 
 def d_minus(M, lv: LVector) -> LVector:
-    return LVector(lv.k - 1, M.apply_derived(lv.payload, dminus_chain, _lowered(lv)))
+    return LVector(lv.k - 1, M.apply_entries(lv.payload, dminus_entry, _lowered(lv)))
 
 
 def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
@@ -297,18 +307,19 @@ def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
     k = lv.k
     comm = d_plus(M, d_minus(M, lv)).sub(d_minus(M, d_plus(M, lv)))
     comm = comm.scale(ring.one / (ring.q - ring.one))
-    return comm, LVector(k, M.apply_derived(lv.payload, dplus_chain, k - 1))
+    return comm, LVector(k, M.apply_entries(lv.payload, dplus_entry, k - 1))
 
 
 def phi_action(M, lv: LVector) -> LVector:
     """[d_plus, d_minus]/(q-1), through the per-key table of phi_chain."""
-    return LVector(lv.k, M.apply_derived(lv.payload, phi_chain, _phi_flavor(M, lv)))
+    return LVector(lv.k, M.apply_entries(lv.payload, phi_entry, _phi_flavor(M, lv)))
 
 
 # the flavored alphabet: d_plus raises flavor and degree, d_minus lowers the
 # flavor, phi raises the degree; the degree-raising letters need rank >= k+1.
 # A letter's table depends on the flavor of the vector it acts on, so
 # table(M, lv, *args) reads lv.k, after the same check as the letter's act.
+# z reads the Y_i table, its act being that image times z_factor.
 
 FLAVORED_ALPHABET = {
     "T": Letter(1, lambda M, lv, i: t_action(M, lv, i),
@@ -319,20 +330,21 @@ FLAVORED_ALPHABET = {
     ),
     "z": Letter(
         1, lambda M, lv, i: z_action(M, lv, i),
-        table=lambda M, lv, i: partial(M._table, derived_entry, (z_chain, _z_index(lv, i))),
+        table=lambda M, lv, i: partial(M._table, y_entry, _y_index(M, _z_index(lv, i))),
+        factor=z_factor,
     ),
     "dplus": Letter(
         0, lambda M, lv: d_plus(M, lv), flavor_shift=1, degree_shift=1,
-        table=lambda M, lv: partial(M._table, derived_entry, (dplus_chain, _raised(M, lv))),
+        table=lambda M, lv: partial(M._table, dplus_entry, _raised(M, lv)),
     ),
     "dminus": Letter(
         0, lambda M, lv: d_minus(M, lv), flavor_shift=-1,
-        table=lambda M, lv: partial(M._table, derived_entry, (dminus_chain, _lowered(lv))),
+        table=lambda M, lv: partial(M._table, dminus_entry, _lowered(lv)),
     ),
     "phi": Letter(
         0, lambda M, lv: phi_action(M, lv), degree_shift=1,
-        table=lambda M, lv: partial(M._table, derived_entry, (phi_chain, _phi_flavor(M, lv))),
+        table=lambda M, lv: partial(M._table, phi_entry, _phi_flavor(M, lv)),
     ),
     "Scalar": Letter(1, lambda M, lv, c: lv.scale(c)),
 }
-DPLUS = ("dplus",)
+DPLUS, DMINUS, PHI = ("dplus",), ("dminus",), ("phi",)

@@ -17,10 +17,11 @@ carried out.  pi of x^e is the one monomial t^(e_n) x^(e_n, e_1, ..,
 e_{n-1}).
 
 Everything above the primitives is generic over any realization exposing
-the same surface: Y_i (read from the realization's memo, whose adapter
-runs y_chain on first use), the partial symmetrizers eps_k, the affine
-intertwiner word X_1 T_1^{-1} ... and formal generator words applied right
-to left.
+the same surface: Y_i (read from the realization's memo, whose builder
+y_entry = derived(y_chain) runs the generator chain on first use; the
+flavored z_i of bqt.lspaces reads the same entries), the partial
+symmetrizers eps_k, the affine intertwiner word X_1 T_1^{-1} ... and formal
+generator words applied right to left.
 
 eps_k is the telescoping right-to-left recursion, not the factorial-size
 coset sum, run once per stage and tail.  Stage j, eps_stage(M, j, key), is
@@ -43,11 +44,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import IndexOutOfRange, UnsupportedOperation
 from .keyed import KeyedRealization, SparseVec, accumulate, coeffs_from_entries, strict_int
-from .keyed import derived_entry, pi_entry, ti_entry, tinv_entry
+from .keyed import derived, pi_entry, ti_entry, tinv_entry
 from .scalars import QT, parse_scalar
 
 Exponents = tuple[int, ...]
@@ -126,22 +127,6 @@ class PolyVector(SparseVec):
     def from_obj(cls, obj: dict) -> "PolyVector":
         n = strict_int(obj["rank"], "rank")
         return cls(n, coeffs_from_entries(obj["entries"], lambda e: tuple(e["exponents"])))
-
-
-class ModuleRealization(Protocol):
-    """What a realization supplies to KeyedRealization, which owns the rest:
-    the tables, the generator and derived actions, X_i and eps_k."""
-
-    kind: str
-    vector_type: type
-
-    def descriptor(self) -> dict: ...
-    def basis(self, degree: int) -> list: ...
-    def contains_key(self, key) -> bool: ...
-    def _ti_image(self, i: int, key) -> tuple: ...
-    def _pi_image(self, key) -> tuple: ...
-    def _head(self, key, k: int) -> tuple: ...
-    def _join_head(self, head: tuple, key): ...
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +258,9 @@ def y_chain(M: KeyedRealization, v, i: int):
     return w.scale(M.ring.q_power(M.n - i + 1))
 
 
+y_entry = derived(y_chain)
+
+
 def _y_index(M: KeyedRealization, i: int) -> int:
     if not 1 <= i <= M.n:
         raise IndexOutOfRange(f"Y index {i} outside 1..{M.n}")
@@ -281,7 +269,7 @@ def _y_index(M: KeyedRealization, i: int) -> int:
 
 def apply_Y(M: KeyedRealization, v, i: int):
     """Y_i, through the per-key table of y_chain."""
-    return M.apply_derived(v, y_chain, _y_index(M, i))
+    return M.apply_entries(v, y_entry, _y_index(M, i))
 
 
 def apply_epsilon(M: KeyedRealization, v, k: int):
@@ -478,7 +466,8 @@ def apply_pi_tilde(M: KeyedRealization, v):
 # letter that reads a per-key table of a keyed realization, table(M, w, *args):
 # the image function key -> ((key', scalar), ...) of the table it applies to
 # the vector w, after the same index check as act.  Where table is None the
-# letter has no per-key table and only act applies it.
+# letter has no per-key table and only act applies it.  A letter whose act is
+# its table's image times a scalar gives factor(ring), that scalar.
 
 
 class Letter(NamedTuple):
@@ -487,6 +476,7 @@ class Letter(NamedTuple):
     flavor_shift: int = 0
     degree_shift: int = 0
     table: Callable | None = None
+    factor: Callable | None = None
 
 
 WORD_ALPHABET = {
@@ -496,13 +486,14 @@ WORD_ALPHABET = {
                    table=lambda M, w, i: partial(M._table, tinv_entry, M._t_index(i))),
     "X": Letter(1, lambda M, w, i: M.apply_Xi(w, i)),
     "Y": Letter(1, lambda M, w, i: apply_Y(M, w, i),
-                table=lambda M, w, i: partial(M._table, derived_entry, (y_chain, _y_index(M, i)))),
+                table=lambda M, w, i: partial(M._table, y_entry, _y_index(M, i))),
     "Eps": Letter(1, lambda M, w, k: apply_epsilon(M, w, k)),
     "Pi": Letter(0, lambda M, w: M.apply_pi(w),
                  table=lambda M, w: partial(M._table, pi_entry, None)),
     "PiTilde": Letter(0, lambda M, w: apply_pi_tilde(M, w)),
     "Scalar": Letter(1, lambda M, w, c: w.scale(c)),
 }
+PI, PITILDE = ("Pi",), ("PiTilde",)
 
 
 def letter(alphabet: dict, sym: tuple) -> Letter:

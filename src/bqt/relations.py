@@ -12,12 +12,15 @@ alphabet, bqt over the flavored one) decide each case by one fused zero
 residual: the leftmost letter of every word is read from its per-key table,
 a flavored one after the flavor and index check its action makes, and the
 pairs of both sides, the right side negated, are summed once per output
-key.  The case holds exactly when every sum is zero, and a zero sum is
-found before any gcd.  Only a case that fails, or raises, is evaluated
-again side by side, so its counterexample and error report are those of
-the two sides.  The tower suite compares the two sides' normalized
-towers: applying a word to a tower checks the compatibility of the output
-tower, which a fused residual would skip.
+key.  A letter whose table is another operator's carries the scalar
+between the two as its factor: z_i reads the Y_i table, and (qt)^{-1} is
+folded into the coefficient of each term that z_i leads, one multiply per
+term and none per pair.  The case holds exactly when every sum is zero,
+and a zero sum is found before any gcd.  Only a case that fails, or
+raises, is evaluated again side by side, so its counterexample and error
+report are those of the two sides.  The tower suite compares the two
+sides' normalized towers: applying a word to a tower checks the
+compatibility of the output tower, which a fused residual would skip.
 
 Every check applies operators through apply_word, the one word interpreter:
 the catalogs' words, the closed forms' chains, the theta word (through
@@ -48,8 +51,9 @@ from .limits import (
     DEFAULT_N_CAP, DEFAULT_WINDOW, CompatSeqSpec, apply_tower_word, limit_component,
     widen_for_words,
 )
-from .lspaces import FLAVORED_ALPHABET, LVector, d_minus, lk_spanning_set, phi_sides
-from .polyrep import WORD_ALPHABET, PolyRealization, apply_word, letter
+from .lspaces import DMINUS, DPLUS, FLAVORED_ALPHABET, PHI, LVector, d_minus, lk_spanning_set
+from .lspaces import phi_sides
+from .polyrep import PI, PITILDE, WORD_ALPHABET, PolyRealization, apply_word, letter
 from .polyrep import apply_epsilon  # noqa: F401  (re-exported; perfbench's tracer wraps it)
 from .scalars import QT, ModPField
 from .tableaux import SeedRealization, check_shape, kappa_connect, theta_scalar
@@ -198,12 +202,13 @@ def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
 
     Each term (coeff, word) applies its word without the leftmost letter,
     scales by coeff (and by -1 on the right side), and gathers the pairs
-    (c, m) of that letter's per-key table into one group per output key.
-    A letter without a per-key table, or an empty word, is applied in full
-    and its coefficients join as (c, 1).  A zero lincomb is found before
-    any cancel or gcd, so the output coefficients of a holding case are
-    never normalized.  Over the flavored alphabet the payloads' keys are
-    summed: every term of a catalog identity lands in one flavor.
+    (c, m) of that letter's per-key table into one group per output key;
+    the letter's factor, if it has one, joins coeff.  A letter without a
+    per-key table, or an empty word, is applied in full and its
+    coefficients join as (c, 1).  A zero lincomb is found before any cancel
+    or gcd, so the output coefficients of a holding case are never
+    normalized.  Over the flavored alphabet the payloads' keys are summed:
+    every term of a catalog identity lands in one flavor.
     """
     one = M.ring.one
     groups: dict = {}
@@ -216,6 +221,8 @@ def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
                 image = head.table and head.table(M, w, *args)
                 if image is None:
                     w = head.act(M, w, *args)
+                elif head.factor:
+                    coeff = coeff * head.factor(M.ring)
             M.gather(groups, _term_coeffs(w, coeff, negate), image or (lambda key: ((key, one),)))
     return not M.group_sums(groups)
 
@@ -293,8 +300,6 @@ def _module_identity_reports(M, catalog, d_max, only, keep_empty) -> list[Relati
 # ---------------------------------------------------------------------------
 # relation families shared by the catalogs
 # ---------------------------------------------------------------------------
-
-DPLUS, DMINUS, PHI, PI, PITILDE = ("dplus",), ("dminus",), ("phi",), ("Pi",), ("PiTilde",)
 
 
 def _equal(one, label: str, lhs: tuple, rhs: tuple) -> Identity:

@@ -16,12 +16,13 @@ unit's tables are built in one process only and dropped when its task
 ends.  A single unit (what `bqt check --jobs` hands over) is split into
 one task per relation id, and the parent first warms the tables its cases
 read first, which the workers would otherwise each build again: for the
-daha suite, Y_i on every basis key of degree <= dmax; the bqt and aux
-suites warm nothing.  The warm-up is best effort: an entry that raises a
-BqtError is left for the case that reads it, which reports the error as a
-sequential run does.  A table a case reaches beyond those, such as Y on
-the raised degrees of an X-word, is built by the worker that needs it;
-warming degree dmax + 1 as well measured slower.
+daha suite, the Y_i entries (the memo's y_entry builder, read directly) of
+every basis key of degree <= dmax; the bqt and aux suites warm nothing.
+The warm-up is best effort: an entry that raises a BqtError is left for
+the case that reads it, which reports the error as a sequential run does.
+A table a case reaches beyond those, such as Y on the raised degrees of an
+X-word, is built by the worker that needs it; warming degree dmax + 1 as
+well measured slower.
 
 Workers claim tasks from one shared counter, longest first (LPT; Graham,
 SIAM J. Appl. Math. 1969).  A task's cost is read from the identity
@@ -42,7 +43,7 @@ from multiprocessing.connection import wait
 from typing import NamedTuple
 
 from .errors import BqtError
-from .polyrep import WORD_ALPHABET, letter
+from .polyrep import y_entry
 from .relations import (
     aux_identities,
     bqt_identities,
@@ -109,14 +110,12 @@ def _warm_y(M, params: dict) -> None:
     Best effort: an entry that raises a BqtError stays unbuilt, so the case
     that reads it raises it again and reports it, as in a sequential run.
     """
-    zero = M.zero()
-    tables = [letter(WORD_ALPHABET, ("Y", i)).table(M, zero, i) for i in range(1, M.n + 1)]
     for d in range(params["dmax"] + 1):
         for v in M.basis(d):
             for key in v.coeffs:
-                for table in tables:
+                for i in range(1, M.n + 1):
                     try:
-                        table(key)
+                        M._table(y_entry, i, key)
                     except BqtError:
                         pass
 

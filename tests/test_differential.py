@@ -365,6 +365,25 @@ def test_fused_bqt_verdicts_equal_the_two_sided_ones(module, ring):
     assert len(verdicts) == sum(r["vectors_checked"] for r in fused) > 0
 
 
+# cases whose fused and two-sided verdicts differ, of all cases, when the
+# fused path sums the Y_i table for z_i without z's factor (qt)^{-1}
+DROPPED_Z_FACTOR_DIFFERS = {"poly_n3": (46, 114), "murnaghan1_n3": (26, 67)}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("module", sorted(BQT_MODULES))
+def test_fused_bqt_verdicts_catch_a_dropped_z_factor(module, ring):
+    desc, k_max, d_max = BQT_MODULES[module]
+    dropped = {"z": FLAVORED_ALPHABET["z"]._replace(factor=None)}
+    with patch.dict(FLAVORED_ALPHABET, dropped):
+        with pytest.raises(AssertionError):
+            test_fused_bqt_verdicts_equal_the_two_sided_ones(module, ring)
+        verdicts = list(bqt_verdicts(make_realization(desc, RINGS[ring]), k_max, d_max))
+    assert set(verdicts) == {(True, True), (False, True)}
+    differ = sum(fused != two_sided for fused, two_sided in verdicts)
+    assert (differ, len(verdicts)) == DROPPED_Z_FACTOR_DIFFERS[module]
+
+
 @pytest.mark.parametrize("ring", sorted(RINGS))
 def test_fused_bqt_suite_under_the_sign_flip_gives_the_two_sided_counterexamples(ring):
     desc = {"module": "poly", "n": 3, "demazure_coefficient": "q-1"}

@@ -18,7 +18,10 @@ be equal exactly when the scalars are, and a repeated application must leave
 every table, the pool and the realization's attributes as they were.  Every
 per-key table of a realization is one memo keyed by (builder, argument,
 key), so an application on warm tables that adds any entry at all shows a
-builder or an argument made afresh on each call.
+builder or an argument made afresh on each call.  After the bqt suite and a
+z tower word, every memo key holds one of the module-level builders and an
+int or None, and no entry is a copy of a Y_i entry rescaled for z_i, which
+reads the Y_i table itself.
 """
 
 from functools import lru_cache
@@ -29,18 +32,23 @@ from hypothesis import strategies as st
 
 from bqt.errors import FlavorAtMax, IndexOutOfRange
 from bqt.induced import InducedRealization
-from bqt.keyed import _repeats, accumulate, derived_entry, pi_entry, ti_entry, tinv_entry
+from bqt.keyed import _repeats, accumulate, pi_entry, ti_entry, tinv_entry
+from bqt.limits import CompatSeqSpec, apply_tower_word, limit_component
 from bqt.lspaces import (
     FLAVORED_ALPHABET,
     LVector,
     d_minus,
     d_plus,
+    dminus_entry,
+    dplus_entry,
     lk_spanning_set,
+    phi_entry,
     t_action,
     z_action,
+    z_factor,
 )
-from bqt.polyrep import PolyRealization, apply_epsilon, apply_word, apply_Y, y_chain
-from bqt.relations import check_daha_relations
+from bqt.polyrep import PolyRealization, apply_epsilon, apply_word, apply_Y, eps_stage, y_entry
+from bqt.relations import all_passed, check_bqt_relations, check_daha_relations
 from bqt.scalars import QT, ModPField, parse_scalar
 from bqt.tableaux import SeedRealization
 
@@ -115,7 +123,7 @@ def fold_table(M, v, table, *args):
 @settings(max_examples=40, deadline=None)
 def test_table_application_equals_the_product_by_product_sum(case):
     M, v, i = case
-    tables = [(M._table, derived_entry, (y_chain, i)), (M._table, pi_entry, None)]
+    tables = [(M._table, y_entry, i), (M._table, pi_entry, None)]
     if i < M.n:
         tables += [(M._table, ti_entry, i), (M._table, tinv_entry, i)]
     for table, *args in tables:
@@ -128,7 +136,7 @@ def test_equal_table_scalars_are_one_object():
     for ring in RINGS.values():
         M = InducedRealization((1,), 3, ring)
         assert all(r.status == "pass" for r in check_daha_relations(M, 1))
-        assert any(b is derived_entry and arg[0] is y_chain for b, arg, _ in M._memo)
+        assert any(b is y_entry for b, _, _ in M._memo)
         for R in (M, M.seed):
             scalars = [c for entry in R._memo.values() for _, c in entry]
             objects_by_text: dict = {}
@@ -229,7 +237,7 @@ def test_bad_index_or_flavor_raises_before_any_table_entry():
         assert not M._pool
         d_minus(M, lv)
         built = {b for b, _, _ in M._memo}
-        assert derived_entry in built and tinv_entry in built
+        assert dminus_entry in built and tinv_entry in built
 
 
 # equal values in different forms, numerators shared across denominators,
@@ -284,7 +292,7 @@ def test_memoized_vector_ops_equal_the_plain_fold(case):
     assert_same(v.add(w), folded(v, w.coeffs.items()))
     assert_same(v.sub(w), folded(v, ((k, -x) for k, x in w.coeffs.items())))
     assert_same(v.sub(v), M.zero())
-    tables = [(M._table, derived_entry, (y_chain, i)), (M._table, pi_entry, None)]
+    tables = [(M._table, y_entry, i), (M._table, pi_entry, None)]
     if i < M.n:
         tables += [(M._table, ti_entry, i), (M._table, tinv_entry, i)]
     for table, *args in tables:
@@ -345,3 +353,44 @@ def test_application_on_warm_tables_leaves_the_realization_as_it_was(case):
         before = table_state(M)
         assert_same(op(), first)
         assert table_state(M) == before
+
+
+GENERATOR_BUILDERS = {ti_entry, tinv_entry, pi_entry, eps_stage}
+MODULE_LEVEL_BUILDERS = GENERATOR_BUILDERS | {
+    y_entry, dplus_entry, dminus_entry, phi_entry,
+}
+
+
+def test_memo_keys_hold_a_module_level_builder_and_no_z_copy_of_a_y_entry():
+    M = PolyRealization(4)
+    assert all_passed(check_bqt_relations(M, 4, 4))
+    seq = CompatSeqSpec("polynomial")
+    tower = limit_component(seq, 1, 2).towers[0]
+    out = apply_tower_word(seq, tower, (("z", 1),))
+    assert not out.is_zero()
+    for n in out.components:  # z_1 read the Y_1 table of every rank of the tower
+        assert any(build is y_entry for build, _, _ in seq.realization(n)._memo)
+    for R in (M, *seq._realizations.values()):
+        qt_inv = z_factor(R.ring)
+        y_over_qt = {
+            (i, key): {k: c * qt_inv for k, c in entry}
+            for (build, i, key), entry in R._memo.items()
+            if build is y_entry
+        }
+        for (build, arg, key), entry in R._memo.items():
+            assert build in MODULE_LEVEL_BUILDERS
+            assert arg is None or type(arg) is int
+            assert R.contains_key(key)
+            # a T_i-fixed key's T_i entry, or a stage-n entry, is the key alone,
+            # as Y_i/(qt) of a monomial can be; a z copy would be a derived entry
+            if build not in GENERATOR_BUILDERS:
+                assert dict(entry) != y_over_qt.get((arg, key))
+    z = FLAVORED_ALPHABET["z"]
+    for k in range(1, 5):
+        for d in range(k, 5):
+            for lv in lk_spanning_set(M, k, d):
+                for i in range(1, k + 1):
+                    want = apply_Y(M, lv.payload, i).scale(z_factor(M.ring))
+                    assert z_action(M, lv, i) == LVector(k, want)
+                    fused = M._apply_table(lv.payload, z.table(M, lv, i))
+                    assert fused.scale(z.factor(M.ring)) == want

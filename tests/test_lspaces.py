@@ -15,7 +15,6 @@ from bqt.errors import (
     InternalCheckFailed,
 )
 from bqt.induced import InducedRealization, trivial_to_poly
-from bqt.keyed import derived_entry
 from bqt.linalg import RowBasis, solve_combination
 from bqt.lspaces import (
     FLAVORED_ALPHABET,
@@ -26,7 +25,7 @@ from bqt.lspaces import (
     extract_basis,
     lk_spanning_set,
     phi_action,
-    phi_chain,
+    phi_entry,
     phi_sides,
     spanning_reduction_agrees,
     t_action,
@@ -267,9 +266,9 @@ PHI_MODULES = {
 def phi_entries(M) -> dict:
     """(flavor, key) -> entry of the realization's phi table."""
     return {
-        (arg[1], key): e
-        for (b, arg, key), e in M._memo.items()
-        if b is derived_entry and arg[0] is phi_chain
+        (k, key): e
+        for (b, k, key), e in M._memo.items()
+        if b is phi_entry
     }
 
 

@@ -291,8 +291,8 @@ FUSED_MUTANTS = {
 }
 
 
-def daha_verdict_and_fallbacks(desc: dict) -> tuple[bool, int]:
-    """Whether the DAHA suite at d <= 2 passes, and how many cases it evaluated two-sided."""
+def verdict_and_fallbacks(check) -> tuple[bool, int]:
+    """Whether every report of check() passes, and how many cases it evaluated two-sided."""
     calls = []
 
     def counted(*args):
@@ -300,8 +300,13 @@ def daha_verdict_and_fallbacks(desc: dict) -> tuple[bool, int]:
         return _sides(*args)
 
     with patch("bqt.relations._sides", counted):
-        passed = all_passed(check_daha_relations(make_realization(desc), 2))
+        passed = all_passed(check())
     return passed, len(calls)
+
+
+def daha_verdict_and_fallbacks(desc: dict) -> tuple[bool, int]:
+    """verdict_and_fallbacks of the DAHA suite at d <= 2."""
+    return verdict_and_fallbacks(lambda: check_daha_relations(make_realization(desc), 2))
 
 
 MURNAGHAN_1_RANK_3 = {"module": "murnaghan", "shape": [1], "n": 3}
@@ -318,4 +323,36 @@ def test_daha_suite_on_murnaghan_1_rank_3_kills_the_fused_mutant(mutant):
     # cost time and change no verdict; the suite sees them as fallbacks.
     with patch(*FUSED_MUTANTS[mutant]):
         passed, fallbacks = daha_verdict_and_fallbacks(MURNAGHAN_1_RANK_3)
+    assert passed and fallbacks > 0
+
+
+# -- the (qt)^{-1} that the z letter folds into a fused term's coefficient -----
+
+# module, largest flavor and largest degree
+BQT_CASES = {
+    "poly_n3": ({"module": "poly", "n": 3}, 3, 3),
+    "murnaghan1_n3": (MURNAGHAN_1_RANK_3, 2, 2),
+}
+# z reads the Y_i table; without its factor the fused path sums Y_i for z_i
+DROPPED_Z_FACTOR = {"z": FLAVORED_ALPHABET["z"]._replace(factor=None)}
+
+
+def bqt_verdict_and_fallbacks(case: str) -> tuple[bool, int]:
+    desc, k_max, d_max = BQT_CASES[case]
+    return verdict_and_fallbacks(
+        lambda: check_bqt_relations(make_realization(desc), k_max, d_max)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(BQT_CASES))
+def test_fused_residual_decides_every_holding_bqt_case(case):
+    assert bqt_verdict_and_fallbacks(case) == (True, 0)
+
+
+@pytest.mark.parametrize("case", sorted(BQT_CASES))
+def test_bqt_suite_without_the_z_factor_on_the_fused_path_falls_back(case):
+    # only the fused path loses the factor; z's act keeps it, so the
+    # two-sided evaluation still passes every case the residual rejects
+    with patch.dict(FLAVORED_ALPHABET, DROPPED_Z_FACTOR):
+        passed, fallbacks = bqt_verdict_and_fallbacks(case)
     assert passed and fallbacks > 0
