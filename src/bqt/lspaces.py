@@ -257,9 +257,11 @@ def t_action(M, lv: LVector, i: int) -> LVector:
     return LVector(lv.k, M.apply_Ti(lv.payload, _t_index(lv, i)))
 
 
-def z_factor(ring):
-    """(qt)^{-1}: z_i is the Y_i table's image times this scalar."""
-    return ring.q_power(-1) * ring.t_power(-1)
+def z_factor(M):
+    """(qt)^{-1}, formed once per realization: z_i is the Y_i table's image times it."""
+    if "z_factor" not in M.cache:
+        M.cache["z_factor"] = M.ring.q_power(-1) * M.ring.t_power(-1)
+    return M.cache["z_factor"]
 
 
 def dplus_chain(M, v, k: int):
@@ -290,7 +292,7 @@ phi_entry = derived(phi_chain)
 
 def z_action(M, lv: LVector, i: int) -> LVector:
     """z_i = Y_i/(qt) on a flavor-k vector (1 <= i <= k)."""
-    return LVector(lv.k, apply_Y(M, lv.payload, _z_index(lv, i)).scale(z_factor(M.ring)))
+    return LVector(lv.k, apply_Y(M, lv.payload, _z_index(lv, i)).scale(z_factor(M)))
 
 
 def d_plus(M, lv: LVector) -> LVector:
@@ -329,9 +331,8 @@ FLAVORED_ALPHABET = {
         table=lambda M, lv, i: partial(M._table, tinv_entry, M._t_index(_t_index(lv, i))),
     ),
     "z": Letter(
-        1, lambda M, lv, i: z_action(M, lv, i),
+        1, lambda M, lv, i: z_action(M, lv, i), factor=z_factor,
         table=lambda M, lv, i: partial(M._table, y_entry, _y_index(M, _z_index(lv, i))),
-        factor=z_factor,
     ),
     "dplus": Letter(
         0, lambda M, lv: d_plus(M, lv), flavor_shift=1, degree_shift=1,

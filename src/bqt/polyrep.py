@@ -467,7 +467,7 @@ def apply_pi_tilde(M: KeyedRealization, v):
 # the image function key -> ((key', scalar), ...) of the table it applies to
 # the vector w, after the same index check as act.  Where table is None the
 # letter has no per-key table and only act applies it.  A letter whose act is
-# its table's image times a scalar gives factor(ring), that scalar.
+# its table's image times a scalar gives factor(M), that scalar.
 
 
 class Letter(NamedTuple):

@@ -222,7 +222,7 @@ def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
                 if image is None:
                     w = head.act(M, w, *args)
                 elif head.factor:
-                    coeff = coeff * head.factor(M.ring)
+                    coeff = coeff * head.factor(M)
             M.gather(groups, _term_coeffs(w, coeff, negate), image or (lambda key: ((key, one),)))
     return not M.group_sums(groups)
 
