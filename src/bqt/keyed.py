@@ -66,9 +66,11 @@ distinct pair of values.  Table application and scale take the memo only
 when two of the input's coefficients are one object: equal results of an
 earlier memoized call, or pooled table scalars, come out shared, so a shared
 object marks an input whose values repeat, and the check costs one set of
-ids.  On inputs with no shared object (most of the Y-heavy DAHA checks, and
-every single-coefficient input) values rarely repeat and the value keys and
-signatures cost more than they save, so those calls run the plain fold.
+ids.  On inputs with no shared object (most of the Y-heavy DAHA checks)
+values rarely repeat and the value keys and signatures cost more than they
+save, so those calls run the plain fold.  A single-coefficient input needs
+neither: its image is its key's entry, scaled unless the coefficient is 1
+(every derived-entry build starts from such a basis vector).
 With the memo, scale forms one product per distinct coefficient value, and
 table application replaces equal input coefficients by one of them and sums
 the (c, m) pairs of an output key only if no earlier output key of the same
@@ -265,8 +267,8 @@ class KeyedRealization:
         return i
 
     def _interned(self, items) -> tuple:
-        """(key, scalar) pairs as a table entry, each scalar taken from the pool."""
-        return tuple((k, self._pooled(c)) for k, c in items)
+        """(key, scalar) pairs as a table entry, each nonzero scalar taken from the pool."""
+        return tuple((k, self._pooled(c)) for k, c in items if not c.is_zero())
 
     def _pooled(self, c):
         """The pool's object equal to c; a pooled object is known by its id."""
@@ -317,8 +319,18 @@ class KeyedRealization:
         keys whose (c, m) pairs are the same objects get the same sum; it is
         computed once.  The ids in a signature are those of objects that v
         and the tables hold alive.
+
+        A one-key v is that key's entry scaled by its coefficient c: the
+        entry's pooled scalars themselves when c is 1, else c * m for each
+        (k2, m) of the entry, with no gather and no group sum.
         """
         coeffs = v.coeffs
+        if len(coeffs) == 1:
+            ((key, c),) = coeffs.items()
+            entry = table(*args, key)
+            if c.is_one():
+                return self._vec(dict(entry))
+            return self._vec({k2: c * m for k2, m in entry})
         memo = _repeats(coeffs)
         return self._vec(self.group_sums(self.gather({}, coeffs, table, args, memo), memo))
 
@@ -391,4 +403,6 @@ def derived(op):
     def entry(M, arg, key):
         return op(M, M._vec({key: M.ring.one}), arg).coeffs.items()
 
+    # named after op, so a census of the memo by builder tells the operators apart
+    entry.__name__, entry.__qualname__ = f"derived({op.__name__})", f"derived({op.__qualname__})"
     return entry

@@ -28,7 +28,10 @@ otherwise.  Results are the same polynomials the generic code gives, so
 the canonical form, str(), pool_key() and equality are unchanged.
 QtScalar.__mul__ cancels each cross pair (a numerator against the other
 operand's denominator) with one trial division that yields the gcd and the
-quotient together (factored.cancel_by_fac).
+quotient together (factored.cancel_by_fac), and skips the pair when that
+denominator is the interned 1.  It never fixes the product's sign: every
+gcd the kernel divides by leads with a positive coefficient, so the
+cofactors of two canonical denominators do, and so does their product.
 
 Both rings have lincomb(pairs), the sum of c * m over (c, m) pairs, which is
 how a generator table is applied (bqt.keyed).  Over Q(q,t), when every
@@ -277,8 +280,7 @@ class IntPoly2:
         return not self.terms
 
     def is_one(self) -> bool:
-        t = self.terms
-        return len(t) == 1 and t.get((0, 0)) == 1
+        return self.terms == _ONE_TERMS
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in descending graded-lex order (leading term first)."""
@@ -318,9 +320,9 @@ class IntPoly2:
     def __mul__(self, other: "IntPoly2") -> "IntPoly2":
         if not self.terms or not other.terms:
             return _P_ZERO
-        if other.is_one():
+        if other.terms == _ONE_TERMS:
             return self
-        if self.is_one():
+        if self.terms == _ONE_TERMS:
             return other
         if self.fac and other.fac:
             return _from_fac(PRODUCT[self.fac, other.fac])
@@ -357,10 +359,12 @@ _P_ZERO = IntPoly2({}, False)
 _P_ONE = IntPoly2.const(1)
 _P_Q = IntPoly2.monomial(1, 0)
 _P_T = IntPoly2.monomial(0, 1)
+_ONE_TERMS = _P_ONE.terms
 
 
 # intern table of the factored base: one polynomial per factorization
 _FACTORED: dict[tuple, IntPoly2] = {p.fac: p for p in (_P_ONE, _P_Q, _P_T)}
+_ONE_FAC = _P_ONE.fac
 
 
 def _fac(p: IntPoly2) -> tuple | bool:
@@ -513,14 +517,13 @@ class QtScalar:
         return cls(num, den)
 
     def den_is_one(self) -> bool:
-        t = self.den.terms
-        return len(t) == 1 and t.get((0, 0)) == 1
+        return self.den.terms == _ONE_TERMS
 
     def is_zero(self) -> bool:
         return not self.num.terms
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den_is_one()
+        return self.num.terms == _ONE_TERMS and self.den.terms == _ONE_TERMS
 
     def __add__(self, other: "QtScalar") -> "QtScalar":
         if not self.num.terms:
@@ -558,13 +561,21 @@ class QtScalar:
             return other
         if other.is_one():
             return self
-        a_num, b_den = _cancel(self.num, other.den)
-        b_num, a_den = _cancel(other.num, self.den)
-        num = a_num * b_num
-        den = a_den * b_den
-        if den.leading_coeff() < 0:
-            num, den = -num, -den
-        return QtScalar(num, den)
+        # a cancel against the unit denominator is (a, 1): it is skipped
+        b_den, a_den = other.den, self.den
+        a_num = self.num
+        if b_den is not _P_ONE:
+            a_num, b_den = _cancel(a_num, b_den)
+        b_num = other.num
+        if a_den is not _P_ONE:
+            b_num, a_den = _cancel(b_num, a_den)
+        # No sign fix: both denominators lead with a positive coefficient, and
+        # each gcd divided out leads with a positive one too (fac_gcd and
+        # cancel_by_fac give a positive content, _poly_gcd_generic a positive
+        # leading coefficient), so both cofactors do.  The graded-lex order is
+        # a monomial order, so the leading term of their product is the
+        # product of their leading terms, positive.
+        return QtScalar(a_num * b_num, a_den * b_den)
 
     def inverse(self) -> "QtScalar":
         if not self.num.terms:
@@ -837,14 +848,18 @@ class QtField:
         certify the packed sum, the products are added one by one.  The
         product denominators, their lcm and the cofactors come from the
         tables of bqt.factored, so a group whose denominators recur costs
-        lookups.
+        lookups.  A pair with one unit denominator factor has the other as
+        its product, and a product equal to the lcm has the cofactor 1;
+        neither is looked up.
         """
         if len(pairs) > 1:
             dens = [(_fac(c.den), _fac(m.den)) for c, m in pairs]
             if all(f and g for f, g in dens):
-                facs = [PRODUCT[d] for d in dens]
+                facs = [g if f == _ONE_FAC else f if g == _ONE_FAC else PRODUCT[f, g]
+                        for f, g in dens]
                 lcm = lcm_fold(facs)
-                summed = packed_sum([(c.num, m.num, _from_fac(QUOTIENT[lcm, f]))
+                summed = packed_sum([(c.num, m.num, _P_ONE if f == lcm else
+                                      _from_fac(QUOTIENT[lcm, f]))
                                      for (c, m), f in zip(pairs, facs)])
                 if summed:
                     terms, rows = summed

@@ -91,3 +91,32 @@ def test_import_peak_rss_is_measured_per_checkout_and_summarized():
     assert "import bqt" in imp["command"] and "claim" not in doc
     # a record without import measurements has no such block
     assert "import_peak_rss_mb" not in bench_pairs.record(args, spec, runs, {}, {}, {})
+
+
+def test_traced_record_keeps_calls_busy_times_and_per_op_scalar_costs(monkeypatch):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    kept = ["scalars.mul.calls", "scalars.self_s", "scalars.gcd.busy_s", "scalars.mul_us.one",
+            "scalars.add_us.mixed", "scalars.ops_share.univariate_q"]
+    dropped = ["scalars.peak_terms", "scalars.gcd.trivial_share", "polyrep.apply_Y.busy_s",
+               "trace.overhead", "scalars.mul_usx"]
+    calls = []
+
+    def stub(root, workload, seed, seconds, trace=0):
+        calls.append((root.name, workload, seed, trace))
+        value = 2.0 if root.name == "change" else 3.0
+        metrics = {k: {"value": value, "unit": "u"} for k in kept + dropped}
+        if root.name == "parent":  # a metric the parent's tracer does not record
+            del metrics["scalars.add_us.mixed"]
+        return {"provenance": {"git_sha": "x"}, "result": {"correct": True, "metrics": metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", stub)
+    args = SimpleNamespace(trace_seed=1)
+    traced = bench_pairs.trace_both(args, spec, Path("parent"), Path("change"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert calls == [(side, w, 1, 1) for w in workloads for side in ("parent", "change")]
+    for w in workloads:
+        metrics = traced[w]["metrics"]
+        assert list(metrics) == kept
+        assert metrics["scalars.mul_us.one"] == {"unit": "u", "parent": 3.0, "change": 2.0}
+        assert metrics["scalars.add_us.mixed"]["parent"] is None
+        assert traced[w]["correct"] == {"parent": True, "change": True}

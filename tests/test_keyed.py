@@ -46,10 +46,18 @@ from bqt.lspaces import (
     t_action,
     z_action,
 )
-from bqt.polyrep import PolyRealization, apply_epsilon, apply_word, apply_Y, eps_stage, y_entry
+from bqt.polyrep import (
+    PolyRealization,
+    apply_epsilon,
+    apply_word,
+    apply_Y,
+    eps_image,
+    eps_stage,
+    y_entry,
+)
 from bqt.relations import all_passed, check_bqt_relations, check_daha_relations
 from bqt.scalars import QT, ModPField, parse_scalar
-from bqt.tableaux import SeedRealization
+from bqt.tableaux import SeedRealization, StandardTableau
 
 RINGS = {"qt": QT, "modp": ModPField(2**31 - 1, 5, 7)}
 
@@ -129,6 +137,59 @@ def test_table_application_equals_the_product_by_product_sum(case):
         got = M._apply_table(v, table, *args)
         assert got == fold_table(M, v, table, *args)
         assert str(got) == str(fold_table(M, v, table, *args))
+
+
+ONE_KEY_MODULES = [("poly", (), 3, 2), ("seed", (1, 1), 4, 0), ("induced", (1, 1), 3, 1)]
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("kind, lam, n, dmax", ONE_KEY_MODULES)
+def test_a_one_key_application_is_the_keys_entry(kind, lam, n, dmax, ring_name):
+    M = realization(kind, lam, n, ring_name)
+    ring = M.ring
+    keys = [k for d in range(dmax + 1) for b in M.basis(d) for k in b.coeffs]
+    tables = [(pi_entry, None)] + [(y_entry, i) for i in range(1, n + 1)]
+    tables += [(b, i) for i in range(1, n) for b in (ti_entry, tinv_entry)]
+    for key in keys:
+        for c in (ring.one, ring.from_int(-2) * ring.q_power(-1), fresh_scalar(ring, "t/(1+q)")):
+            v = M._vec({key: c})
+            ops = [(lambda build=build, arg=arg: M.apply_entries(v, build, arg),
+                    (M._table, build, arg)) for build, arg in tables]
+            ops += [(lambda k=k: apply_epsilon(M, v, k), (eps_image, M, k))
+                    for k in range(n + 1)]
+            ops += [(lambda: M.apply_Ti(v, 1), (M._table, ti_entry, 1)),
+                    (lambda: M.apply_Ti_inv(v, n - 1), (M._table, tinv_entry, n - 1)),
+                    (lambda: M.apply_pi(v), (M._table, pi_entry, None)),
+                    (lambda: apply_Y(M, v, n), (M._table, y_entry, n))]
+            for op, (table, *args) in ops:
+                got = op()
+                assert_same(got, fold_table(M, v, table, *args))
+                if c.is_one():
+                    entry = dict(table(*args, key))
+                    assert all(x is entry[k2] for k2, x in got.coeffs.items())
+                    assert all(id(x) in M._pool_ids for x in got.coeffs.values())
+
+
+def test_a_table_entry_holds_no_zero_scalar():
+    # at q = 2 mod 7, a cube root of 1, the seminormal T_4 image of this
+    # tableau has a zero coefficient; the entry drops it, as the fold would
+    M = SeedRealization((1,), 5, ModPField(7, 2, 3))
+    tau = StandardTableau(((1, 2, 3, 5), (4,)))
+    assert any(c.is_zero() for _, c in M._ti_image(4, tau))
+    for c in (M.ring.one, M.ring.from_int(3)):
+        v = M._vec({tau: c})
+        got = M.apply_Ti(v, 4)
+        assert_same(got, fold_table(M, v, M._table, ti_entry, 4))
+        assert not any(x.is_zero() for x in got.coeffs.values())
+    assert not any(c.is_zero() for _, c in M._table(ti_entry, 4, tau))
+
+
+def test_each_derived_builder_is_named_after_its_operator():
+    builders = (y_entry, dplus_entry, dminus_entry, phi_entry)
+    names = [b.__name__ for b in builders]
+    assert len(set(names)) == 4 and len({b.__qualname__ for b in builders}) == 4
+    assert names == ["derived(y_chain)", "derived(dplus_chain)", "derived(dminus_chain)",
+                     "derived(phi_chain)"]
 
 
 def test_equal_table_scalars_are_one_object():

@@ -17,6 +17,7 @@ from bqt.factored import cancel_by_fac, packed_sum
 from bqt.relations import all_passed, check_daha_relations, make_realization
 from bqt.scalars import (
     _FACTORED,
+    _P_ONE,
     ONE,
     Q,
     QT,
@@ -331,6 +332,26 @@ def test_lincomb_equals_the_sequential_fold(pairs):
     assert str(got) == str(fold(pairs))
 
 
+@st.composite
+def unit_scalars(draw):
+    """Polynomials over a unit denominator, the interned 1 or a fresh one."""
+    num = draw(polys().filter(lambda p: not p.is_zero()))
+    return QtScalar(num, draw(st.sampled_from(UNITS))())
+
+
+UNITS = [lambda: _P_ONE, lambda: IntPoly2({(0, 0): 1})]
+
+
+@given(lincomb_groups(min_size=2, scalars=st.one_of(unit_scalars(), factored_scalars())))
+@settings(max_examples=60, deadline=None)
+def test_lincomb_with_unit_factors_equals_the_sequential_fold(pairs):
+    # a unit factor of a pair's denominator, or a pair whose denominator is
+    # the lcm, skips a table lookup; the sum is the fold's all the same
+    got = QT.lincomb(pairs)
+    assert got == fold(pairs)
+    assert str(got) == str(fold(pairs))
+
+
 def test_lincomb_outside_the_base_takes_the_fold(monkeypatch):
     # packed_sum runs exactly once for each group lifted to its lcm
     lifts = []
@@ -406,6 +427,58 @@ def test_interned_factorizations_expand_to_their_terms():
 
 
 # -- field arithmetic -------------------------------------------------------
+
+
+@st.composite
+def class_scalars(draw):
+    """A scalar whose denominator is 1 (interned or fresh), a monomial, in the
+    factored base, or a small one in q and t outside it."""
+    kind = draw(st.sampled_from(["one", "monomial", "factored", "mixed"]))
+    num = draw(polys(max_terms=3, max_exp=3).filter(lambda p: not p.is_zero()))
+    if kind == "one":
+        return QtScalar(num, draw(st.sampled_from(UNITS))())
+    if kind == "monomial":
+        e = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        den = IntPoly2({e: draw(st.sampled_from([1, -2, 3]))})
+    elif kind == "factored":
+        den = draw(factored_polys())
+    else:
+        den = draw(kernel_polys())
+    return QtScalar.fraction(num, den)
+
+
+@given(class_scalars(), class_scalars())
+@settings(max_examples=120, deadline=None)
+def test_a_product_is_canonical_without_a_sign_fix(a, b):
+    # the product of two canonical fractions is the reduced fraction of the
+    # products, term for term, and its denominator leads positively
+    got = a * b
+    want = QtScalar.fraction(a.num * b.num, a.den * b.den)
+    assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+    assert got.den.leading_coeff() > 0
+    assert got == b * a
+
+
+@given(class_scalars(), class_scalars())
+@settings(max_examples=25, deadline=None)
+def test_a_product_agrees_with_sympy(a, b):
+    got = a * b
+    value = sp(a.num) * sp(b.num) / (sp(a.den) * sp(b.den))
+    assert sympy.cancel(sp(got.num) / sp(got.den) - value) == 0
+    assert sympy.gcd(sp(got.num), sp(got.den)) in (1, -1)
+
+
+@pytest.mark.parametrize("text", ["q^2 - 1", "t/(1 + q)", "(q + 1)/q^2", "(q^2 - t)/(1 - q*t)",
+                                  "6/(2 + 2*q)", "3"])
+def test_a_fresh_unit_denominator_multiplies_as_the_interned_one(text):
+    other = parse_scalar(text)
+    num = poly_of("2*q^2 - 2")
+    fresh_unit, interned = QtScalar(num, IntPoly2({(0, 0): 1})), QtScalar(num, _P_ONE)
+    want = QtScalar.fraction(num * other.num, other.den)
+    for a in (fresh_unit, interned):
+        for got in (a * other, other * a):
+            assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+            assert got.den.leading_coeff() > 0
 
 
 def test_add_examples():

@@ -17,8 +17,9 @@ at most TARGET_RATIO (at least it where higher is better), the change is
 better in at least nine pairs in ten, the medians differ by more than the
 parent's interquartile range and the change failed no more operations than
 the parent.  With --trace-seed, each side also runs one ``--trace 1`` pass
-per workload and the record keeps every ``.calls`` metric and the scalar
-busy times.  Each pair also measures, once per side, the peak RSS of an
+per workload and the record keeps every ``.calls`` metric, the scalar
+busy times, and the scalar kernel's µs per mul and add and share of ops by
+denominator class.  Each pair also measures, once per side, the peak RSS of an
 interpreter that only imports bqt from that checkout's src, with the
 environment perfbench gives its passes; ``import_peak_rss_mb`` summarizes
 it, so a move in a workload's peak_rss_mb can be split into the cost of
@@ -42,6 +43,8 @@ from pathlib import Path
 
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
 TRACED_KEEP = ("scalars.self_s", "scalars.gcd.busy_s")
+# the scalar kernel's cost per op and share of ops, one metric per denominator class
+TRACED_KEEP_PREFIXES = ("scalars.mul_us.", "scalars.add_us.", "scalars.ops_share.")
 # interpreter settings that change what a run does, recorded when set
 RECORDED_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED", "PYTHONOPTIMIZE")
 IMPORT_RSS = ("import resource, sys; sys.path.insert(0, 'src'); import bqt; "
@@ -188,7 +191,7 @@ def claim(w: str, metric: str, target: float, workload: dict, is_lower: bool) ->
 
 
 def trace_both(args, spec: dict, parent: Path, change: Path) -> dict:
-    """Per-layer call counts and scalar busy times of one traced pass per side."""
+    """Call counts, scalar busy times and per-op scalar costs of one traced pass per side."""
     seconds = spec["run_seconds"]
     traced = {"command": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
                          f"--seconds {seconds} --trace 1"}
@@ -196,7 +199,8 @@ def trace_both(args, spec: dict, parent: Path, change: Path) -> dict:
         sides = {s: run_bench(root, w, args.trace_seed, seconds, trace=1)["result"]
                  for s, root in (("parent", parent), ("change", change))}
         names = [k for k in sides["change"]["metrics"]
-                 if k.endswith(".calls") or k in TRACED_KEEP]
+                 if k.endswith(".calls") or k in TRACED_KEEP
+                 or k.startswith(TRACED_KEEP_PREFIXES)]
         traced[w] = {
             "correct": {s: r["correct"] for s, r in sides.items()},
             "metrics": {
