@@ -332,14 +332,15 @@ def test_lincomb_equals_the_sequential_fold(pairs):
     assert str(got) == str(fold(pairs))
 
 
+# the interned unit polynomial, and a fresh one that no identity test matches
+UNITS = [lambda: _P_ONE, lambda: IntPoly2({(0, 0): 1})]
+
+
 @st.composite
 def unit_scalars(draw):
     """Polynomials over a unit denominator, the interned 1 or a fresh one."""
     num = draw(polys().filter(lambda p: not p.is_zero()))
     return QtScalar(num, draw(st.sampled_from(UNITS))())
-
-
-UNITS = [lambda: _P_ONE, lambda: IntPoly2({(0, 0): 1})]
 
 
 @given(lincomb_groups(min_size=2, scalars=st.one_of(unit_scalars(), factored_scalars())))
