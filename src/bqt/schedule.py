@@ -6,10 +6,10 @@ checked.  check_units(units, jobs) returns, for each unit, the report
 objects of its relation ids in catalog order: the objects a run of the
 units one after another gives, byte for byte once millis are zeroed.
 
-jobs <= 1, or work that is a single task, runs the units in order in this
-process, with nothing warmed, each unit's realization and tables released
-before the next is built.  Otherwise the parent builds every realization
-and forks min(jobs, tasks) workers through an explicit fork context, so
+jobs <= 1 runs the units in order in this process, with nothing warmed,
+each unit's realization and tables released before the next is built.
+Otherwise the parent builds every realization and forks min(jobs, tasks)
+workers through an explicit fork context, so
 the workers inherit the realizations and every table already in them
 copy-on-write.  Several units are run whole, one task per unit, so each
 unit's tables are built in one process only and dropped when its task
@@ -137,9 +137,6 @@ def check_units(units: list[Unit], jobs: int) -> list[list[dict]]:
         tasks = [(0, [rid]) for rid in ids[0]]
     else:
         tasks = list(enumerate(ids))
-    if len(tasks) <= 1:
-        return [_report_objs(u, M, rids) for u, M, rids in zip(units, realizations, ids)]
-
     costs = [_costs(u, M) for u, M in zip(units, realizations)]
     order = sorted(
         range(len(tasks)), key=lambda t: -sum(costs[tasks[t][0]].get(r, 0) for r in tasks[t][1])
