@@ -116,9 +116,12 @@ def _read_vector(M, obj):
 def cmd_act(args) -> int:
     desc = _module_descriptor(args)
     M = make_realization(desc)
-    with open(args.infile) if args.infile != "-" else sys.stdin as fh:
-        payload = json.load(fh)
-    word_data = json.loads(args.word)
+    try:
+        with open(args.infile) if args.infile != "-" else sys.stdin as fh:
+            payload = json.load(fh)
+        word_data = json.loads(args.word)
+    except RecursionError:  # bad input; a recursion in the engine stays a traceback
+        raise ValueError("JSON input is nested too deeply") from None
     if isinstance(payload, dict) and "flavor" in payload:
         if type(payload["flavor"]) is not int:
             raise ValueError(f"flavor {payload['flavor']!r} is not an integer")

@@ -716,9 +716,13 @@ def parse_scalar(text: str) -> QtScalar:
     """Parse the scalar grammar; result is canonical.
 
     Round-trips with str(): parse_scalar(str(s)) == s for every scalar s.
+    Text nested past the recursion limit raises ValueError.
     """
     toks = _Tokens(text)
-    val = _parse_expr(toks)
+    try:
+        val = _parse_expr(toks)
+    except RecursionError:
+        raise ValueError("scalar text is nested too deeply") from None
     if toks.peek() is not None:
         raise ValueError(f"trailing input at token {toks.peek()!r}")
     return val

@@ -486,3 +486,55 @@ def test_error_inside_a_suite_is_a_fail_report(capsys, monkeypatch, tmp_path):
     assert [r["vectors_checked"] for r in doc["reports"]] == [
         r["vectors_checked"] for r in good
     ]
+
+
+def nested(depth: int, core: str = "q") -> str:
+    return "(" * depth + core + ")" * depth
+
+
+def poly2_constant(coeff: str) -> dict:
+    return {"rank": 2, "entries": [{"exponents": [0, 0], "coeff": coeff}]}
+
+
+def act_on_file(capsys, tmp_path, word: str, vector_text: str):
+    vec = tmp_path / "vec.json"
+    vec.write_text(vector_text)
+    return run(capsys, "act", *CHECK_POLY2, "--word", word, "--in", str(vec))
+
+
+@pytest.mark.parametrize(
+    "word, vector_text, message",
+    [
+        ('[["X",1]]', json.dumps(poly2_constant(nested(400))), "scalar text is nested too deeply"),
+        ('[["X",1]]', json.dumps(poly2_constant("-" * 1000 + "q")),
+         "scalar text is nested too deeply"),
+        (json.dumps([["Scalar", nested(400)]]), json.dumps(POLY2),
+         "scalar text is nested too deeply"),
+        ("[" * 5000 + "]" * 5000, json.dumps(POLY2), "JSON input is nested too deeply"),
+        ('[["X",1]]', "[" * 5000 + "]" * 5000, "JSON input is nested too deeply"),
+    ],
+    ids=["coeff_parentheses", "coeff_unary_minus", "word_scalar_parentheses",
+         "word_brackets", "vector_brackets"],
+)
+def test_deeply_nested_input_exits_2_with_message(capsys, tmp_path, word, vector_text, message):
+    # nesting past the recursion limit is bad input, turned into ValueError
+    # where the input is read; a recursion inside the engine is not caught
+    code, out, err = act_on_file(capsys, tmp_path, word, vector_text)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_input_nested_200_deep_still_parses(capsys, tmp_path):
+    q_x1 = {"rank": 2, "entries": [{"exponents": [1, 0], "coeff": "q"}]}
+    for word, coeff in [
+        ('[["X",1]]', nested(200)),
+        ('[["X",1]]', "-" * 200 + "q"),
+        (json.dumps([["Scalar", nested(200)], ["X", 1]]), "1"),
+    ]:
+        code, out, _ = act_on_file(capsys, tmp_path, word, json.dumps(poly2_constant(coeff)))
+        assert code == 0 and json.loads(out) == q_x1
+    # 200 brackets are read, and then rejected for what they are
+    code, _, err = act_on_file(capsys, tmp_path, "[" * 200 + "]" * 200, json.dumps(POLY2))
+    assert code == 2 and err.startswith("error: malformed word symbol")
+    code, _, err = act_on_file(capsys, tmp_path, '[["X",1]]', "[" * 200 + "]" * 200)
+    assert code == 2 and err.startswith("error: malformed vector JSON")
