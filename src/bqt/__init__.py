@@ -6,7 +6,6 @@ from .induced import IndVector, InducedRealization, pi_connect, xi_truncate
 from .limits import CompatSeqSpec, LimitCell, Tower, dim_table, limit_component
 from .lspaces import (
     GradedBasis,
-    LVector,
     d_minus,
     d_plus,
     extract_basis,

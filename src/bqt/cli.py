@@ -16,8 +16,8 @@ import sys
 
 from .errors import BqtError
 from .limits import CompatSeqSpec, dim_table
-from .lspaces import FLAVORED_ALPHABET, LVector, certify_flavor_membership
-from .polyrep import WORD_ALPHABET, apply_word, word_from_json
+from .lspaces import FLAVORED_ALPHABET, certify_flavor_membership, resolve
+from .polyrep import apply_word, word_from_json
 from .relations import check_compatibility, make_realization, run_probabilistic
 from .schedule import Unit, check_suite, check_units
 from .tableaux import check_shape
@@ -123,15 +123,17 @@ def cmd_act(args) -> int:
     except RecursionError:  # bad input; a recursion in the engine stays a traceback
         raise ValueError("JSON input is nested too deeply") from None
     if isinstance(payload, dict) and "flavor" in payload:
-        if type(payload["flavor"]) is not int:
-            raise ValueError(f"flavor {payload['flavor']!r} is not an integer")
-        v = LVector(payload["flavor"], _read_vector(M, payload.get("vector")))
-        if not certify_flavor_membership(M, v):
-            raise ValueError(f"vector does not lie in the flavor-{v.k} space of {M.meta}")
-        alphabet = FLAVORED_ALPHABET
+        k = payload["flavor"]
+        if type(k) is not int:
+            raise ValueError(f"flavor {k!r} is not an integer")
+        v = _read_vector(M, payload.get("vector"))
+        if not certify_flavor_membership(M, v, k):
+            raise ValueError(f"vector does not lie in the flavor-{k} space of {M.meta}")
+        word, k_out = resolve(word_from_json(word_data, FLAVORED_ALPHABET), k)
+        out = {"flavor": k_out, "vector": apply_word(M, v, word, FLAVORED_ALPHABET).to_obj()}
     else:
-        v, alphabet = _read_vector(M, payload), WORD_ALPHABET
-    _emit(apply_word(M, v, word_from_json(word_data, alphabet), alphabet).to_obj(), args.out)
+        out = apply_word(M, _read_vector(M, payload), word_from_json(word_data)).to_obj()
+    _emit(out, args.out)
     return 0
 
 

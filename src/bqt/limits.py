@@ -10,9 +10,13 @@ the truncation to a window reported rather than hidden.
 limit_component watches the flavored dimensions and the transition ranks
 grow with the rank and declares stabilization once both are constant and
 the transitions are bijective across a window; towers are then spanned by
-pushing a top-rank basis down the window.  Operators act on towers
-componentwise (the connectors intertwine them), with the window advanced
-by exact linear lifting whenever a raising operator needs more room.
+pushing a top-rank basis down the window.  A tower holds one module
+vector per rank and carries its flavor k and degree itself.  Operators act
+on towers componentwise (the connectors intertwine them), with the window
+advanced by exact linear lifting whenever a raising operator needs more
+room; a word is resolved against the tower's flavor once
+(bqt.lspaces.resolve), so the output flavor, like the output degree, is
+read from the alphabet.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from .errors import InconsistentFlavors, InternalCheckFailed, NoStabilization
 from .induced import InducedRealization, pi_connect, xi_truncate
 from .linalg import RowBasis, solve_combination
-from .lspaces import DPLUS, FLAVORED_ALPHABET, LVector, extract_basis, lk_spanning_set
+from .lspaces import DPLUS, FLAVORED_ALPHABET, extract_basis, lk_spanning_set, resolve
 from .polyrep import PolyRealization, apply_word, letter
 from .tableaux import check_shape, min_rank
 
@@ -66,16 +70,14 @@ class CompatSeqSpec:
             return xi_truncate(v)
         return pi_connect(v, self.shape)
 
-    def connect_flavored(self, lv: LVector) -> LVector:
-        return LVector(lv.k, self.connect(lv.payload))
-
 
 class Tower:
-    """Window of connector-compatible components at fixed flavor and degree."""
+    """Window of connector-compatible components, one module vector per rank,
+    at fixed flavor k and degree."""
 
     __slots__ = ("k", "degree", "lo", "hi", "components")
 
-    def __init__(self, k: int, degree: int, components: dict[int, LVector]):
+    def __init__(self, k: int, degree: int, components: dict):
         self.k = k
         self.degree = degree
         self.lo = min(components)
@@ -84,7 +86,7 @@ class Tower:
             raise ValueError("tower window must be a contiguous rank range")
         self.components = components
 
-    def component(self, n: int) -> LVector:
+    def component(self, n: int):
         return self.components[n]
 
     def window(self) -> tuple[int, int]:
@@ -117,7 +119,7 @@ class Tower:
 
     def check_compatible(self, seq: CompatSeqSpec) -> None:
         for n in range(self.lo, self.hi):
-            if seq.connect(self.components[n + 1].payload) != self.components[n].payload:
+            if seq.connect(self.components[n + 1]) != self.components[n]:
                 raise InternalCheckFailed(
                     f"tower components at ranks {n + 1}->{n} are not connector-compatible"
                 )
@@ -173,8 +175,8 @@ def limit_component(
             if n not in bijective:
                 upper = get_basis(n + 1)
                 images = RowBasis()
-                for lv in upper.vectors:
-                    images.insert(seq.connect(lv.payload).coeffs)
+                for v in upper.vectors:
+                    images.insert(seq.connect(v).coeffs)
                 bijective[n] = images.rank == dims[n] and dims[n + 1] == dims[n]
             if not bijective[n]:
                 ok = False
@@ -182,12 +184,10 @@ def limit_component(
         if not ok:
             continue
         towers = []
-        for lv in get_basis(top).vectors:
-            comps = {top: lv}
-            cur = lv
+        for v in get_basis(top).vectors:
+            comps = {top: v}
             for n in range(top - 1, lo - 1, -1):
-                cur = seq.connect_flavored(cur)
-                comps[n] = cur
+                comps[n] = seq.connect(comps[n + 1])
             towers.append(Tower(k, d, comps))
         return LimitCell(k, d, dims[top], lo, towers)
     raise NoStabilization(
@@ -205,35 +205,30 @@ def extend_tower(seq: CompatSeqSpec, tower: Tower, lo: int, hi: int) -> Tower:
     comps = dict(tower.components)
     top = tower.hi
     while top < hi:
-        target = comps[top].payload
         M = seq.realization(top + 1)
         span = lk_spanning_set(M, tower.k, tower.degree, tail_sorted=True)
-        images = [seq.connect(lv.payload).coeffs for lv in span]
-        sol = solve_combination(images, target.coeffs)
+        images = [seq.connect(v).coeffs for v in span]
+        sol = solve_combination(images, comps[top].coeffs)
         if sol is None:
             raise NoStabilization(
                 f"no lift of a flavor-{tower.k} tower component from rank {top} to {top + 1}"
             )
         lifted = M.zero()
-        for c, lv in zip(sol, span):
+        for c, v in zip(sol, span):
             if c is not None and not c.is_zero():
-                lifted = lifted.add(lv.payload.scale(c))
-        comps[top + 1] = LVector(tower.k, lifted)
+                lifted = lifted.add(v.scale(c))
+        comps[top + 1] = lifted
         top += 1
     comps = {n: v for n, v in comps.items() if lo <= n <= hi}
     return Tower(tower.k, tower.degree, comps)
 
 
 def _word_rank_floor(word, k_in: int, n_start: int) -> int:
-    """Smallest window rank at which every step of the word is defined."""
-    req = max(n_start, k_in, 1)
-    k = k_in
-    for sym in reversed(list(word)):
-        entry = letter(FLAVORED_ALPHABET, sym)
-        req = max(req, k + entry.degree_shift)
-        k += entry.flavor_shift
-        req = max(req, k)
-    return req
+    """Smallest window rank at which every step of the word is defined: every
+    flavor the word passes through, and each degree-raising step's flavor plus one."""
+    resolved, k_out = resolve(word, k_in)
+    raised = (sym[1] + letter(FLAVORED_ALPHABET, sym).degree_shift for sym in resolved)
+    return max(n_start, k_in, k_out, 1, *raised)
 
 
 def widen_for_words(seq: CompatSeqSpec, tower: Tower, words) -> Tower:
@@ -251,13 +246,13 @@ def apply_tower_word(seq: CompatSeqSpec, tower: Tower, word) -> Tower:
     step is defined at every rank in the window.
     """
     tower = widen_for_words(seq, tower, (word,))
+    word, k_out = resolve(word, tower.k)
     out_comps = {
-        n: apply_word(seq.realization(n), lv, word, FLAVORED_ALPHABET)
-        for n, lv in tower.components.items()
+        n: apply_word(seq.realization(n), v, word, FLAVORED_ALPHABET)
+        for n, v in tower.components.items()
     }
-    # the flavor is tracked by the components
     d_out = tower.degree + sum(letter(FLAVORED_ALPHABET, sym).degree_shift for sym in word)
-    out = Tower(out_comps[tower.lo].k, d_out, out_comps)
+    out = Tower(k_out, d_out, out_comps)
     out.check_compatible(seq)
     return out
 
@@ -301,5 +296,5 @@ def d_plus_power_rank(seq: CompatSeqSpec, k: int, d: int, window: int = DEFAULT_
     images = RowBasis()
     for tw in cell.towers:
         out = apply_tower_word(seq, tw, word)
-        images.insert(out.component(out.hi).payload.coeffs)
+        images.insert(out.component(out.hi).coeffs)
     return cell.dim, images.rank

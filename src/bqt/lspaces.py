@@ -2,7 +2,7 @@
 
 The flavor-k space of a rank-n module is spanned by X_1..X_k eps_k(b) over
 a degree basis b; its vectors are multiplication-symmetric in the tail
-(T_i-fixed for i > k) and carry the payload degree as grading.  On these
+(T_i-fixed for i > k) and carry the module degree as grading.  On these
 spaces live
 
     T_i            for 1 <= i <= k-1   (flavor preserved)
@@ -15,6 +15,14 @@ geometric sum (q-1)(1 + q T_k^{-1} + ... + q^{n-k} T_{n-1}^{-1}..T_k^{-1}).
 The degree-raising endomorphism phi is computed as the commutator
 [d_plus, d_minus]/(q-1) and cross-checked against its closed form
 q^{k-1} X_1 T_1^{-1} .. T_{k-1}^{-1}; disagreement raises.
+
+A flavored vector is a plain module vector; every operator takes it
+together with the flavor k it is read in (d_plus(M, v, k), z_action(M, v,
+k, i), ...), and spanning sets and bases hold module vectors.  The flavor
+at each letter of a word is fixed by the input flavor and the letters, so
+the flavor arithmetic lives in one place, the alphabet's flavor shifts:
+resolve(word, k) writes into each symbol the flavor of the vector it acts
+on and returns the flavor the word leaves.
 
 d_plus, d_minus and phi are linear maps on the whole module, so each is
 applied through the realization's one memo (see bqt.keyed): dplus_chain,
@@ -31,8 +39,8 @@ a vector implies agreement on the vector; the check per key is at least as
 strict as one per vector, and no cancellation inside a vector can hide a
 disagreement.  Every public operator checks its index or flavor before
 it reaches a table, so a bad argument stores nothing.  Each letter of the
-flavored alphabet names the per-key table it applies to a vector of a
-given flavor, after the same check (bqt.relations reads it for the
+flavored alphabet names the per-key table it applies at the flavor of a
+resolved symbol, after the same check (bqt.relations reads it for the
 leftmost letter of a word).
 
 eps_k reads the stage entries of the same memo (bqt.polyrep.eps_stage): basis
@@ -62,53 +70,8 @@ from .errors import (
 )
 from .linalg import RowBasis
 from .keyed import derived, ti_entry, tinv_entry
-from .polyrep import Letter, apply_Y, apply_epsilon, apply_x1_tinv_chain, tinv_chain_sum
+from .polyrep import Letter, apply_Y, apply_epsilon, apply_x1_tinv_chain, letter, tinv_chain_sum
 from .polyrep import _y_index, y_entry
-
-
-class LVector:
-    """A module vector tagged with its flavor index."""
-
-    __slots__ = ("k", "payload")
-
-    def __init__(self, k: int, payload):
-        self.k = k
-        self.payload = payload
-
-    @property
-    def coeffs(self) -> dict:
-        """The payload's coefficients, so a fused residual reads LVectors as module vectors."""
-        return self.payload.coeffs
-
-    def degree(self) -> int:
-        return self.payload.degree()
-
-    def is_zero(self) -> bool:
-        return self.payload.is_zero()
-
-    def add(self, other: "LVector") -> "LVector":
-        if self.k != other.k:
-            raise InconsistentFlavors(f"flavors {self.k} and {other.k}")
-        return LVector(self.k, self.payload.add(other.payload))
-
-    def sub(self, other: "LVector") -> "LVector":
-        if self.k != other.k:
-            raise InconsistentFlavors(f"flavors {self.k} and {other.k}")
-        return LVector(self.k, self.payload.sub(other.payload))
-
-    def scale(self, c) -> "LVector":
-        return LVector(self.k, self.payload.scale(c))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LVector) and self.k == other.k and self.payload == other.payload
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"LVector(k={self.k}, {self.payload})"
-
-    def to_obj(self) -> dict:
-        return {"flavor": self.k, "vector": self.payload.to_obj()}
 
 
 def _tail_sorted(exps, k: int) -> bool:
@@ -116,7 +79,7 @@ def _tail_sorted(exps, k: int) -> bool:
     return all(tail[j] >= tail[j + 1] for j in range(len(tail) - 1))
 
 
-def lk_spanning_set(M, k: int, d: int, tail_sorted: bool = False) -> list[LVector]:
+def lk_spanning_set(M, k: int, d: int, tail_sorted: bool = False) -> list:
     """Spanning vectors X_1..X_k eps_k(b) of the degree-d flavor-k space.
 
     Zero images are dropped; results are cached on the realization.
@@ -130,7 +93,7 @@ def lk_spanning_set(M, k: int, d: int, tail_sorted: bool = False) -> list[LVecto
     hit = M.cache.get(key)
     if hit is not None:
         return hit
-    out: list[LVector] = []
+    out = []
     for exps, b in M.basis_with_exponents(d - k):
         if tail_sorted and not _tail_sorted(exps, k):
             continue
@@ -138,72 +101,65 @@ def lk_spanning_set(M, k: int, d: int, tail_sorted: bool = False) -> list[LVecto
         for i in range(1, k + 1):
             w = M.apply_Xi(w, i)
         if not w.is_zero():
-            out.append(LVector(k, w))
+            out.append(w)
     M.cache[key] = out
     return out
 
 
 class GradedBasis:
-    """Independent family extracted from same-flavor spanning vectors."""
+    """Independent family extracted from spanning vectors of one graded piece."""
 
-    def __init__(self, k: int, degree: int):
-        self.k = k
-        self.degree = degree
-        self.vectors: list[LVector] = []
+    def __init__(self):
+        self.vectors: list = []
         self._rows = RowBasis()
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
-    def offer(self, lv: LVector) -> bool:
-        if self._rows.insert(lv.payload.coeffs):
-            self.vectors.append(lv)
+    def offer(self, v) -> bool:
+        if self._rows.insert(v.coeffs):
+            self.vectors.append(v)
             return True
         return False
 
-    def contains(self, lv: LVector) -> bool:
-        return self._rows.contains(lv.payload.coeffs)
+    def contains(self, v) -> bool:
+        return self._rows.contains(v.coeffs)
 
 
-def extract_basis(vectors: list[LVector]) -> GradedBasis:
-    """Row-reduce a same-flavor, same-degree family to an independent one."""
-    if not vectors:
-        return GradedBasis(-1, -1)
-    k = vectors[0].k
-    d = vectors[0].degree()
-    for v in vectors:
-        if v.k != k or (not v.is_zero() and v.degree() != d):
-            raise InconsistentFlavors("mixed flavors or degrees in basis extraction")
-    gb = GradedBasis(k, d)
+def extract_basis(vectors: list) -> GradedBasis:
+    """Row-reduce a same-degree family to an independent one."""
+    if len({v.degree() for v in vectors if not v.is_zero()}) > 1:
+        raise InconsistentFlavors("mixed degrees in basis extraction")
+    gb = GradedBasis()
     for v in vectors:
         gb.offer(v)
     return gb
 
 
-def is_tail_symmetric(M, payload, k: int) -> bool:
+def is_tail_symmetric(M, v, k: int) -> bool:
     """T_i-fixedness for k+1 <= i <= n-1, the cheap half of the invariant."""
     for i in range(k + 1, M.n):
-        if M.apply_Ti(payload, i) != payload:
+        if M.apply_Ti(v, i) != v:
             return False
     return True
 
 
-def certify_flavor_membership(M, lv: LVector) -> bool:
-    """Both halves of the flavor invariant: tail symmetry and span membership.
+def certify_flavor_membership(M, v, k: int) -> bool:
+    """Both halves of the flavor-k invariant of v: tail symmetry and span membership.
 
     Membership is decided degree by degree, each homogeneous part in the
     span of its own graded piece, cut out by the full spanning set.
     """
-    if not 0 <= lv.k <= M.n:
-        raise FlavorOutOfRange(f"flavor {lv.k} outside 0..{M.n}")
-    if lv.is_zero():
+    if not 0 <= k <= M.n:
+        raise FlavorOutOfRange(f"flavor {k} outside 0..{M.n}")
+    if v.is_zero():
         return True
-    if not is_tail_symmetric(M, lv.payload, lv.k):
+    if not is_tail_symmetric(M, v, k):
         return False
     return all(
-        extract_basis(lk_spanning_set(M, lv.k, d)).contains(LVector(lv.k, part))
-        for d, part in lv.payload.homogeneous_parts().items()
+        extract_basis(lk_spanning_set(M, k, d)).contains(part)
+        for d, part in v.homogeneous_parts().items()
     )
 
 
@@ -216,45 +172,45 @@ def spanning_reduction_agrees(M, k: int, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# operators
+# operators: each takes a module vector and the flavor k it is read in
 # ---------------------------------------------------------------------------
 
 
-def _t_index(lv: LVector, i: int) -> int:
-    if not 1 <= i <= lv.k - 1:
-        raise IndexOutOfRange(f"T index {i} outside 1..{lv.k - 1} on flavor {lv.k}")
+def _t_index(k: int, i: int) -> int:
+    if not 1 <= i <= k - 1:
+        raise IndexOutOfRange(f"T index {i} outside 1..{k - 1} on flavor {k}")
     return i
 
 
-def _z_index(lv: LVector, i: int) -> int:
-    if not 1 <= i <= lv.k:
-        raise IndexOutOfRange(f"z index {i} outside 1..{lv.k}")
+def _z_index(k: int, i: int) -> int:
+    if not 1 <= i <= k:
+        raise IndexOutOfRange(f"z index {i} outside 1..{k}")
     return i
 
 
-def _raised(M, lv: LVector) -> int:
+def _raised(M, k: int) -> int:
     """The flavor d_plus leaves, checked to have a flavor above it."""
-    if lv.k >= M.n:
-        raise FlavorAtMax(f"no flavor {lv.k + 1} inside rank {M.n}")
-    return lv.k
+    if k >= M.n:
+        raise FlavorAtMax(f"no flavor {k + 1} inside rank {M.n}")
+    return k
 
 
-def _lowered(lv: LVector) -> int:
+def _lowered(k: int) -> int:
     """The flavor d_minus leaves, checked to have a flavor below it."""
-    if lv.k == 0:
+    if k == 0:
         raise FlavorAtMin("lowering operator undefined at flavor 0")
-    return lv.k
+    return k
 
 
-def _phi_flavor(M, lv: LVector) -> int:
-    if not 1 <= lv.k <= M.n - 1:
-        raise FlavorOutOfRange(f"phi undefined on flavor {lv.k} at rank {M.n}")
-    return lv.k
+def _phi_flavor(M, k: int) -> int:
+    if not 1 <= k <= M.n - 1:
+        raise FlavorOutOfRange(f"phi undefined on flavor {k} at rank {M.n}")
+    return k
 
 
-def t_action(M, lv: LVector, i: int) -> LVector:
+def t_action(M, v, k: int, i: int):
     """T_i on a flavor-k vector (1 <= i <= k-1)."""
-    return LVector(lv.k, M.apply_Ti(lv.payload, _t_index(lv, i)))
+    return M.apply_Ti(v, _t_index(k, i))
 
 
 def z_factor(M):
@@ -277,12 +233,12 @@ def dminus_chain(M, v, k: int):
 
 def phi_chain(M, v, k: int):
     """phi on v read as a flavor-k vector: the closed form, once the commutator agrees."""
-    comm, closed = phi_sides(M, LVector(k, v))
+    comm, closed = phi_sides(M, v, k)
     if comm != closed:
         raise InternalCheckFailed(
             "phi commutator disagrees with its closed form; operator conventions broken"
         )
-    return closed.payload
+    return closed
 
 
 dplus_entry = derived(dplus_chain)
@@ -290,62 +246,81 @@ dminus_entry = derived(dminus_chain)
 phi_entry = derived(phi_chain)
 
 
-def z_action(M, lv: LVector, i: int) -> LVector:
+def z_action(M, v, k: int, i: int):
     """z_i = Y_i/(qt) on a flavor-k vector (1 <= i <= k)."""
-    return LVector(lv.k, apply_Y(M, lv.payload, _z_index(lv, i)).scale(z_factor(M)))
+    return apply_Y(M, v, _z_index(k, i)).scale(z_factor(M))
 
 
-def d_plus(M, lv: LVector) -> LVector:
-    return LVector(lv.k + 1, M.apply_entries(lv.payload, dplus_entry, _raised(M, lv)))
+def d_plus(M, v, k: int):
+    """d_plus on a flavor-k vector; the image has flavor k+1."""
+    return M.apply_entries(v, dplus_entry, _raised(M, k))
 
 
-def d_minus(M, lv: LVector) -> LVector:
-    return LVector(lv.k - 1, M.apply_entries(lv.payload, dminus_entry, _lowered(lv)))
+def d_minus(M, v, k: int):
+    """d_minus on a flavor-k vector; the image has flavor k-1."""
+    return M.apply_entries(v, dminus_entry, _lowered(k))
 
 
-def phi_sides(M, lv: LVector) -> tuple[LVector, LVector]:
-    """[d_plus, d_minus]/(q-1) on lv, and its closed form q^{k-1} X_1 T_1^{-1}..T_{k-1}^{-1}."""
+def phi_sides(M, v, k: int) -> tuple:
+    """[d_plus, d_minus]/(q-1) on a flavor-k vector, and its closed form
+    q^{k-1} X_1 T_1^{-1}..T_{k-1}^{-1}."""
     ring = M.ring
-    k = lv.k
-    comm = d_plus(M, d_minus(M, lv)).sub(d_minus(M, d_plus(M, lv)))
+    comm = d_plus(M, d_minus(M, v, k), k - 1).sub(d_minus(M, d_plus(M, v, k), k + 1))
     comm = comm.scale(ring.one / (ring.q - ring.one))
-    return comm, LVector(k, M.apply_entries(lv.payload, dplus_entry, k - 1))
+    return comm, M.apply_entries(v, dplus_entry, k - 1)
 
 
-def phi_action(M, lv: LVector) -> LVector:
-    """[d_plus, d_minus]/(q-1), through the per-key table of phi_chain."""
-    return LVector(lv.k, M.apply_entries(lv.payload, phi_entry, _phi_flavor(M, lv)))
+def phi_action(M, v, k: int):
+    """[d_plus, d_minus]/(q-1) on a flavor-k vector, through the per-key table of phi_chain."""
+    return M.apply_entries(v, phi_entry, _phi_flavor(M, k))
 
 
 # the flavored alphabet: d_plus raises flavor and degree, d_minus lowers the
 # flavor, phi raises the degree; the degree-raising letters need rank >= k+1.
-# A letter's table depends on the flavor of the vector it acts on, so
-# table(M, lv, *args) reads lv.k, after the same check as the letter's act.
-# z reads the Y_i table, its act being that image times z_factor.
+# Its words are written without flavors; resolve writes into each symbol the
+# flavor k of the vector it acts on, so a resolved symbol is (tag, k, *args)
+# and each letter's act(M, v, k, *args) and table(M, v, k, *args) read k
+# first, the table after the same check as the act.  z reads the Y_i table,
+# its act being that image times z_factor.
 
 FLAVORED_ALPHABET = {
-    "T": Letter(1, lambda M, lv, i: t_action(M, lv, i),
-                table=lambda M, lv, i: partial(M._table, ti_entry, M._t_index(_t_index(lv, i)))),
+    "T": Letter(1, lambda M, v, k, i: t_action(M, v, k, i),
+                table=lambda M, v, k, i: partial(M._table, ti_entry, M._t_index(_t_index(k, i)))),
     "Tinv": Letter(
-        1, lambda M, lv, i: LVector(lv.k, M.apply_Ti_inv(lv.payload, _t_index(lv, i))),
-        table=lambda M, lv, i: partial(M._table, tinv_entry, M._t_index(_t_index(lv, i))),
+        1, lambda M, v, k, i: M.apply_Ti_inv(v, _t_index(k, i)),
+        table=lambda M, v, k, i: partial(M._table, tinv_entry, M._t_index(_t_index(k, i))),
     ),
     "z": Letter(
-        1, lambda M, lv, i: z_action(M, lv, i), factor=z_factor,
-        table=lambda M, lv, i: partial(M._table, y_entry, _y_index(M, _z_index(lv, i))),
+        1, lambda M, v, k, i: z_action(M, v, k, i), factor=z_factor,
+        table=lambda M, v, k, i: partial(M._table, y_entry, _y_index(M, _z_index(k, i))),
     ),
     "dplus": Letter(
-        0, lambda M, lv: d_plus(M, lv), flavor_shift=1, degree_shift=1,
-        table=lambda M, lv: partial(M._table, dplus_entry, _raised(M, lv)),
+        0, lambda M, v, k: d_plus(M, v, k), flavor_shift=1, degree_shift=1,
+        table=lambda M, v, k: partial(M._table, dplus_entry, _raised(M, k)),
     ),
     "dminus": Letter(
-        0, lambda M, lv: d_minus(M, lv), flavor_shift=-1,
-        table=lambda M, lv: partial(M._table, dminus_entry, _lowered(lv)),
+        0, lambda M, v, k: d_minus(M, v, k), flavor_shift=-1,
+        table=lambda M, v, k: partial(M._table, dminus_entry, _lowered(k)),
     ),
     "phi": Letter(
-        0, lambda M, lv: phi_action(M, lv), degree_shift=1,
-        table=lambda M, lv: partial(M._table, phi_entry, _phi_flavor(M, lv)),
+        0, lambda M, v, k: phi_action(M, v, k), degree_shift=1,
+        table=lambda M, v, k: partial(M._table, phi_entry, _phi_flavor(M, k)),
     ),
-    "Scalar": Letter(1, lambda M, lv, c: lv.scale(c)),
+    "Scalar": Letter(1, lambda M, v, k, c: v.scale(c)),
 }
 DPLUS, DMINUS, PHI = ("dplus",), ("dminus",), ("phi",)
+
+
+def resolve(word, k: int) -> tuple[tuple, int]:
+    """A flavored word resolved against input flavor k, and the flavor it leaves.
+
+    Walking right to left, each symbol (tag, *args) becomes (tag, k', *args)
+    with k' the flavor of the vector it acts on, which then moves by the
+    letter's flavor_shift.  Nothing is checked here: the letters check their
+    flavors and indices when they act.
+    """
+    out = []
+    for sym in reversed(tuple(word)):
+        out.append((sym[0], k, *sym[1:]))
+        k += letter(FLAVORED_ALPHABET, sym).flavor_shift
+    return tuple(reversed(out)), k

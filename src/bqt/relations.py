@@ -9,18 +9,21 @@ checked where.
 
 The word suites (daha, aux and the Jucys-Murphy check over the module
 alphabet, bqt over the flavored one) decide each case by one fused zero
-residual: the leftmost letter of every word is read from its per-key table,
-a flavored one after the flavor and index check its action makes, and the
-pairs of both sides, the right side negated, are summed once per output
-key.  A letter whose table is another operator's carries the scalar
-between the two as its factor: z_i reads the Y_i table, and (qt)^{-1} is
-folded into the coefficient of each term that z_i leads, one multiply per
-term and none per pair.  The case holds exactly when every sum is zero,
-and a zero sum is found before any gcd.  Only a case that fails, or
-raises, is evaluated again side by side, so its counterexample and error
-report are those of the two sides.  The tower suite compares the two
-sides' normalized towers: applying a word to a tower checks the
-compatibility of the output tower, which a fused residual would skip.
+residual.  The bqt suite first resolves each selected identity against its
+flavor (bqt.lspaces.resolve), once per flavor, so every flavored symbol
+carries the flavor it acts on.  The leftmost letter of every word is read
+from its per-key table, a flavored one after the flavor and index check
+its action makes, and the pairs of both sides, the right side negated, are
+summed once per output key.  A letter whose table is another operator's
+carries the scalar between the two as its factor: z_i reads the Y_i table,
+and (qt)^{-1} is folded into the coefficient of each term that z_i leads,
+one multiply per term and none per pair.  The case holds exactly when
+every sum is zero, and a zero sum is found before any gcd.  Only a case
+that fails, or raises, is evaluated again side by side, so its
+counterexample and error report are those of the two sides.  The tower
+suite compares the two sides' normalized towers: applying a word to a
+tower checks the compatibility of the output tower, which a fused residual
+would skip.
 
 Every check applies operators through apply_word, the one word interpreter:
 the catalogs' words, the closed forms' chains, the theta word (through
@@ -51,8 +54,8 @@ from .limits import (
     DEFAULT_N_CAP, DEFAULT_WINDOW, CompatSeqSpec, apply_tower_word, limit_component,
     widen_for_words,
 )
-from .lspaces import DMINUS, DPLUS, FLAVORED_ALPHABET, PHI, LVector, d_minus, lk_spanning_set
-from .lspaces import phi_sides
+from .lspaces import DMINUS, DPLUS, FLAVORED_ALPHABET, PHI, d_minus, lk_spanning_set, phi_sides
+from .lspaces import resolve
 from .polyrep import PI, PITILDE, WORD_ALPHABET, PolyRealization, apply_word, letter
 from .polyrep import apply_epsilon  # noqa: F401  (re-exported; perfbench's tracer wraps it)
 from .scalars import QT, ModPField
@@ -167,9 +170,9 @@ def _eval_expr(apply, M, v, expr):
     return out
 
 
-def _shown(got, show=str) -> dict:
+def _shown(got) -> dict:
     """Both sides of a mismatch as text; nothing when the evaluation raised."""
-    return {} if got is None else {"lhs": show(got[0]), "rhs": show(got[1])}
+    return {} if got is None else {"lhs": str(got[0]), "rhs": str(got[1])}
 
 
 def _mismatch(lhs, rhs):
@@ -207,8 +210,10 @@ def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
     per-key table, or an empty word, is applied in full and its
     coefficients join as (c, 1).  A zero lincomb is found before any cancel
     or gcd, so the output coefficients of a holding case are never
-    normalized.  Over the flavored alphabet the payloads' keys are summed:
-    every term of a catalog identity lands in one flavor.
+    normalized.  Over the flavored alphabet the identity comes resolved
+    (bqt.lspaces.resolve): each symbol carries the flavor it acts on, and
+    every term of a catalog identity leaves the same flavor, so the module
+    vectors' keys are summed as they are.
     """
     one = M.ring.one
     groups: dict = {}
@@ -241,16 +246,19 @@ class Identity:
 
 
 def _catalog_reports(catalog, flavors, d_max, graded, evaluate, describe, realization,
-                     only=None, keep_empty=False, **extra_ranges) -> list[RelationReport]:
+                     only=None, keep_empty=False, at_flavor=None,
+                     **extra_ranges) -> list[RelationReport]:
     """One report per relation of catalog(k), for each flavor k in flavors.
 
     The flavor None stands for an unflavored module suite.  graded(k) lists
     the (degree, vector) pairs of degrees k..d_max the flavor's identities
     run on; it is built only when a selected relation has instances at k.
-    keep_empty also reports relations without instances.  evaluate(ident, v)
-    is None when the identity holds on v, else the values that
-    describe(degree, v, values) turns into the counterexample; extra_ranges
-    join the degrees and the instance count in each report's ranges.
+    keep_empty also reports relations without instances.  at_flavor(ident,
+    k), when given, rewrites each selected identity for flavor k before its
+    cases run.  evaluate(ident, v) is None when the identity holds on v,
+    else the values that describe(k, degree, v, values) turns into the
+    counterexample; extra_ranges join the degrees and the instance count in
+    each report's ranges.
     """
     reports = []
     for k in flavors:
@@ -260,13 +268,15 @@ def _catalog_reports(catalog, flavors, d_max, graded, evaluate, describe, realiz
                 continue
             if vectors is None and items:
                 vectors = graded(k)
+            if at_flavor is not None:
+                items = [at_flavor(ident, k) for ident in items]
             reports.append(
                 run_suite(
                     ((ident, d, v) for ident in items for d, v in vectors),
                     lambda case: evaluate(case[0], case[2]),
                     lambda case, got: {
                         "instance": case[0].label,
-                        **describe(case[1], case[2], got),
+                        **describe(k, case[1], case[2], got),
                     },
                     relation_id=rel_id,
                     anchor=anchor,
@@ -290,7 +300,7 @@ def _module_identity_reports(M, catalog, d_max, only, keep_empty) -> list[Relati
         d_max,
         lambda _: [(d, v) for d in range(d_max + 1) for v in M.basis(d)],
         lambda ident, v: _word_sides(M, ident, v),
-        lambda _, v, got: {"vector": str(v), **_shown(got)},
+        lambda _k, _d, v, got: {"vector": str(v), **_shown(got)},
         M.descriptor(),
         only,
         keep_empty,
@@ -498,17 +508,19 @@ def check_bqt_relations(
         lambda k: bqt_identities(M.n, k, M.ring),
         range(0, min(k_max, M.n) + 1),
         d_max,
-        lambda k: [(d, lv) for d in range(k, d_max + 1) for lv in lk_spanning_set(M, k, d)],
-        lambda ident, lv: _word_sides(M, ident, lv, FLAVORED_ALPHABET),
-        lambda d, lv, got: {
-            "flavor": lv.k,
-            "degree": d,
-            "vector": str(lv.payload),
-            **_shown(got, lambda w: str(w.payload)),
-        },
+        lambda k: [(d, v) for d in range(k, d_max + 1) for v in lk_spanning_set(M, k, d)],
+        lambda ident, v: _word_sides(M, ident, v, FLAVORED_ALPHABET),
+        lambda k, d, v, got: {"flavor": k, "degree": d, "vector": str(v), **_shown(got)},
         M.descriptor(),
         only,
+        at_flavor=_resolved,
     )
+
+
+def _resolved(ident: Identity, k: int) -> Identity:
+    """The identity with each word resolved against flavor k (bqt.lspaces.resolve)."""
+    lhs, rhs = (tuple((c, resolve(w, k)[0]) for c, w in side) for side in (ident.lhs, ident.rhs))
+    return Identity(ident.label, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +621,11 @@ def relation_ids(suite: str, M) -> list[str]:
 
 
 def _flavored_spans(M, flavors, d_max: int):
-    """(flavor, degree, payload, spanning vector) over the flavors and degrees <= d_max."""
+    """(flavor, degree, spanning vector) over the flavors and degrees <= d_max."""
     for k in flavors:
         for d in range(k, d_max + 1):
-            for lv in lk_spanning_set(M, k, d):
-                yield k, d, lv.payload, lv
+            for v in lk_spanning_set(M, k, d):
+                yield k, d, v
 
 
 def _closed_form_report(M, d_max, rel_id, anchor, flavors, cases, evaluate) -> RelationReport:
@@ -669,7 +681,7 @@ def _check_phi_closed_form(M, d_max: int, rel_id: str) -> RelationReport:
         "[d_+, d_-]/(q-1) = q^(k-1) X_1 T_1^{-1}..T_{k-1}^{-1} on flavor k",
         flavors,
         _flavored_spans(M, flavors, d_max),
-        lambda case: _mismatch(*phi_sides(M, case[3])),
+        lambda case: _mismatch(*phi_sides(M, case[2], case[0])),
     )
 
 
@@ -682,9 +694,9 @@ def _check_dminus_closed_form(M, d_max: int, rel_id: str) -> RelationReport:
 
     def evaluate(case):
         k, _, w = case
-        lhs = d_minus(M, LVector(k, apply_word(M, w, x_eps(k))))
+        lhs = d_minus(M, apply_word(M, w, x_eps(k)), k)
         scale = ("Scalar", ring.q_power(M.n - k + 1) - ring.one)
-        return _mismatch(lhs.payload, apply_word(M, w, x_eps(k - 1) + (scale, ("X", k))))
+        return _mismatch(lhs, apply_word(M, w, x_eps(k - 1) + (scale, ("X", k))))
 
     flavors = range(1, M.n + 1)
     return _closed_form_report(
@@ -850,8 +862,8 @@ def check_bqt_relations_on_towers(
         d_max,
         towers,
         evaluate,
-        lambda d, tower, base: {
-            "flavor": tower.k,
+        lambda k, d, tower, base: {
+            "flavor": k,
             "degree": d,
             "window": list((base or tower).window()),
         },

@@ -23,7 +23,6 @@ from bqt.limits import (
     limit_component,
 )
 from bqt.limits import _word_rank_floor  # acceptance drives the same planner
-from bqt.lspaces import LVector
 from bqt.relations import (
     check_aux_identities,
     check_bqt_relations,
@@ -195,7 +194,7 @@ def test_criterion_7_murnaghan_consistency():
             if limit_component(pol, k, d).dim != limit_component(mur0, k, d).dim:
                 dims_agree = False
 
-    # operator actions agree tower-by-tower after transporting payloads
+    # operator actions agree tower-by-tower after transporting components
     ops_agree = True
     for k in (0, 1, 2):
         for d in range(k, 6 - k):
@@ -208,14 +207,12 @@ def test_criterion_7_murnaghan_consistency():
                         base = extend_tower(mur0, base, floor, floor + (base.hi - base.lo))
                     moved = apply_tower_word(mur0, base, (op,))
                     transported = {
-                        n: LVector(base.k, trivial_to_poly(lv.payload))
-                        for n, lv in base.components.items()
+                        n: trivial_to_poly(v) for n, v in base.components.items()
                     }
                     pol_tower = Tower(base.k, base.degree, transported)
                     moved_pol = apply_tower_word(pol, pol_tower, (op,))
                     expected = {
-                        n: LVector(moved.k, trivial_to_poly(lv.payload))
-                        for n, lv in moved.components.items()
+                        n: trivial_to_poly(v) for n, v in moved.components.items()
                     }
                     if Tower(moved.k, moved.degree, expected) != moved_pol:
                         ops_agree = False

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import bqt
 import bqt.cli  # the tracer wraps cli.main, so the module must be loaded
-from bqt.lspaces import FLAVORED_ALPHABET, LVector
+from bqt.lspaces import FLAVORED_ALPHABET
 from bqt.polyrep import WORD_ALPHABET, PolyRealization, PolyVector, apply_word
 from bqt.scalars import ONE
 
@@ -44,10 +44,10 @@ def test_word_letters_record_on_their_boundaries():
     cases = [
         ("polyrep.apply_Y", x1, (("Y", 1),), WORD_ALPHABET),
         ("polyrep.apply_epsilon", x1, (("Eps", 0),), WORD_ALPHABET),
-        ("lspaces.z", LVector(1, x1), (("z", 1),), FLAVORED_ALPHABET),
-        ("lspaces.dplus", LVector(0, M.one()), (("dplus",),), FLAVORED_ALPHABET),
-        ("lspaces.dminus", LVector(1, x1), (("dminus",),), FLAVORED_ALPHABET),
-        ("lspaces.phi", LVector(1, x1), (("phi",),), FLAVORED_ALPHABET),
+        ("lspaces.z", x1, (("z", 1, 1),), FLAVORED_ALPHABET),
+        ("lspaces.dplus", M.one(), (("dplus", 0),), FLAVORED_ALPHABET),
+        ("lspaces.dminus", x1, (("dminus", 1),), FLAVORED_ALPHABET),
+        ("lspaces.phi", x1, (("phi", 1),), FLAVORED_ALPHABET),
     ]
     tr = tracer.Tracer()
     tr.install(bqt)

@@ -26,13 +26,14 @@ from hypothesis import strategies as st
 
 from bqt.errors import BqtError
 from bqt.induced import InducedRealization
-from bqt.lspaces import FLAVORED_ALPHABET, LVector, lk_spanning_set
+from bqt.lspaces import FLAVORED_ALPHABET, lk_spanning_set, resolve
 from bqt.polyrep import WORD_ALPHABET, PolyRealization, apply_word
 from bqt.relations import (
     Identity,
     _eval_expr,
     _module_identity_reports,
     _residual_vanishes,
+    _resolved,
     _sides,
     aux_identities,
     bqt_identities,
@@ -123,25 +124,24 @@ def module_words(draw):
 
 @st.composite
 def flavored_words(draw):
-    """A flavored vector and a word whose letters fit the flavor they act on.
+    """A flavor k, a vector read in it, and a word whose letters fit the flavor they act on.
 
     On modules with polynomial variables the vector is a combination of
-    flavored spanning vectors; the seed module has none, so there a module
-    vector is tagged with a flavor.  The word is built from its rightmost
+    flavored spanning vectors; the seed module has none, so there any module
+    vector is read in flavor k.  The word is built from its rightmost
     letter, tracking the flavor each letter meets.
     """
     kind, lam, n, dmax = draw(st.sampled_from(MODULES))
     M, Mp = realizations(kind, lam, n)
     k = draw(st.integers(0, n))
     if kind == "seed":
-        payload = draw_vector(draw, M, 0)
+        v = draw_vector(draw, M, 0)
     else:
         span = lk_spanning_set(M, k, k + draw(st.integers(0, dmax)))
         picks = draw(st.lists(st.sampled_from(span), min_size=1, max_size=2)) if span else []
-        payload = M.zero()
-        for lv in picks:
-            payload = payload.add(lv.payload.scale(QT.from_int(draw(st.integers(-3, 3)))))
-    lv = LVector(k, payload)
+        v = M.zero()
+        for w in picks:
+            v = v.add(w.scale(QT.from_int(draw(st.integers(-3, 3)))))
     word = []
     flavor = k
     for _ in range(draw(st.integers(1, 3))):
@@ -165,7 +165,7 @@ def flavored_words(draw):
             sym = (tag,)
         word.insert(0, sym)
         flavor += FLAVORED_ALPHABET[tag].flavor_shift
-    return M, Mp, lv, tuple(word)
+    return M, Mp, v, k, tuple(word)
 
 
 @given(module_words())
@@ -183,14 +183,14 @@ def test_module_words_commute_with_evaluation(case):
 @given(flavored_words())
 @settings(max_examples=60, deadline=None)
 def test_flavored_words_commute_with_evaluation(case):
-    M, Mp, lv, word = case
-    exact = outcome(M, lv, word, FLAVORED_ALPHABET)
-    modp_in = LVector(lv.k, evaluated(Mp, lv.payload))
-    modp = outcome(Mp, modp_in, evaluated_word(word), FLAVORED_ALPHABET)
+    M, Mp, v, k, word = case
+    exact = outcome(M, v, resolve(word, k)[0], FLAVORED_ALPHABET)
+    modp_word = resolve(evaluated_word(word), k)[0]
+    modp = outcome(Mp, evaluated(Mp, v), modp_word, FLAVORED_ALPHABET)
     if isinstance(exact, type):
         assert modp is exact
     else:
-        assert modp == LVector(exact.k, evaluated(Mp, exact.payload))
+        assert modp == evaluated(Mp, exact)
 
 
 # -- the fused residual against the two-sided evaluation --------------------
@@ -348,10 +348,11 @@ def bqt_verdicts(M, k_max, d_max):
     for k in range(min(k_max, M.n) + 1):
         for _, _, items in bqt_identities(M.n, k, M.ring):
             for ident in items:
+                ident = _resolved(ident, k)
                 for d in range(k, d_max + 1):
-                    for lv in lk_spanning_set(M, k, d):
-                        yield (fused_verdict(M, ident, lv, FLAVORED_ALPHABET),
-                               two_sided_verdict(M, ident, lv, FLAVORED_ALPHABET))
+                    for v in lk_spanning_set(M, k, d):
+                        yield (fused_verdict(M, ident, v, FLAVORED_ALPHABET),
+                               two_sided_verdict(M, ident, v, FLAVORED_ALPHABET))
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))

@@ -36,13 +36,13 @@ from bqt.keyed import _repeats, accumulate, pi_entry, ti_entry, tinv_entry
 from bqt.limits import CompatSeqSpec, apply_tower_word, limit_component
 from bqt.lspaces import (
     FLAVORED_ALPHABET,
-    LVector,
     d_minus,
     d_plus,
     dminus_entry,
     dplus_entry,
     lk_spanning_set,
     phi_entry,
+    resolve,
     t_action,
     z_action,
 )
@@ -254,48 +254,48 @@ def flavored_vectors(draw):
     d = k + draw(st.integers(0, 1 if n == 4 else 2))
     span = lk_spanning_set(M, k, d)
     picks = draw(st.lists(st.sampled_from(span), min_size=1, max_size=3))
-    payload = M.zero()
-    for lv in picks:
+    v = M.zero()
+    for w in picks:
         c = ring.from_int(draw(st.integers(-3, 3))) * ring.q_power(draw(st.integers(-1, 1)))
-        payload = payload.add(lv.payload.scale(c))
-    return M, LVector(k, payload)
+        v = v.add(w.scale(c))
+    return M, v, k
 
 
 @given(flavored_vectors())
 @settings(max_examples=60, deadline=None)
 def test_tabled_flavored_operators_equal_their_primitive_words(case):
-    M, lv = case
-    n, k, ring, v = M.n, lv.k, M.ring, lv.payload
+    M, v, k = case
+    n, ring = M.n, M.ring
     for i in range(1, k + 1):
-        assert z_action(M, lv, i) == LVector(k, apply_word(M, v, z_word(n, i, ring)))
+        assert z_action(M, v, k, i) == apply_word(M, v, z_word(n, i, ring))
     if k < n:
-        assert d_plus(M, lv) == LVector(k + 1, apply_word(M, v, dplus_word(k, ring)))
+        assert d_plus(M, v, k) == apply_word(M, v, dplus_word(k, ring))
     if k >= 1:
         total = M.zero()
         for word in dminus_words(n, k, ring):
             total = total.add(apply_word(M, v, word))
-        assert d_minus(M, lv) == LVector(k - 1, total)
+        assert d_minus(M, v, k) == total
 
 
 def test_bad_index_or_flavor_raises_before_any_table_entry():
     for ring in RINGS.values():
         M = PolyRealization(3, ring)
         (e,) = [b for b in M.basis(2) if b.coeffs == {(1, 1, 0): ring.one}]
-        lv = LVector(2, e)
         bad = [
-            (IndexOutOfRange, lambda: z_action(M, lv, 3)),
-            (IndexOutOfRange, lambda: z_action(M, lv, 0)),
-            (IndexOutOfRange, lambda: t_action(M, lv, 2)),
-            (IndexOutOfRange, lambda: apply_word(M, lv, (("Tinv", 2),), FLAVORED_ALPHABET)),
+            (IndexOutOfRange, lambda: z_action(M, e, 2, 3)),
+            (IndexOutOfRange, lambda: z_action(M, e, 2, 0)),
+            (IndexOutOfRange, lambda: t_action(M, e, 2, 2)),
+            (IndexOutOfRange,
+             lambda: apply_word(M, e, resolve((("Tinv", 2),), 2)[0], FLAVORED_ALPHABET)),
             (IndexOutOfRange, lambda: apply_Y(M, e, 4)),
-            (FlavorAtMax, lambda: d_plus(M, LVector(3, e))),
+            (FlavorAtMax, lambda: d_plus(M, e, 3)),
         ]
         for error, call in bad:
             with pytest.raises(error):
                 call()
         assert not M._memo
         assert not M._pool
-        d_minus(M, lv)
+        d_minus(M, e, 2)
         built = {b for b, _, _ in M._memo}
         assert dminus_entry in built and tinv_entry in built
 
@@ -397,16 +397,16 @@ def test_application_on_warm_tables_leaves_the_realization_as_it_was(case):
     if i < M.n:
         ops += [lambda: M.apply_Ti(v, i), lambda: M.apply_Ti_inv(v, i)]
     # the flavored letters, each by its action and by its per-key table
-    letters = [(LVector(i, v), ("z", i)), (LVector(i, v), ("dminus",))]
+    letters = [("z", i, i), ("dminus", i)]
     if M.kind != "seed":  # d_+ and phi multiply by X_1
-        letters.append((LVector(i - 1, v), ("dplus",)))
+        letters.append(("dplus", i - 1))
         if i < M.n:
-            letters.append((LVector(i, v), ("phi",)))
-    for lv, sym in letters:
+            letters.append(("phi", i))
+    for sym in letters:
         entry = FLAVORED_ALPHABET[sym[0]]
         ops += [
-            lambda lv=lv, sym=sym: apply_word(M, lv, (sym,), FLAVORED_ALPHABET).payload,
-            lambda lv=lv, sym=sym, entry=entry: M._apply_table(v, entry.table(M, lv, *sym[1:])),
+            lambda sym=sym: apply_word(M, v, (sym,), FLAVORED_ALPHABET),
+            lambda sym=sym, entry=entry: M._apply_table(v, entry.table(M, v, *sym[1:])),
         ]
     for op in ops:
         first = op()
@@ -448,9 +448,9 @@ def test_memo_keys_hold_a_module_level_builder_and_no_z_copy_of_a_y_entry():
     z = FLAVORED_ALPHABET["z"]
     for k in range(1, 5):
         for d in range(k, 5):
-            for lv in lk_spanning_set(M, k, d):
+            for v in lk_spanning_set(M, k, d):
                 for i in range(1, k + 1):
-                    want = apply_Y(M, lv.payload, i).scale(qt_inv)
-                    assert z_action(M, lv, i) == LVector(k, want)
-                    fused = M._apply_table(lv.payload, z.table(M, lv, i))
+                    want = apply_Y(M, v, i).scale(qt_inv)
+                    assert z_action(M, v, k, i) == want
+                    fused = M._apply_table(v, z.table(M, v, k, i))
                     assert fused.scale(z.factor(M)) == want

@@ -18,7 +18,6 @@ from bqt.induced import InducedRealization, trivial_to_poly
 from bqt.linalg import RowBasis, solve_combination
 from bqt.lspaces import (
     FLAVORED_ALPHABET,
-    LVector,
     certify_flavor_membership,
     d_minus,
     d_plus,
@@ -27,6 +26,7 @@ from bqt.lspaces import (
     phi_action,
     phi_entry,
     phi_sides,
+    resolve,
     spanning_reduction_agrees,
     t_action,
     z_action,
@@ -92,7 +92,7 @@ def test_spanning_flavor0_degree0():
     M = PolyRealization(2)
     span = lk_spanning_set(M, 0, 0)
     assert len(span) == 1
-    assert span[0].payload == M.one()
+    assert span[0] == M.one()
 
 
 def test_spanning_k1_d2_dimension():
@@ -117,28 +117,28 @@ def test_spanning_errors():
 
 def test_extract_basis_degenerate_cases():
     M = PolyRealization(2)
-    v = LVector(1, pv(2, 1, 0))
-    gb = extract_basis([v, v.scale(parse_scalar("2"))])
+    v = pv(2, 1, 0)
+    gb = extract_basis([v, v.scale(parse_scalar("2")), M.zero()])
     assert gb.dim == 1
     assert extract_basis([]).dim == 0
     with pytest.raises(InconsistentFlavors):
-        extract_basis([v, LVector(0, pv(2, 0, 0))])
+        extract_basis([v, pv(2, 1, 1)])
 
 
 def test_membership_certification():
     M = PolyRealization(3)
-    for lv in lk_spanning_set(M, 1, 2):
-        assert certify_flavor_membership(M, lv)
+    for v in lk_spanning_set(M, 1, 2):
+        assert certify_flavor_membership(M, v, 1)
     # x_1 x_2 is tail-symmetric for k = 2 but lives in flavor 2, not flavor 1 span?
     # actually x1x2 = d_plus(x1) is in L_2; for flavor 1 degree 2 it is NOT tail-symmetric
-    bad = LVector(1, pv(3, 0, 1, 0))
-    assert not certify_flavor_membership(M, bad)
+    bad = pv(3, 0, 1, 0)
+    assert not certify_flavor_membership(M, bad, 1)
     # membership is decided per degree: a sum of members of two graded pieces
     # is a member, and a tail-symmetric non-member in one piece spoils the sum
     a, b = lk_spanning_set(M, 1, 2)[0], lk_spanning_set(M, 1, 3)[0]
-    assert certify_flavor_membership(M, a.add(b))
-    x2_plus_x3 = LVector(1, pv(3, 0, 1, 0).add(pv(3, 0, 0, 1)))
-    assert not certify_flavor_membership(M, a.add(x2_plus_x3))
+    assert certify_flavor_membership(M, a.add(b), 1)
+    x2_plus_x3 = pv(3, 0, 1, 0).add(pv(3, 0, 0, 1))
+    assert not certify_flavor_membership(M, a.add(x2_plus_x3), 1)
 
 
 def test_tail_sorted_reduction_spans_everything():
@@ -157,23 +157,20 @@ def test_tail_sorted_reduction_spans_everything():
 
 def test_d_plus_examples():
     M = PolyRealization(2)
-    v0 = LVector(0, M.one())
-    assert d_plus(M, v0) == LVector(1, pv(2, 1, 0))
-    v1 = LVector(1, pv(2, 1, 0))
-    assert d_plus(M, v1) == LVector(2, pv(2, 1, 1))
-    assert d_plus(M, LVector(0, M.zero())).is_zero()
+    assert d_plus(M, M.one(), 0) == pv(2, 1, 0)
+    assert d_plus(M, pv(2, 1, 0), 1) == pv(2, 1, 1)
+    assert d_plus(M, M.zero(), 0).is_zero()
     with pytest.raises(FlavorAtMax):
-        d_plus(M, LVector(2, pv(2, 1, 1)))
+        d_plus(M, pv(2, 1, 1), 2)
 
 
 def test_d_minus_examples():
     M = PolyRealization(2)
-    out = d_minus(M, LVector(1, pv(2, 1, 0)))
-    assert out == LVector(0, pv(2, 1, 0, coeff="q - 1").add(pv(2, 0, 1, coeff="q - 1")))
-    out2 = d_minus(M, LVector(2, pv(2, 1, 1)))
-    assert out2 == LVector(1, pv(2, 1, 1, coeff="q - 1"))
+    out = d_minus(M, pv(2, 1, 0), 1)
+    assert out == pv(2, 1, 0, coeff="q - 1").add(pv(2, 0, 1, coeff="q - 1"))
+    assert d_minus(M, pv(2, 1, 1), 2) == pv(2, 1, 1, coeff="q - 1")
     with pytest.raises(FlavorAtMin):
-        d_minus(M, LVector(0, M.one()))
+        d_minus(M, M.one(), 0)
 
 
 def test_d_minus_closed_form():
@@ -189,37 +186,37 @@ def test_d_minus_closed_form():
                     w = apply_epsilon(M, b, k)
                     for i in range(1, k + 1):
                         w = M.apply_Xi(w, i)
-                    lhs = d_minus(M, LVector(k, w))
+                    lhs = d_minus(M, w, k)
                     scaled = M.apply_Xi(b, k).scale(
                         parse_scalar(f"q^{n - k + 1} - 1")
                     )
                     rhs = apply_epsilon(M, scaled, k - 1)
                     for i in range(1, k):
                         rhs = M.apply_Xi(rhs, i)
-                    assert lhs == LVector(k - 1, rhs)
+                    assert lhs == rhs
 
 
 def test_z_examples():
     M1 = PolyRealization(1)
-    assert z_action(M1, LVector(1, pv(1, 1)), 1) == LVector(1, pv(1, 1))
+    assert z_action(M1, pv(1, 1), 1, 1) == pv(1, 1)
     M3 = PolyRealization(3)
-    for lv in lk_spanning_set(M3, 2, 3):
-        z12 = z_action(M3, z_action(M3, lv, 1), 2)
-        z21 = z_action(M3, z_action(M3, lv, 2), 1)
+    for v in lk_spanning_set(M3, 2, 3):
+        z12 = z_action(M3, z_action(M3, v, 2, 1), 2, 2)
+        z21 = z_action(M3, z_action(M3, v, 2, 2), 2, 1)
         assert z12 == z21
-    assert z_action(M3, LVector(1, M3.zero()), 1).is_zero()
+    assert z_action(M3, M3.zero(), 1, 1).is_zero()
 
 
 def test_phi_examples():
     M = PolyRealization(2)
-    assert phi_action(M, LVector(1, pv(2, 1, 0))) == LVector(1, pv(2, 2, 0))
-    assert phi_action(M, LVector(1, M.zero())).is_zero()
+    assert phi_action(M, pv(2, 1, 0), 1) == pv(2, 2, 0)
+    assert phi_action(M, M.zero(), 1).is_zero()
     M3 = PolyRealization(3)
     for d in (1, 2, 3):
-        for lv in lk_spanning_set(M3, 1, d):
-            phi_action(M3, lv)  # closed-form agreement is asserted inside
+        for v in lk_spanning_set(M3, 1, d):
+            phi_action(M3, v, 1)  # closed-form agreement is asserted inside
     with pytest.raises(FlavorOutOfRange):
-        phi_action(M, LVector(2, pv(2, 1, 1)))
+        phi_action(M, pv(2, 1, 1), 2)
 
 
 def test_phi_raises_when_its_closed_form_is_broken(monkeypatch, capsys, tmp_path):
@@ -227,16 +224,16 @@ def test_phi_raises_when_its_closed_form_is_broken(monkeypatch, capsys, tmp_path
     and the bqt suite turns that into fail reports, never a traceback."""
     correct = bqt.lspaces.phi_sides
 
-    def closed_form_off_by_q(M, lv):
-        comm, closed = correct(M, lv)
+    def closed_form_off_by_q(M, v, k):
+        comm, closed = correct(M, v, k)
         return comm, closed.scale(M.ring.q)
 
     monkeypatch.setattr(bqt.lspaces, "phi_sides", closed_form_off_by_q)
     M = PolyRealization(2)
     with pytest.raises(InternalCheckFailed):
-        phi_action(M, LVector(1, pv(2, 1, 0)))
+        phi_action(M, pv(2, 1, 0), 1)
     # the zero vector has a zero commutator and a zero closed form
-    assert phi_action(M, LVector(1, M.zero())).is_zero()
+    assert phi_action(M, M.zero(), 1).is_zero()
 
     out = tmp_path / "bqt.json"
     code = main(["check", "bqt", "--module", "poly", "--n", "3", "--kmax", "2", "--dmax", "2",
@@ -282,10 +279,10 @@ def test_phi_table_entries_equal_the_closed_form_on_every_key(module):
         for v in M.basis(d):
             (key,) = v.coeffs
             for k in range(1, M.n):
-                got = phi_action(M, LVector(k, v))
-                comm, closed = phi_sides(M, LVector(k, v))
+                got = phi_action(M, v, k)
+                comm, closed = phi_sides(M, v, k)
                 assert comm == closed == got
-                assert dict(phi_entries(M)[k, key]) == closed.payload.coeffs
+                assert dict(phi_entries(M)[k, key]) == closed.coeffs
     assert len(phi_entries(M)) == (M.n - 1) * sum(len(M.basis(d)) for d in range(d_max + 1))
 
 
@@ -294,23 +291,23 @@ def test_phi_on_a_bad_flavor_raises_and_stores_nothing():
     v = pv(3, 1, 0, 0)
     for k in (0, 3):
         with pytest.raises(FlavorOutOfRange):
-            phi_action(M, LVector(k, v))
+            phi_action(M, v, k)
         with pytest.raises(FlavorOutOfRange):
-            FLAVORED_ALPHABET["phi"].table(M, LVector(k, v))
+            FLAVORED_ALPHABET["phi"].table(M, v, k)
     assert not phi_entries(M)
 
 
 def test_the_phi_table_belongs_to_the_realization():
     M, other = PolyRealization(3), PolyRealization(3)
-    lv = lk_spanning_set(M, 1, 1)[0]
-    got = phi_action(M, lv)
-    assert set(phi_entries(M)) == {(1, key) for key in lv.payload.coeffs}
+    v = lk_spanning_set(M, 1, 1)[0]
+    got = phi_action(M, v, 1)
+    assert set(phi_entries(M)) == {(1, key) for key in v.coeffs}
     assert not phi_entries(other)
-    assert phi_action(other, LVector(1, lv.payload)) == got
+    assert phi_action(other, v, 1) == got
     assert set(phi_entries(other)) == set(phi_entries(M))
     # a second application reads the entries
     entries = phi_entries(M)
-    phi_action(M, lv)
+    phi_action(M, v, 1)
     assert all(phi_entries(M)[fk] is e for fk, e in entries.items())
 
 
@@ -318,51 +315,67 @@ def test_operator_closure_into_target_flavors():
     M = PolyRealization(3)
     for k in range(0, 4):
         for d in range(k, k + 2):
-            for lv in lk_spanning_set(M, k, d):
+            for v in lk_spanning_set(M, k, d):
                 if k <= M.n - 1:
-                    up = d_plus(M, lv)
-                    assert certify_flavor_membership(M, up)
-                    assert up.degree() == lv.degree() + 1
+                    up = d_plus(M, v, k)
+                    assert certify_flavor_membership(M, up, k + 1)
+                    assert up.degree() == v.degree() + 1
                 if k >= 1:
-                    down = d_minus(M, lv)
-                    assert certify_flavor_membership(M, down)
-                    assert down.is_zero() or down.degree() == lv.degree()
+                    down = d_minus(M, v, k)
+                    assert certify_flavor_membership(M, down, k - 1)
+                    assert down.is_zero() or down.degree() == v.degree()
                 for i in range(1, k + 1):
-                    zz = z_action(M, lv, i)
-                    assert certify_flavor_membership(M, zz)
+                    assert certify_flavor_membership(M, z_action(M, v, k, i), k)
                 for i in range(1, k):
-                    assert certify_flavor_membership(M, t_action(M, lv, i))
+                    assert certify_flavor_membership(M, t_action(M, v, k, i), k)
 
 
-def flavored(M, lv, word):
-    return apply_word(M, lv, word, FLAVORED_ALPHABET)
+def flavored(M, v, k, word):
+    """The flavored word applied to v read in flavor k."""
+    return apply_word(M, v, resolve(word, k)[0], FLAVORED_ALPHABET)
 
 
 def test_flavored_word_application():
     M = PolyRealization(2)
-    lv = LVector(0, M.one())
-    out = flavored(M, lv, (("dminus",), ("dplus",)))
-    assert out.k == 0
+    word = (("dminus",), ("dplus",))
+    assert resolve(word, 0) == ((("dminus", 1), ("dplus", 0)), 0)
     expected = pv(2, 1, 0, coeff="q - 1").add(pv(2, 0, 1, coeff="q - 1"))
-    assert out == LVector(0, expected)
+    assert flavored(M, M.one(), 0, word) == expected
+
+
+def test_resolve_writes_the_flavor_each_symbol_acts_on():
+    c = parse_scalar("q - 1")
+    assert resolve((), 3) == ((), 3)
+    assert resolve((("dplus",),), 2) == ((("dplus", 2),), 3)
+    assert resolve((("z", 1),), 2) == ((("z", 2, 1),), 2)
+    word = (("z", 1), ("Scalar", c), ("dminus",), ("T", 1), ("dplus",), ("dplus",), ("phi",))
+    assert resolve(word, 1) == (
+        (("z", 2, 1), ("Scalar", 2, c), ("dminus", 3), ("T", 3, 1), ("dplus", 2),
+         ("dplus", 1), ("phi", 1)),
+        2,
+    )
+    # resolving checks nothing: a flavor out of range fails when its letter acts
+    assert resolve((("dminus",), ("dminus",)), 1) == ((("dminus", 0), ("dminus", 1)), -1)
+    with pytest.raises(FlavorAtMin):
+        flavored(PolyRealization(2), pv(2, 1, 0), 1, (("dminus",), ("dminus",)))
 
 
 def test_z1_commutator_value_on_x1():
     # both sides of the z_1 commutator relation on the flavor-1 vector x_1
     # at rank 2 come out to qt(q-1) x_1^2
     M = PolyRealization(2)
-    lv = LVector(1, pv(2, 1, 0))
-    lhs = flavored(M, lv, (("z", 1), ("dplus",), ("dminus",))).scale(
+    v = pv(2, 1, 0)
+    lhs = flavored(M, v, 1, (("z", 1), ("dplus",), ("dminus",))).scale(
         parse_scalar("q")
-    ).sub(flavored(M, lv, (("z", 1), ("dminus",), ("dplus",))))
-    rhs = flavored(M, lv, (("dplus",), ("dminus",), ("z", 1))).scale(
+    ).sub(flavored(M, v, 1, (("z", 1), ("dminus",), ("dplus",))))
+    rhs = flavored(M, v, 1, (("dplus",), ("dminus",), ("z", 1))).scale(
         parse_scalar("q*t")
     ).sub(
-        flavored(M, lv, (("dminus",), ("dplus",), ("z", 1))).scale(
+        flavored(M, v, 1, (("dminus",), ("dplus",), ("z", 1))).scale(
             parse_scalar("q*t")
         )
     )
-    expected = LVector(1, pv(2, 2, 0, coeff="q*t*(q - 1)"))
+    expected = pv(2, 2, 0, coeff="q*t*(q - 1)")
     assert lhs == expected
     assert rhs == expected
 
@@ -374,18 +387,15 @@ def test_functoriality_of_trivial_identification():
     Mi = InducedRealization((), n)
     Mp = PolyRealization(n)
 
-    def transport(lv):
-        return LVector(lv.k, trivial_to_poly(lv.payload))
-
     for k in range(0, n + 1):
         for d in range(k, k + 2):
-            for lv in lk_spanning_set(Mi, k, d):
-                plv = transport(lv)
+            for v in lk_spanning_set(Mi, k, d):
+                w = trivial_to_poly(v)
                 if k <= n - 1:
-                    assert transport(d_plus(Mi, lv)) == d_plus(Mp, plv)
+                    assert trivial_to_poly(d_plus(Mi, v, k)) == d_plus(Mp, w, k)
                 if k >= 1:
-                    assert transport(d_minus(Mi, lv)) == d_minus(Mp, plv)
+                    assert trivial_to_poly(d_minus(Mi, v, k)) == d_minus(Mp, w, k)
                 for i in range(1, k + 1):
-                    assert transport(z_action(Mi, lv, i)) == z_action(Mp, plv, i)
+                    assert trivial_to_poly(z_action(Mi, v, k, i)) == z_action(Mp, w, k, i)
                 for i in range(1, k):
-                    assert transport(t_action(Mi, lv, i)) == t_action(Mp, plv, i)
+                    assert trivial_to_poly(t_action(Mi, v, k, i)) == t_action(Mp, w, k, i)

@@ -7,11 +7,12 @@ import pytest
 import bqt.relations
 from bqt.errors import NotAnEigenvector, PoleAtPoint
 from bqt.limits import CompatSeqSpec
-from bqt.lspaces import FLAVORED_ALPHABET
+from bqt.lspaces import FLAVORED_ALPHABET, resolve
 from bqt.relations import (
     PROBABILISTIC_POINTS,
     RelationReport,
     all_passed,
+    bqt_identities,
     check_aux_identities,
     check_bqt_relations,
     check_bqt_relations_on_towers,
@@ -178,12 +179,32 @@ def test_tower_level_suite_small():
     assert reports and all_passed(reports)
 
 
+def test_every_bqt_identity_term_leaves_one_flavor_and_degree():
+    """Module vectors of one flavor carry no flavor tag, so the suite may add and
+    compare the terms of an identity only because the catalog's terms, resolved
+    at the identity's flavor, all leave the same flavor and add the same degree."""
+    seen = set()
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for rel_id, _, items in bqt_identities(n, k, QT):
+                for ident in items:
+                    ends = set()
+                    for _, word in ident.lhs + ident.rhs:
+                        _, k_out = resolve(word, k)
+                        degree = sum(FLAVORED_ALPHABET[sym[0]].degree_shift for sym in word)
+                        ends.add((k_out - k, degree))
+                    assert len(ends) == 1, (rel_id, n, k, ident.label, ends)
+                    seen |= ends
+    # the catalog moves flavor both ways and raises the degree
+    assert {(0, 0), (-2, 0), (2, 2), (0, 1), (1, 2)} <= seen
+
+
 def test_tower_suite_reports_a_mutated_tower_operator(monkeypatch):
     """z_i acting as q^i z_i on every component keeps each tower compatible but
     breaks d_+ z_i = z_{i+1} d_+; the report names the flavor, degree and window."""
     correct = FLAVORED_ALPHABET["z"]
     scaled = correct._replace(
-        act=lambda M, lv, i: correct.act(M, lv, i).scale(M.ring.q_power(i))
+        act=lambda M, v, k, i: correct.act(M, v, k, i).scale(M.ring.q_power(i))
     )
     monkeypatch.setitem(FLAVORED_ALPHABET, "z", scaled)
     reports = check_bqt_relations_on_towers(CompatSeqSpec("polynomial"), 1, 2)
