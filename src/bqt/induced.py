@@ -148,7 +148,8 @@ class InducedRealization(KeyedRealization):
         e, tau = key
         se = swap_exponents(e, i)
         out: dict[IndKey, object] = {}
-        for s, m in self.seed._table(ti_entry, i, tau):
+        keys, scalars = self.seed._table(ti_entry, i, tau)
+        for s, m in zip(keys, scalars):
             accumulate(out, (se, s), m)
         if se != e:
             for de, c in demazure_terms(e, i, self._dl_coeffs):

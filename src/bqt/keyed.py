@@ -12,16 +12,22 @@ supplies the T_i and pi images of one key, _ti_image(i, key) and
 _pi_image(key), and the head split below; the engine checks indices,
 defines apply_Ti, apply_Ti_inv and apply_pi once for every realization, and
 keeps every per-key image in one memo keyed by (builder, argument, key),
-the argument an int or None.  _table(build, arg, key) runs build(M, arg,
-key) the first time a key is read and returns the stored entry after that,
-so table builds and hits pass one seam; apply_entries(v, build, arg) is its
-linear extension.  The builders are module-level functions, made once at
+the argument an int or None.  An entry is two tuples of one length, (keys,
+scalars): the image's output keys and their nonzero pooled scalars, read as
+zip(keys, scalars).  From three pairs on that is smaller than a (key,
+scalar) tuple per pair, and the long entries (eps stages, d_-, Y) are most
+of the memo.  _table(build, arg, key) runs build(M, arg, key) the first time
+a key is read and returns the stored entry after that, so table builds and
+hits pass one seam; apply_entries(v, build, arg) is its linear extension.  The builders are module-level functions, made once at
 import and never per call: ti_entry and pi_entry read the realization's
 images, tinv_entry derives T_i^{-1} = q^{-1}(T_i + (q-1)) from the
 quadratic relation, and bqt.polyrep.eps_stage builds an eps_k stage (by the
 T^{-1} recursion, or for stage 0 of a partition key on the polynomial
 module by the Hall-Littlewood closed form, whose entries are leaves no
 stage reads).
+tinv_entry reads the T_i entry of the key when the memo has one; otherwise
+it interns the T_i image and does not store it, so a key that T_i itself
+never reaches keeps no T_i entry (on the stable limits, none does).
 A T_i^{-1} entry multiplies nothing once its scalars are known: c q^{-1} is
 formed once per pooled T_i-image scalar c, and (q-1) q^{-1} once per
 realization.
@@ -267,8 +273,15 @@ class KeyedRealization:
         return i
 
     def _interned(self, items) -> tuple:
-        """(key, scalar) pairs as a table entry, each nonzero scalar taken from the pool."""
-        return tuple((k, self._pooled(c)) for k, c in items if not c.is_zero())
+        """(key, scalar) pairs as a table entry (keys, scalars), each nonzero scalar
+        taken from the pool."""
+        pooled = self._pooled
+        keys, scalars = [], []
+        for k, c in items:
+            if not c.is_zero():
+                keys.append(k)
+                scalars.append(pooled(c))
+        return tuple(keys), tuple(scalars)
 
     def _pooled(self, c):
         """The pool's object equal to c; a pooled object is known by its id."""
@@ -279,7 +292,8 @@ class KeyedRealization:
         return c
 
     def _table(self, build, arg, key) -> tuple:
-        """build(self, arg, key), one key's image pairs, as a table entry built on first use."""
+        """build(self, arg, key), one key's image pairs, as a table entry (keys,
+        scalars) built on first use."""
         hit = self._memo.get((build, arg, key))
         if hit is None:
             hit = self._memo[(build, arg, key)] = self._interned(build(self, arg, key))
@@ -327,17 +341,18 @@ class KeyedRealization:
         coeffs = v.coeffs
         if len(coeffs) == 1:
             ((key, c),) = coeffs.items()
-            entry = table(*args, key)
+            keys, scalars = table(*args, key)
             if c.is_one():
-                return self._vec(dict(entry))
-            return self._vec({k2: c * m for k2, m in entry})
+                return self._vec(dict(zip(keys, scalars)))
+            return self._vec({k2: c * m for k2, m in zip(keys, scalars)})
         memo = _repeats(coeffs)
         return self._vec(self.group_sums(self.gather({}, coeffs, table, args, memo), memo))
 
     @staticmethod
     def gather(groups: dict, coeffs: dict, table, args: tuple = (), memo: bool = False) -> dict:
         """Add the pairs of coeffs under a per-key table to groups: (c, m) to
-        groups[k2] for each key's coefficient c and each (k2, m) of table(*args, key).
+        groups[k2] for each key's coefficient c and each (k2, m) of the entry
+        table(*args, key).
 
         With memo, equal coefficients are first replaced by one of them.
         """
@@ -345,7 +360,8 @@ class KeyedRealization:
         for key, c in coeffs.items():
             if memo:
                 c = canon.setdefault(c.value_key(), c)
-            for k2, m in table(*args, key):
+            keys, scalars = table(*args, key)
+            for k2, m in zip(keys, scalars):
                 groups.setdefault(k2, []).append((c, m))
         return groups
 
@@ -380,10 +396,17 @@ def ti_entry(M, i: int, key):
 
 
 def tinv_entry(M, i: int, key):
-    """T_i^{-1} = q^{-1}(T_i + (q-1)), from the quadratic relation."""
+    """T_i^{-1} = q^{-1}(T_i + (q-1)), from the quadratic relation.
+
+    It reads the T_i entry when the memo has one; otherwise it interns the
+    T_i image and does not store it, since most keys whose T_i^{-1} entry
+    is built never have T_i applied to them.
+    """
+    entry = M._memo.get((ti_entry, i, key))
+    keys, scalars = entry if entry is not None else M._interned(M._ti_image(i, key))
     over_q = M._over_q
     out = {}
-    for k, c in M._table(ti_entry, i, key):
+    for k, c in zip(keys, scalars):
         m = over_q.get(id(c))
         if m is None:
             m = over_q[id(c)] = M._pooled(c * M._qinv)

@@ -281,12 +281,14 @@ def apply_epsilon(M: KeyedRealization, v, k: int):
 
 
 def eps_image(M: KeyedRealization, k: int, key) -> tuple:
-    """eps_k of one key: the stage k image of its tail, shifted by its head."""
+    """eps_k of one key, as an entry: the stage k entry of its tail, its keys
+    shifted by the head and its scalars tuple the stage's own."""
     head = M._head(key, k)
     stage = M._table(eps_stage, k, M._join_head((0,) * len(head), key))
     if not any(head):
         return stage
-    return tuple((M._join_head(head, k2), m) for k2, m in stage)
+    keys, scalars = stage
+    return tuple(M._join_head(head, k2) for k2 in keys), scalars
 
 
 def eps_stage(M: KeyedRealization, j: int, key):
@@ -308,8 +310,8 @@ def eps_stage(M: KeyedRealization, j: int, key):
             and all(a >= b for a, b in zip(key, key[1:]))):
         return eps0_partition(M, key)
     head = M._head(key, j + 1)
-    inner = M._table(eps_stage, j + 1, M._join_head((0,) * len(head), key))
-    w = M._vec({M._join_head(head, k2): m for k2, m in inner})
+    keys, scalars = M._table(eps_stage, j + 1, M._join_head((0,) * len(head), key))
+    w = M._vec({M._join_head(head, k2): m for k2, m in zip(keys, scalars)})
     ring = M.ring
     return tinv_chain_sum(M, w, j + 1).scale(ring.one / ring.q_integer(n - j)).coeffs.items()
 
@@ -464,7 +466,7 @@ def apply_pi_tilde(M: KeyedRealization, v):
 # alphabet maps each tag to its Letter: argument count, action act(M, w, *args)
 # (looking its operator up when called), flavor and degree shifts, and for a
 # letter that reads a per-key table of a keyed realization, table(M, w, *args):
-# the image function key -> ((key', scalar), ...) of the table it applies to
+# the image function key -> (keys, scalars), an entry, of the table it applies to
 # the vector w, after the same index check as act.  Where table is None the
 # letter has no per-key table and only act applies it.  A letter whose act is
 # its table's image times a scalar gives factor(M), that scalar.

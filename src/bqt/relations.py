@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BqtError, PoleAtPoint
 from .induced import InducedRealization, xi_truncate_broken
@@ -86,18 +86,26 @@ def make_realization(desc: dict, ring=QT):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RelationReport:
-    relation_id: str
-    anchor: str
-    realization: dict
-    ranges: dict
-    status: str = "pass"
-    vectors_checked: int = 0
-    counterexample: dict | None = None
-    millis: float = 0.0
-    mode: str = "exact"
-    flavor: int | None = None
+    """The verdict of one relation on one realization, filled in as its suite runs."""
+
+    __slots__ = ("relation_id", "anchor", "realization", "ranges", "status",
+                 "vectors_checked", "counterexample", "millis", "mode", "flavor")
+
+    def __init__(self, relation_id: str, anchor: str, realization: dict, ranges: dict,
+                 status: str = "pass", vectors_checked: int = 0,
+                 counterexample: dict | None = None, millis: float = 0.0,
+                 mode: str = "exact", flavor: int | None = None):
+        self.relation_id = relation_id
+        self.anchor = anchor
+        self.realization = realization
+        self.ranges = ranges
+        self.status = status
+        self.vectors_checked = vectors_checked
+        self.counterexample = counterexample
+        self.millis = millis
+        self.mode = mode
+        self.flavor = flavor
 
     def to_obj(self) -> dict:
         out = {
@@ -215,7 +223,7 @@ def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
     every term of a catalog identity leaves the same flavor, so the module
     vectors' keys are summed as they are.
     """
-    one = M.ring.one
+    units = (M.ring.one,)
     groups: dict = {}
     for expr, negate in ((ident.lhs, False), (ident.rhs, True)):
         for coeff, word in expr:
@@ -228,7 +236,7 @@ def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
                     w = head.act(M, w, *args)
                 elif head.factor:
                     coeff = coeff * head.factor(M)
-            M.gather(groups, _term_coeffs(w, coeff, negate), image or (lambda key: ((key, one),)))
+            M.gather(groups, _term_coeffs(w, coeff, negate), image or (lambda key: ((key,), units)))
     return not M.group_sums(groups)
 
 
@@ -238,8 +246,7 @@ def _term_coeffs(w, coeff, negate: bool) -> dict:
     return {k: -c for k, c in coeffs.items()} if negate else coeffs
 
 
-@dataclass
-class Identity:
+class Identity(NamedTuple):
     label: str
     lhs: tuple
     rhs: tuple

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import bqt.polyrep
 from bqt.errors import InconsistentFlavors, IndexOutOfRange
 from bqt.induced import InducedRealization
-from bqt.keyed import ti_entry, tinv_entry
+from bqt.keyed import tinv_entry
 from bqt.limits import CompatSeqSpec, limit_component
 from bqt.polyrep import (PolyRealization, apply_epsilon, eps0_partition, eps_stage,
                          monomials_of_degree)
@@ -209,14 +209,16 @@ def test_the_stage_table_belongs_to_the_realization():
     assert stage_entries(M) and not other._memo
     assert apply_epsilon(other, b, 1) == e
     assert set(other._memo) == set(M._memo)
-    # the stage table reads T^{-1} and T entries and nothing else
-    assert {b for b, _, _ in M._memo} == {eps_stage, tinv_entry, ti_entry}
+    # the stage table reads T^{-1} entries and nothing else; the T images
+    # they are built from are not stored
+    assert {b for b, _, _ in M._memo} == {eps_stage, tinv_entry}
     pooled = {id(c) for c in M._pool.values()}
     for (j, key), entry in stage_entries(M).items():
         # stages 1..n of the tail, each keyed by a key whose first j exponents are zero
         assert 1 <= j <= M.n and not any(key[:j])
-        assert all(not any(k2[:j]) for k2, _ in entry)
-        assert all(id(c) in pooled for _, c in entry)
+        keys, scalars = entry
+        assert all(not any(k2[:j]) for k2 in keys)
+        assert all(id(c) in pooled for c in scalars)
     # the stage images of one tail serve every head: no new entry for x_1^2 times b
     before = len(M._memo)
     head = M.apply_Xi(M.apply_Xi(b, 1), 1)
@@ -256,12 +258,13 @@ def _head_shift_one_exponent_off(M, k, key):
     stage = M._table(bqt.polyrep.eps_stage, k, M._join_head((0,) * len(head), key))
     if not any(head):
         return stage
+    keys, scalars = stage
     out = []
-    for k2, m in stage:
+    for k2 in keys:
         e = M._head(k2, len(head) + 1)
         moved = e[:1] + tuple(h + a for h, a in zip(head, e[1:]))
-        out.append((M._join_head(moved, k2), m))
-    return tuple(out)
+        out.append(M._join_head(moved, k2))
+    return tuple(out), scalars
 
 
 @pytest.fixture

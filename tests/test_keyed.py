@@ -121,7 +121,7 @@ def fold_table(M, v, table, *args):
     """The linear extension of a table, adding each product c * m in turn."""
     out: dict = {}
     for key, c in v.coeffs.items():
-        for k2, m in table(*args, key):
+        for k2, m in zip(*table(*args, key)):
             accumulate(out, k2, c * m)
     return M._vec(out)
 
@@ -165,7 +165,7 @@ def test_a_one_key_application_is_the_keys_entry(kind, lam, n, dmax, ring_name):
                 got = op()
                 assert_same(got, fold_table(M, v, table, *args))
                 if c.is_one():
-                    entry = dict(table(*args, key))
+                    entry = dict(zip(*table(*args, key)))
                     assert all(x is entry[k2] for k2, x in got.coeffs.items())
                     assert all(id(x) in M._pool_ids for x in got.coeffs.values())
 
@@ -181,7 +181,7 @@ def test_a_table_entry_holds_no_zero_scalar():
         got = M.apply_Ti(v, 4)
         assert_same(got, fold_table(M, v, M._table, ti_entry, 4))
         assert not any(x.is_zero() for x in got.coeffs.values())
-    assert not any(c.is_zero() for _, c in M._table(ti_entry, 4, tau))
+    assert not any(c.is_zero() for c in M._table(ti_entry, 4, tau)[1])
 
 
 def test_each_derived_builder_is_named_after_its_operator():
@@ -198,7 +198,7 @@ def test_equal_table_scalars_are_one_object():
         assert all(r.status == "pass" for r in check_daha_relations(M, 1))
         assert any(b is y_entry for b, _, _ in M._memo)
         for R in (M, M.seed):
-            scalars = [c for entry in R._memo.values() for _, c in entry]
+            scalars = [c for _, entry_scalars in R._memo.values() for c in entry_scalars]
             objects_by_text: dict = {}
             for c in scalars:
                 objects_by_text.setdefault(str(c), set()).add(id(c))
@@ -219,11 +219,52 @@ def test_tinv_entries_equal_the_quadratic_relation_and_memo_ids_are_pooled():
             for (i, key), entry in tinv.items():
                 want = {k: c * qinv for k, c in R._ti_image(i, key)}
                 accumulate(want, key, (ring.q - ring.one) * qinv)
-                assert dict(entry) == want
+                assert dict(zip(*entry)) == want
             pooled = {id(c) for c in R._pool.values()}
             assert R._pool_ids == pooled
             assert set(R._over_q) <= pooled
             assert all(id(m) in pooled for m in R._over_q.values())
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_tinv_entries_are_the_quadratic_relation_with_and_without_a_t_entry(ring_name):
+    """A T_i^{-1} entry built while the memo has no T_i entry of its key, and one
+    built after T_i was applied to the key, are both q^{-1}(T_i + (q-1)); the
+    first stores no T_i entry and the second reads the one there is."""
+    ring = RINGS[ring_name]
+    qinv = ring.q_power(-1)
+    for make in (lambda: PolyRealization(3, ring), lambda: InducedRealization((1,), 3, ring)):
+        cold, warm = make(), make()
+        for v in (b for d in range(3) for b in cold.basis(d)):
+            (key,) = v.coeffs
+            for i in (1, 2):
+                ti = warm.apply_Ti(v, i)
+                t_entry = warm._memo[(ti_entry, i, key)]
+                want = ti.add(v.scale(ring.q - ring.one)).scale(qinv)
+                assert_same(cold.apply_Ti_inv(v, i), want)
+                assert_same(warm.apply_Ti_inv(v, i), want)
+                assert (ti_entry, i, key) not in cold._memo
+                assert warm._memo[(ti_entry, i, key)] is t_entry
+        assert {b for b, _, _ in cold._memo} == {tinv_entry}
+
+
+def test_memo_entries_are_two_tuples_of_pooled_scalars_after_a_limit_cell():
+    """Every entry is (keys, scalars), two tuples of one length whose scalars are
+    nonzero pool objects, and no polynomial realization of the cell stores a T_i
+    entry: its T^{-1} entries were built without one."""
+    seq = CompatSeqSpec("polynomial")
+    limit_component(seq, 2, 5)
+    realizations = list(seq._realizations.values())
+    assert any(b is tinv_entry for R in realizations for b, _, _ in R._memo)
+    for R in realizations:
+        pooled = {id(c) for c in R._pool.values()}
+        for entry in R._memo.values():
+            assert type(entry) is tuple and len(entry) == 2
+            keys, scalars = entry
+            assert type(keys) is tuple and type(scalars) is tuple
+            assert len(keys) == len(scalars)
+            assert all(not c.is_zero() and id(c) in pooled for c in scalars)
+        assert not any(b is ti_entry for b, _, _ in R._memo)
 
 
 def z_word(n: int, i: int, ring) -> tuple:
@@ -433,7 +474,7 @@ def test_memo_keys_hold_a_module_level_builder_and_no_z_copy_of_a_y_entry():
     qt_inv = QT.q_power(-1) * QT.t_power(-1)
     for R in (M, *seq._realizations.values()):
         y_over_qt = {
-            (i, key): {k: c * qt_inv for k, c in entry}
+            (i, key): {k: c * qt_inv for k, c in zip(*entry)}
             for (build, i, key), entry in R._memo.items()
             if build is y_entry
         }
@@ -444,7 +485,7 @@ def test_memo_keys_hold_a_module_level_builder_and_no_z_copy_of_a_y_entry():
             # a T_i-fixed key's T_i entry, or a stage-n entry, is the key alone,
             # as Y_i/(qt) of a monomial can be; a z copy would be a derived entry
             if build not in GENERATOR_BUILDERS:
-                assert dict(entry) != y_over_qt.get((arg, key))
+                assert dict(zip(*entry)) != y_over_qt.get((arg, key))
     z = FLAVORED_ALPHABET["z"]
     for k in range(1, 5):
         for d in range(k, 5):

@@ -282,7 +282,7 @@ def test_phi_table_entries_equal_the_closed_form_on_every_key(module):
                 got = phi_action(M, v, k)
                 comm, closed = phi_sides(M, v, k)
                 assert comm == closed == got
-                assert dict(phi_entries(M)[k, key]) == closed.coeffs
+                assert dict(zip(*phi_entries(M)[k, key])) == closed.coeffs
     assert len(phi_entries(M)) == (M.n - 1) * sum(len(M.basis(d)) for d in range(d_max + 1))
 
 

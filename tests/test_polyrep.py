@@ -135,7 +135,7 @@ def test_pi_substitution():
             M = PolyRealization(n, ring)
             for e in monomials_up_to_degree(n, 4):
                 want = pi_oracle(n, e, ring)
-                assert dict(M._table(pi_entry, None, e)) == want
+                assert dict(zip(*M._table(pi_entry, None, e))) == want
                 assert M.apply_pi(PolyVector(n, {e: ring.one})) == PolyVector(n, want)
 
 

@@ -1,5 +1,8 @@
 """Relation suites: positive runs, negative controls, and report shape."""
 
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -236,6 +239,32 @@ def test_probabilistic_detects_sign_flip():
 
     reports = run_probabilistic(suite, seed=5)
     assert reports[0].status == "fail"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_importing_bqt_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import bqt; print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_a_report_takes_its_fields_by_position_or_keyword_and_no_other_attribute():
+    by_keyword = RelationReport(relation_id="r", anchor="a", realization={"module": "poly"},
+                                ranges={"degrees": [0]}, flavor=2)
+    by_position = RelationReport("r", "a", {"module": "poly"}, {"degrees": [0]}, "pass", 0,
+                                 None, 0.0, "exact", 2)
+    assert by_keyword.to_obj() == by_position.to_obj() == {
+        "relation_id": "r", "anchor": "a", "realization": {"module": "poly"},
+        "ranges": {"degrees": [0]}, "status": "pass", "vectors_checked": 0, "millis": 0.0,
+        "mode": "exact", "flavor": 2,
+    }
+    with pytest.raises(AttributeError):
+        by_keyword.verdict = "pass"
 
 
 def _stub_report(status: str, vectors: int, counterexample=None) -> RelationReport:
