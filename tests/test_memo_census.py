@@ -46,7 +46,7 @@ def test_one_pass_of_limit_pol_prints_the_census():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert (out["workload"], out["seed"], out["failed_units"]) == ("limit_pol", 1, 0)
+    assert (out["workload"], out["seed"], out["failures"]) == ("limit_pol", 1, [])
     assert out["realizations"] > 0
     builders = out["builders"]
     assert {"eps_stage", "tinv_entry", "derived(dminus_chain)"} <= set(builders)

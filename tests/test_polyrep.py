@@ -232,6 +232,20 @@ def test_word_validation_and_json():
         apply_word(M, v, (("Eps", 4),))
     word = (("T", 1), ("Scalar", parse_scalar("q^2 - 1")), ("PiTilde",))
     assert word_from_json(word_to_json(word)) == word
+    with pytest.raises(ValueError, match="JSON list of symbols"):
+        word_from_json({"T": 1})
+    with pytest.raises(ValueError, match="not scalar text"):
+        word_from_json([["Scalar", 2]])
+
+
+def test_rank_zero_monomials_the_zero_vector_and_bad_module_arguments():
+    assert monomials_of_degree(0, 0) == [()]
+    assert monomials_of_degree(0, 2) == []
+    assert PolyVector.zero(3).degree() == -1
+    with pytest.raises(ValueError, match="disagrees with rank"):
+        PolyVector.monomial(3, (1, 0), ONE)
+    with pytest.raises(ValueError, match="demazure_coefficient"):
+        PolyRealization(3, demazure_coefficient="1+q")
 
 
 def test_sign_flipped_variant_breaks_quadratic():

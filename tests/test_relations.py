@@ -24,6 +24,7 @@ from bqt.relations import (
     check_theta_eigenvalues,
     make_realization,
     run_probabilistic,
+    run_suite,
 )
 from bqt.relations import _sides, _term_coeffs
 from bqt.scalars import QT
@@ -147,6 +148,10 @@ def test_compatibility_negative_control():
     by_id = {r.relation_id: r for r in reports}
     assert by_id["compat_kills_top_X"].status == "fail"
     assert by_id["compat_kills_top_X"].counterexample is not None
+    with pytest.raises(ValueError, match="polynomial tower"):
+        check_compatibility(CompatSeqSpec("murnaghan", (1,)), 3, 1, broken_connector=True)
+    with pytest.raises(ValueError, match="below the sequence start"):
+        check_compatibility(seq, seq.n_start - 1, 1)
 
 
 # axiom -> (the rank-n object holding the fault, the generator the fault
@@ -270,6 +275,20 @@ def test_a_report_takes_its_fields_by_position_or_keyword_and_no_other_attribute
 def _stub_report(status: str, vectors: int, counterexample=None) -> RelationReport:
     return RelationReport("stub", "stub = stub", {"module": "stub"}, {}, status, vectors,
                           counterexample, millis=1.0)
+
+
+def test_a_pole_in_a_case_condemns_the_point_not_the_case():
+    def evaluate(case):
+        raise PoleAtPoint("a denominator vanishes at this point")
+
+    with pytest.raises(PoleAtPoint):
+        run_suite([1], evaluate, lambda case, got: {}, relation_id="r", anchor="a",
+                  realization={}, ranges={})
+
+
+def test_an_unknown_module_kind_is_rejected():
+    with pytest.raises(ValueError, match="unknown module kind"):
+        make_realization({"module": "seed", "n": 3})
 
 
 def test_probabilistic_redraws_a_point_at_a_pole():

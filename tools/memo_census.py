@@ -8,7 +8,8 @@ set-up, then every unit in the seeded order.  It then finds every keyed
 realization the process still holds and prints one JSON object: for each
 builder of the memo (named as ``keyed.derived`` names it), the entries, the
 (key, scalar) pairs they store and the ``sys.getsizeof`` bytes of the entry
-tuples, summed over all realizations, and the same under ``total``.  The
+tuples, summed over all realizations, and the same under ``total``; it
+also lists the units that failed their gate or raised.  The
 bytes count the tuples of each entry and not the keys or scalars in them,
 which the memo shares with the pool, the basis and the other entries.
 
@@ -56,22 +57,24 @@ def live_realizations(keyed_realization: type) -> list:
 
 
 def run(workload: str, seed: int) -> dict:
-    """One seeded pass of the workload, then the census and the failed units."""
+    """One seeded pass of the workload, then the census and the units that failed
+    their gate or raised."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import bqt
     from workloads import WORKLOADS
 
     wl = WORKLOADS[workload]
     ctx = wl.build(bqt, False)
-    failed = 0
+    failures = []
     for unit in wl.ordered_units(seed):
         try:
-            ok = wl.check(unit, wl.call(bqt, ctx, unit))[0]
-        except Exception:  # a raising unit is a failed unit, as in perfbench
-            ok = False
-        failed += not ok
+            ok, detail, _ = wl.check(unit, wl.call(bqt, ctx, unit))
+        except Exception as exc:  # a raising unit is a failed unit, as in perfbench
+            ok, detail = False, f"raised {exc!r}"
+        if not ok:
+            failures.append(f"{unit}: {detail}")
     found = live_realizations(bqt.keyed.KeyedRealization)
-    return {"workload": workload, "seed": seed, "failed_units": failed,
+    return {"workload": workload, "seed": seed, "failures": failures,
             "realizations": len(found), "builders": census(found)}
 
 
