@@ -21,7 +21,9 @@ key), so an application on warm tables that adds any entry at all shows a
 builder or an argument made afresh on each call.  After the bqt suite and a
 z tower word, every memo key holds one of the module-level builders and an
 int or None, and no entry is a copy of a Y_i entry rescaled for z_i, which
-reads the Y_i table itself.
+reads the Y_i table itself.  Every entry is two tuples of one length, keys
+and pooled nonzero scalars, and a T_i^{-1} entry built where the memo has
+no T_i entry of its key equals the one built where it has, and stores none.
 """
 
 from functools import lru_cache
