@@ -19,7 +19,7 @@ from .limits import CompatSeqSpec, dim_table
 from .lspaces import FLAVORED_ALPHABET, certify_flavor_membership, resolve
 from .polyrep import apply_word, word_from_json
 from .relations import check_compatibility, make_realization, run_probabilistic
-from .schedule import Unit, check_suite, check_units
+from .schedule import SUITES, Unit, check_ids, check_units
 from .tableaux import check_shape
 
 
@@ -39,10 +39,10 @@ def _module_descriptor(args) -> dict:
     if args.module == "murnaghan":
         desc["shape"] = list(parse_shape(args.shape))
     if getattr(args, "demazure", "1-q") != "1-q":
-        if args.module != "poly" or args.suite == "compat":
+        if args.module != "poly" or args.suite not in SUITES:
             raise ValueError(
-                f"--demazure {args.demazure} applies to the polynomial module's daha, "
-                "bqt and aux suites only"
+                f"--demazure {args.demazure} applies to the polynomial module's "
+                f"{', '.join(SUITES)} suites only"
             )
         desc["demazure_coefficient"] = args.demazure
     return desc
@@ -65,11 +65,10 @@ def cmd_check(args) -> int:
         reports = check_compatibility(_sequence(args.module == "poly", args), args.n, args.dmax)
         report_objs = [r.to_obj() for r in reports]
     elif args.probabilistic:
-
-        def suite(ring):
-            return check_suite(args.suite, make_realization(desc, ring), params)
-
-        reports = run_probabilistic(suite, seed=seed)
+        unit = Unit(desc, args.suite, params)
+        reports = run_probabilistic(
+            lambda ring: check_ids(unit, make_realization(desc, ring)), seed=seed
+        )
         report_objs = [r.to_obj() for r in reports]
     else:
         report_objs = check_units([Unit(desc, args.suite, params)], args.jobs)[0]
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="rank")
 
     p = sub.add_parser("check", help="run a relation suite")
-    p.add_argument("suite", choices=["daha", "bqt", "aux", "compat"])
+    p.add_argument("suite", choices=[*SUITES, "compat"])
     add_module_args(p)
     p.add_argument("--dmax", type=int, default=2)
     p.add_argument("--kmax", type=int, default=2)

@@ -212,12 +212,3 @@ def trivial_to_poly(v: IndVector) -> PolyVector:
     if v.lam != ():
         raise ShapeMismatch("identification defined for the empty shape only")
     return PolyVector(v.n, {e: c for (e, _), c in v.coeffs.items()})
-
-
-def poly_to_trivial(f: PolyVector, realization: InducedRealization) -> IndVector:
-    if realization.lam != ():
-        raise ShapeMismatch("identification defined for the empty shape only")
-    (tau,) = realization.tableaux
-    return IndVector(
-        realization.n, (), {(e, tau): c for e, c in f.coeffs.items()}
-    )

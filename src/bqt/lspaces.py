@@ -279,32 +279,32 @@ def phi_action(M, v, k: int):
 # flavor, phi raises the degree; the degree-raising letters need rank >= k+1.
 # Its words are written without flavors; resolve writes into each symbol the
 # flavor k of the vector it acts on, so a resolved symbol is (tag, k, *args)
-# and each letter's act(M, v, k, *args) and table(M, v, k, *args) read k
+# and each letter's act(M, v, k, *args) and table(M, k, *args) read k
 # first, the table after the same check as the act.  z reads the Y_i table,
 # its act being that image times z_factor.
 
 FLAVORED_ALPHABET = {
     "T": Letter(1, lambda M, v, k, i: t_action(M, v, k, i),
-                table=lambda M, v, k, i: partial(M._table, ti_entry, M._t_index(_t_index(k, i)))),
+                table=lambda M, k, i: partial(M._table, ti_entry, M._t_index(_t_index(k, i)))),
     "Tinv": Letter(
         1, lambda M, v, k, i: M.apply_Ti_inv(v, _t_index(k, i)),
-        table=lambda M, v, k, i: partial(M._table, tinv_entry, M._t_index(_t_index(k, i))),
+        table=lambda M, k, i: partial(M._table, tinv_entry, M._t_index(_t_index(k, i))),
     ),
     "z": Letter(
         1, lambda M, v, k, i: z_action(M, v, k, i), factor=z_factor,
-        table=lambda M, v, k, i: partial(M._table, y_entry, _y_index(M, _z_index(k, i))),
+        table=lambda M, k, i: partial(M._table, y_entry, _y_index(M, _z_index(k, i))),
     ),
     "dplus": Letter(
         0, lambda M, v, k: d_plus(M, v, k), flavor_shift=1, degree_shift=1,
-        table=lambda M, v, k: partial(M._table, dplus_entry, _raised(M, k)),
+        table=lambda M, k: partial(M._table, dplus_entry, _raised(M, k)),
     ),
     "dminus": Letter(
         0, lambda M, v, k: d_minus(M, v, k), flavor_shift=-1,
-        table=lambda M, v, k: partial(M._table, dminus_entry, _lowered(k)),
+        table=lambda M, k: partial(M._table, dminus_entry, _lowered(k)),
     ),
     "phi": Letter(
         0, lambda M, v, k: phi_action(M, v, k), degree_shift=1,
-        table=lambda M, v, k: partial(M._table, phi_entry, _phi_flavor(M, k)),
+        table=lambda M, k: partial(M._table, phi_entry, _phi_flavor(M, k)),
     ),
     "Scalar": Letter(1, lambda M, v, k, c: v.scale(c)),
 }

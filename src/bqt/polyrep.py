@@ -71,13 +71,6 @@ def monomials_of_degree(n: int, d: int) -> list[Exponents]:
     return out
 
 
-def monomials_up_to_degree(n: int, d: int) -> list[Exponents]:
-    out: list[Exponents] = []
-    for dd in range(d + 1):
-        out.extend(monomials_of_degree(n, dd))
-    return out
-
-
 def monomial_str(e: Exponents) -> str:
     return "*".join(f"x{i+1}^{k}" if k > 1 else f"x{i+1}" for i, k in enumerate(e) if k)
 
@@ -465,9 +458,9 @@ def apply_pi_tilde(M: KeyedRealization, v):
 # formal generator words: tuples of symbols applied right to left.  An
 # alphabet maps each tag to its Letter: argument count, action act(M, w, *args)
 # (looking its operator up when called), flavor and degree shifts, and for a
-# letter that reads a per-key table of a keyed realization, table(M, w, *args):
-# the image function key -> (keys, scalars), an entry, of the table it applies to
-# the vector w, after the same index check as act.  Where table is None the
+# letter that reads a per-key table of a keyed realization, table(M, *args):
+# the image function key -> (keys, scalars), an entry, of the table its act
+# applies, after the same index check as act.  Where table is None the
 # letter has no per-key table and only act applies it.  A letter whose act is
 # its table's image times a scalar gives factor(M), that scalar.
 
@@ -483,15 +476,15 @@ class Letter(NamedTuple):
 
 WORD_ALPHABET = {
     "T": Letter(1, lambda M, w, i: M.apply_Ti(w, i),
-                table=lambda M, w, i: partial(M._table, ti_entry, M._t_index(i))),
+                table=lambda M, i: partial(M._table, ti_entry, M._t_index(i))),
     "Tinv": Letter(1, lambda M, w, i: M.apply_Ti_inv(w, i),
-                   table=lambda M, w, i: partial(M._table, tinv_entry, M._t_index(i))),
+                   table=lambda M, i: partial(M._table, tinv_entry, M._t_index(i))),
     "X": Letter(1, lambda M, w, i: M.apply_Xi(w, i)),
     "Y": Letter(1, lambda M, w, i: apply_Y(M, w, i),
-                table=lambda M, w, i: partial(M._table, y_entry, _y_index(M, i))),
+                table=lambda M, i: partial(M._table, y_entry, _y_index(M, i))),
     "Eps": Letter(1, lambda M, w, k: apply_epsilon(M, w, k)),
     "Pi": Letter(0, lambda M, w: M.apply_pi(w),
-                 table=lambda M, w: partial(M._table, pi_entry, None)),
+                 table=lambda M: partial(M._table, pi_entry, None)),
     "PiTilde": Letter(0, lambda M, w: apply_pi_tilde(M, w)),
     "Scalar": Letter(1, lambda M, w, c: w.scale(c)),
 }
@@ -512,16 +505,6 @@ def apply_word(M: KeyedRealization, v, word: Iterable[tuple], alphabet: dict = W
     for sym in reversed(list(word)):
         w = letter(alphabet, sym).act(M, w, *sym[1:])
     return w
-
-
-def word_to_json(word: Iterable[tuple]) -> list:
-    out = []
-    for sym in word:
-        if sym[0] == "Scalar":
-            out.append(["Scalar", str(sym[1])])
-        else:
-            out.append(list(sym))
-    return out
 
 
 def word_from_json(data, alphabet: dict = WORD_ALPHABET) -> tuple:

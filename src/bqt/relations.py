@@ -125,10 +125,6 @@ class RelationReport:
         return out
 
 
-def all_passed(reports: list[RelationReport]) -> bool:
-    return all(r.status == "pass" for r in reports)
-
-
 def run_suite(cases, evaluate, describe, **fields) -> RelationReport:
     """One timed report: evaluate every case, count it, keep the first failure.
 
@@ -231,7 +227,7 @@ def _residual_vanishes(M, ident, v, alphabet=WORD_ALPHABET) -> bool:
             if word:
                 head, args = letter(alphabet, word[0]), word[0][1:]
                 w = apply_word(M, v, word[1:], alphabet)
-                image = head.table and head.table(M, w, *args)
+                image = head.table and head.table(M, *args)
                 if image is None:
                     w = head.act(M, w, *args)
                 elif head.factor:
@@ -513,7 +509,7 @@ def check_bqt_relations(
     """The fifteen-relation suite on spanning vectors of every flavor <= k_max."""
     return _catalog_reports(
         lambda k: bqt_identities(M.n, k, M.ring),
-        range(0, min(k_max, M.n) + 1),
+        bqt_flavors(M, k_max),
         d_max,
         lambda k: [(d, v) for d in range(k, d_max + 1) for v in lk_spanning_set(M, k, d)],
         lambda ident, v: _word_sides(M, ident, v, FLAVORED_ALPHABET),
@@ -522,6 +518,11 @@ def check_bqt_relations(
         only,
         at_flavor=_resolved,
     )
+
+
+def bqt_flavors(M, k_max: int) -> range:
+    """The flavors the bqt suite checks on M: 0..k_max, and none past the rank."""
+    return range(min(k_max, M.n) + 1)
 
 
 def _resolved(ident: Identity, k: int) -> Identity:
@@ -590,7 +591,7 @@ def aux_identities(n: int, ring) -> list[tuple[str, str, list[Identity]]]:
     ]
 
 
-def _aux_checks(M) -> list:
+def aux_checks(M) -> list:
     """(relation id, check(M, d_max, rel_id)) of the aux suite beyond its
     identity catalog, in report order; a Murnaghan module adds theta on its seed."""
     checks = [
@@ -612,19 +613,10 @@ def check_aux_identities(M, d_max: int, only: str | None = None) -> list[Relatio
     reports = _module_identity_reports(
         M, aux_identities(M.n, M.ring), d_max, only, keep_empty=False
     )
-    for rel_id, check in _aux_checks(M):
+    for rel_id, check in aux_checks(M):
         if only is None or only == rel_id:
             reports.append(check(M, d_max, rel_id))
     return reports
-
-
-def relation_ids(suite: str, M) -> list[str]:
-    """Relation ids of the daha, bqt or aux suite on M, in report order."""
-    if suite == "daha":
-        return [rid for rid, _, _ in daha_identities(M.n, QT)]
-    if suite == "bqt":
-        return [rid for rid, _, _ in bqt_identities(M.n, 0, QT)]
-    return [rid for rid, _, _ in aux_identities(M.n, QT)] + [rid for rid, _ in _aux_checks(M)]
 
 
 def _flavored_spans(M, flavors, d_max: int):

@@ -1,10 +1,18 @@
-"""One scheduler for the exact relation suites: warm the tables once, then fork.
+"""One table of the module suites, and one scheduler for their checks.
 
-A Unit is a realization descriptor, a suite (daha, bqt or aux) and the
-suite's params (dmax, and kmax for bqt); every relation id of the suite is
-checked.  check_units(units, jobs) returns, for each unit, the report
-objects of its relation ids in catalog order: the objects a run of the
-units one after another gives, byte for byte once millis are zeroed.
+SUITES gives each module suite's catalog on M (the (relation id, anchor,
+instances) entries of every flavor it checks, and aux's checks beyond its
+identities, with no instances), its checker, and the warm-up of a unit
+split across workers (daha only).  The entries look their functions up by
+name when called, so a wrapper bound over one (a tracer's, a test's) takes
+effect.  check_ids runs a suite on M relation id by relation id, in catalog
+order: the one path of an exact run at any number of workers and of each
+point of a probabilistic run, so every mode lists the reports in one order.
+
+A Unit is a realization descriptor, a suite name and the suite's params
+(dmax, and kmax for bqt).  check_units(units, jobs) returns, for each unit,
+the report objects of its relation ids in catalog order: the objects a run
+of the units one after another gives, byte for byte once millis are zeroed.
 
 jobs <= 1 runs the units in order in this process, with nothing warmed,
 each unit's realization and tables released before the next is built.
@@ -28,8 +36,8 @@ Workers claim tasks from one shared counter, longest first (LPT; Graham,
 SIAM J. Appl. Math. 1969).  A task's cost is read from the identity
 catalogs, never from relation names: the letters in its relations' words
 that run a chain of generators on every key they meet (CHAIN_LETTERS),
-times the number of basis keys of degree <= dmax.  A check outside the
-catalogs costs 0; ties keep catalog order.  Each worker sends (task, report
+times the number of basis keys of degree <= dmax.  A check without
+instances costs 0; ties keep catalog order.  Each worker sends (task, report
 objects), or (task, exception) when the task raised, through its own pipe.
 The parent joins every worker before it returns and raises the exception of
 the first failing task in unit and catalog order, as the sequential run
@@ -40,24 +48,48 @@ from __future__ import annotations
 
 import multiprocessing
 from multiprocessing.connection import wait
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import BqtError
 from .polyrep import y_entry
 from .relations import (
+    aux_checks,
     aux_identities,
+    bqt_flavors,
     bqt_identities,
     check_aux_identities,
     check_bqt_relations,
     check_daha_relations,
     daha_identities,
     make_realization,
-    relation_ids,
 )
 from .scalars import QT
 
 # Y, eps and pi tilde of the module alphabet, and the flavored derived operators
 CHAIN_LETTERS = frozenset(("Y", "Eps", "PiTilde", "z", "dplus", "dminus", "phi"))
+
+
+class Suite(NamedTuple):
+    catalog: Callable  # (M, params) -> [(relation id, anchor, instances)]
+    check: Callable  # (M, params, only) -> [RelationReport]
+    warm: Callable | None = None  # (M, params) -> None
+
+
+SUITES = {
+    "daha": Suite(
+        lambda M, p: daha_identities(M.n, QT),
+        lambda M, p, only: check_daha_relations(M, p["dmax"], only=only),
+        lambda M, p: _warm_y(M, p),
+    ),
+    "bqt": Suite(
+        lambda M, p: [e for k in bqt_flavors(M, p["kmax"]) for e in bqt_identities(M.n, k, QT)],
+        lambda M, p, only: check_bqt_relations(M, p["kmax"], p["dmax"], only=only),
+    ),
+    "aux": Suite(
+        lambda M, p: aux_identities(M.n, QT) + [(rid, None, ()) for rid, _ in aux_checks(M)],
+        lambda M, p, only: check_aux_identities(M, p["dmax"], only=only),
+    ),
+}
 
 
 class Unit(NamedTuple):
@@ -66,38 +98,21 @@ class Unit(NamedTuple):
     params: dict
 
 
-def check_suite(suite: str, M, params: dict, only: str | None = None):
-    """The suite's reports on M, of one relation id when only is given."""
-    if suite == "daha":
-        return check_daha_relations(M, params["dmax"], only=only)
-    if suite == "bqt":
-        return check_bqt_relations(M, params["kmax"], params["dmax"], only=only)
-    if suite == "aux":
-        return check_aux_identities(M, params["dmax"], only=only)
-    raise ValueError(suite)
-
-
-def _report_objs(unit: Unit, M, ids) -> list[dict]:
-    """Report objects of the given relation ids, in order, all run on M."""
-    return [r.to_obj() for rid in ids for r in check_suite(unit.suite, M, unit.params, rid)]
-
-
-def _catalog(unit: Unit, M) -> list:
-    """The (relation id, anchor, instances) entries the unit's suite checks on M."""
-    if unit.suite == "daha":
-        return daha_identities(M.n, QT)
-    if unit.suite == "bqt":
-        flavors = range(min(unit.params["kmax"], M.n) + 1)
-        return [entry for k in flavors for entry in bqt_identities(M.n, k, QT)]
-    return aux_identities(M.n, QT)
+def check_ids(unit: Unit, M, ids=None) -> list:
+    """The unit's reports on M, relation id by relation id: of the given ids,
+    else of every id in its suite's catalog, in catalog order."""
+    suite = SUITES[unit.suite]
+    if ids is None:
+        ids = dict.fromkeys(rid for rid, _, _ in suite.catalog(M, unit.params))
+    return [r for rid in ids for r in suite.check(M, unit.params, rid)]
 
 
 def _costs(unit: Unit, M) -> dict:
     """Relation id -> the chain letters in the words of all its instances,
-    times the number of basis keys of degree <= dmax."""
+    times the number of basis keys of degree <= dmax; ids in catalog order."""
     size = sum(len(M.basis(d)) for d in range(unit.params["dmax"] + 1))
     costs: dict = {}
-    for rid, _, items in _catalog(unit, M):
+    for rid, _, items in SUITES[unit.suite].catalog(M, unit.params):
         words = (word for ident in items for _, word in ident.lhs + ident.rhs)
         n = sum(sym[0] in CHAIN_LETTERS for word in words for sym in word)
         costs[rid] = costs.get(rid, 0) + n * size
@@ -120,36 +135,30 @@ def _warm_y(M, params: dict) -> None:
                         pass
 
 
-def _run_unit(unit: Unit) -> list[dict]:
-    """Report objects of every relation id of the unit, run here; its tables go on return."""
-    M = make_realization(unit.desc)
-    return _report_objs(unit, M, relation_ids(unit.suite, M))
-
-
 def check_units(units: list[Unit], jobs: int) -> list[list[dict]]:
     """Report objects of every unit, in unit order and catalog order (module docstring)."""
     if jobs <= 1:
-        return [_run_unit(u) for u in units]
+        return [[r.to_obj() for r in check_ids(u, make_realization(u.desc))] for u in units]
     realizations = [make_realization(u.desc) for u in units]
-    ids = [relation_ids(u.suite, M) for u, M in zip(units, realizations)]
+    costs = [_costs(u, M) for u, M in zip(units, realizations)]
     split = len(units) == 1
     if split:
-        tasks = [(0, [rid]) for rid in ids[0]]
+        tasks = [(0, [rid]) for rid in costs[0]]
     else:
-        tasks = list(enumerate(ids))
-    costs = [_costs(u, M) for u, M in zip(units, realizations)]
+        tasks = [(j, list(c)) for j, c in enumerate(costs)]
     order = sorted(
-        range(len(tasks)), key=lambda t: -sum(costs[tasks[t][0]].get(r, 0) for r in tasks[t][1])
+        range(len(tasks)), key=lambda t: -sum(costs[tasks[t][0]][r] for r in tasks[t][1])
     )
-    if split and units[0].suite == "daha":
-        _warm_y(realizations[0], units[0].params)
+    warm = SUITES[units[0].suite].warm
+    if split and warm:
+        warm(realizations[0], units[0].params)
 
     def run(t: int) -> list[dict]:
         j, rids = tasks[t]
         M = realizations[j]
         if not split:  # the unit's one task: its tables go when it ends
             realizations[j] = None
-        return _report_objs(units[j], M, rids)
+        return [r.to_obj() for r in check_ids(units[j], M, rids)]
 
     results = _fork_and_collect(run, order, min(jobs, len(tasks)))
     out: list[list[dict]] = [[] for _ in units]

@@ -136,16 +136,26 @@ def test_probabilistic_mode(capsys):
     assert all(r["mode"] == "probabilistic" for r in doc["reports"])
 
 
-def test_probabilistic_aux_on_murnaghan_runs_the_exact_relation_ids(capsys):
-    base = ["check", "aux", "--module", "murnaghan", "--shape", "1", "--n", "3",
-            "--dmax", "1", "--jobs", "1"]
+@pytest.mark.parametrize(
+    "base, count, last",
+    [
+        (["aux", "--module", "murnaghan", "--shape", "1", "--n", "3", "--dmax", "1"],
+         15, ("aux_theta_eigen", None)),
+        (["bqt", "--module", "poly", "--n", "3", "--kmax", "2", "--dmax", "2"],
+         14, ("bqt_z1_commutator", 2)),
+    ],
+    ids=["aux_murnaghan", "bqt_poly"],
+)
+def test_probabilistic_mode_runs_the_exact_relation_ids(capsys, base, count, last):
     docs = []
     for extra in ([], ["--probabilistic"]):
-        code, out, _ = run(capsys, *base, *extra)
+        code, out, _ = run(capsys, "check", *base, "--jobs", "1", *extra)
         assert code == 0
         docs.append(json.loads(out))
-    exact, probabilistic = ([r["relation_id"] for r in d["reports"]] for d in docs)
-    assert len(exact) == 15 and exact[-1] == "aux_theta_eigen"
+    exact, probabilistic = (
+        [(r["relation_id"], r.get("flavor")) for r in d["reports"]] for d in docs
+    )
+    assert len(exact) == count and exact[-1] == last
     assert probabilistic == exact
     assert all(r["mode"] == "probabilistic" for r in docs[1]["reports"])
 

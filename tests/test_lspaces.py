@@ -293,7 +293,7 @@ def test_phi_on_a_bad_flavor_raises_and_stores_nothing():
         with pytest.raises(FlavorOutOfRange):
             phi_action(M, v, k)
         with pytest.raises(FlavorOutOfRange):
-            FLAVORED_ALPHABET["phi"].table(M, v, k)
+            FLAVORED_ALPHABET["phi"].table(M, k)
     assert not phi_entries(M)
 
 

@@ -17,9 +17,7 @@ from bqt.polyrep import (
     apply_pi_tilde,
     apply_word,
     monomials_of_degree,
-    monomials_up_to_degree,
     word_from_json,
-    word_to_json,
 )
 from bqt.keyed import pi_entry
 from bqt.scalars import ONE, QT, ModPField, parse_scalar
@@ -133,7 +131,7 @@ def test_pi_substitution():
     for ring in (QT, ModPField(2**31 - 1, 5, 7)):
         for n in range(1, 6):
             M = PolyRealization(n, ring)
-            for e in monomials_up_to_degree(n, 4):
+            for e in (e for d in range(5) for e in monomials_of_degree(n, d)):
                 want = pi_oracle(n, e, ring)
                 assert dict(zip(*M._table(pi_entry, None, e))) == want
                 assert M.apply_pi(PolyVector(n, {e: ring.one})) == PolyVector(n, want)
@@ -231,7 +229,7 @@ def test_word_validation_and_json():
     with pytest.raises(IndexOutOfRange):
         apply_word(M, v, (("Eps", 4),))
     word = (("T", 1), ("Scalar", parse_scalar("q^2 - 1")), ("PiTilde",))
-    assert word_from_json(word_to_json(word)) == word
+    assert word_from_json([["T", 1], ["Scalar", str(word[1][1])], ["PiTilde"]]) == word
     with pytest.raises(ValueError, match="JSON list of symbols"):
         word_from_json({"T": 1})
     with pytest.raises(ValueError, match="not scalar text"):

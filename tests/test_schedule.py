@@ -56,14 +56,14 @@ def test_an_error_in_the_warmed_y_chain_is_the_same_fail_report(capsys, monkeypa
 
 
 def test_an_exception_escaping_a_worker_exits_2_as_it_does_sequentially(capsys, monkeypatch):
-    check_suite = schedule.check_suite
+    check_daha_relations = schedule.check_daha_relations
 
-    def raising(suite, M, params, only=None):
+    def raising(M, d_max, only=None):
         if only in ("daha_TYT", "daha_YTX"):
             raise ValueError(f"planted in {only}")
-        return check_suite(suite, M, params, only)
+        return check_daha_relations(M, d_max, only=only)
 
-    monkeypatch.setattr(schedule, "check_suite", raising)
+    monkeypatch.setattr(schedule, "check_daha_relations", raising)
     outcomes = []
     for jobs in ("1", "2"):
         code = main(["check", "daha", "--module", "poly", "--n", "3", "--dmax", "1",
@@ -74,10 +74,10 @@ def test_an_exception_escaping_a_worker_exits_2_as_it_does_sequentially(capsys, 
 
 
 def test_a_worker_that_dies_is_an_error_not_a_hang(monkeypatch):
-    def dies(suite, M, params, only=None):
+    def dies(M, d_max, only=None):
         os._exit(3)
 
-    monkeypatch.setattr(schedule, "check_suite", dies)
+    monkeypatch.setattr(schedule, "check_daha_relations", dies)
     with pytest.raises(RuntimeError, match="worker exited"):
         check_units([Unit({"module": "poly", "n": 2}, "daha", {"dmax": 1})], 2)
     assert multiprocessing.active_children() == []
@@ -119,6 +119,31 @@ def test_only_a_single_unit_across_workers_is_warmed(monkeypatch):
     assert warmed == []
     check_units([unit], 2)
     assert warmed == [unit.desc]
+
+
+@pytest.mark.parametrize(
+    "unit",
+    [
+        Unit({"module": "poly", "n": 3}, "daha", {"dmax": 1}),
+        Unit({"module": "poly", "n": 3}, "bqt", {"dmax": 2, "kmax": 1}),
+        Unit({"module": "poly", "n": 3}, "bqt", {"dmax": 2, "kmax": 3}),
+        Unit({"module": "poly", "n": 3}, "bqt", {"dmax": 2, "kmax": 5}),
+        Unit({"module": "poly", "n": 2}, "aux", {"dmax": 2}),
+        Unit({"module": "murnaghan", "shape": [1], "n": 3}, "aux", {"dmax": 1}),
+    ],
+    ids=["daha", "bqt_k_below_n", "bqt_k_at_n", "bqt_k_above_n", "aux_poly", "aux_murnaghan"],
+)
+def test_the_table_ids_give_the_reports_of_one_full_run(unit):
+    """Run id by id in the table's order, a suite gives the reports of one
+    call of its checker over every relation, in relation-id order."""
+    M = schedule.make_realization(unit.desc)
+    suite = schedule.SUITES[unit.suite]
+    ids = list(dict.fromkeys(rid for rid, _, _ in suite.catalog(M, unit.params)))
+    full = zero_millis([[r.to_obj() for r in suite.check(M, unit.params, None)]])[0]
+    by_id = zero_millis(check_units([unit], 1))[0]
+    assert by_id == sorted(full, key=lambda obj: ids.index(obj["relation_id"]))
+    if unit.desc["module"] == "murnaghan":
+        assert ids[-1] == by_id[-1]["relation_id"] == "aux_theta_eigen"
 
 
 def test_costs_come_from_the_catalog_words():
